@@ -4,9 +4,6 @@ from .architecture import (
     ArchitectureDescriptor,
     LayerDescriptor,
     build_architecture,
-    count_layers,
-    count_macs,
-    count_params,
 )
 from .devices import (
     DeviceMeasurer,
@@ -16,7 +13,6 @@ from .devices import (
     JitterSpec,
     LatencyModel,
     MeasurementProtocol,
-    MeasurementStats,
     PowerModel,
     SimulatedDevice,
     dynamic_power_from_traces,
@@ -24,7 +20,6 @@ from .devices import (
     latency_stats,
     load_profile,
     load_profiles,
-    measure,
     simulate_dynamic_power,
     simulate_latency,
 )

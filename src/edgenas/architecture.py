@@ -163,15 +163,3 @@ def build_architecture(
         weighted_layer_count=sum(1 for l in layers if l.kind in WEIGHTED_KINDS),
     )
 
-
-def count_params(arch: ArchitectureDescriptor) -> int:
-    return arch.total_params
-
-
-def count_macs(arch: ArchitectureDescriptor) -> int:
-    return arch.total_macs
-
-
-def count_layers(config: Configuration) -> int:
-    """Weighted layers only: two convs per block plus three FC layers."""
-    return 2 * config.block + 3

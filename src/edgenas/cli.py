@@ -12,18 +12,17 @@ import argparse
 import json
 import logging
 import os
-import shutil
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from ._data import PROFILES_DIR, TABLE1_SPACE_PATH
 from .architecture import build_architecture
-from .calibration import DEVICE_PRECISIONS, fit_device_profile
+from .calibration import fit_device_profile
 from .devices import (
     DeviceMeasurer,
-    FitError,
     FitObservation,
     JitterSpec,
     MeasurementError,
@@ -89,6 +88,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="edgenas", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     def add_space_arg(p):
         p.add_argument("--space", default=str(TABLE1_SPACE_PATH), help="space definition JSON")
@@ -122,6 +122,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--out", required=True, help="run output directory")
         p.add_argument("--no-timestamps", action="store_true")
         p.add_argument("--evaluator-timeout", type=float, default=60.0)
+        p.set_defaults(optimizer_settings={})
         if with_devices:
             p.add_argument("--devices", default=str(PROFILES_DIR), help="device profile directory")
             p.add_argument("--keep2", type=int, default=10)
@@ -171,47 +172,26 @@ def _load_space(path: str):
     return space_from_json(path)
 
 
-def _apply_run_config(args) -> None:
-    """Merge --config file values under explicit flags (flags win only
-    when they differ from parser defaults)."""
-    if not getattr(args, "config", None):
-        return
-    path = Path(args.config)
-    if not path.exists():
+def _run_config_defaults(path: str) -> dict:
+    """Parser defaults from a --config run file, keyed by flag destination,
+    so that an explicit flag always wins over the file."""
+    if not Path(path).exists():
         raise UsageError(f"run config not found: {path}")
-    data = json.loads(path.read_text())
-    mapping = {
-        "space": "space",
-        "evaluator": "evaluator",
-        "budget": "budget",
-        "keep1": "keep1",
-        "keep2": "keep2",
-        "seed": "seed",
-        "out": "out",
-        "devices_dir": "devices",
-        "warmup_runs": "warmup_runs",
-    }
-    parser_defaults = {
-        "space": str(TABLE1_SPACE_PATH),
-        "evaluator": "surrogate",
-        "budget": 2000,
-        "keep1": 1000,
-        "keep2": 10,
-        "seed": 42,
-        "devices": str(PROFILES_DIR),
-        "warmup_runs": 0,
-    }
-    for key, attr in mapping.items():
-        if key in data and hasattr(args, attr):
-            if getattr(args, attr) == parser_defaults.get(attr):
-                setattr(args, attr, data[key])
-    optimizer = data.get("optimizer", {})
-    args.optimizer_settings = optimizer
+    data = json.loads(Path(path).read_text())
     jitter = data.get("jitter", {})
-    if hasattr(args, "latency_jitter") and args.latency_jitter == 0.0:
-        args.latency_jitter = float(jitter.get("latency_sigma_ms", 0.0))
-    if hasattr(args, "power_jitter") and args.power_jitter == 0.0:
-        args.power_jitter = float(jitter.get("power_sigma_w", 0.0))
+    defaults = {
+        key: data[key]
+        for key in ("space", "evaluator", "budget", "keep1", "keep2", "seed", "warmup_runs")
+        if key in data
+    }
+    if "devices_dir" in data:
+        defaults["devices"] = data["devices_dir"]
+    if "latency_sigma_ms" in jitter:
+        defaults["latency_jitter"] = float(jitter["latency_sigma_ms"])
+    if "power_sigma_w" in jitter:
+        defaults["power_jitter"] = float(jitter["power_sigma_w"])
+    defaults["optimizer_settings"] = data.get("optimizer", {})
+    return defaults
 
 
 def _make_evaluator(selector: str, space, timeout_s: float):
@@ -223,12 +203,6 @@ def _make_evaluator(selector: str, space, timeout_s: float):
             raise UsageError("empty command in exec: evaluator selector")
         return ExternalEvaluator(JsonLineChannel(command, timeout_s=timeout_s))
     raise UsageError(f'unknown evaluator {selector!r} (use surrogate or exec:"CMD")')
-
-
-def _settings_from_args(args) -> OptimizerSettings:
-    overrides = getattr(args, "optimizer_settings", {}) or {}
-    overrides = {k: v for k, v in overrides.items() if k in ("gamma", "n_startup", "n_candidates")}
-    return OptimizerSettings(seed=args.seed, **overrides)
 
 
 def _measurer_factory(seed: int, jitter: JitterSpec, warmup_runs: int):
@@ -297,28 +271,17 @@ def cmd_arch_describe(args) -> int:
     return 0
 
 
-def _preflight_search(args):
-    space = _load_space(args.space)
-    evaluator = _make_evaluator(args.evaluator, space, args.evaluator_timeout)
-    return space, evaluator
-
-
-def _write_manifest(args, out: Path, with_devices: bool) -> None:
+def _write_manifest(args, out: Path, settings: OptimizerSettings) -> None:
     manifest = {
         "space_file": "space.json",
         "seed": args.seed,
         "budget": args.budget,
         "keep1": args.keep1,
         "evaluator": args.evaluator,
-        "optimizer": {
-            "gamma": _settings_from_args(args).gamma,
-            "n_startup": _settings_from_args(args).n_startup,
-            "n_candidates": _settings_from_args(args).n_candidates,
-            "seed": args.seed,
-        },
+        "optimizer": asdict(settings),
         "timestamps": not args.no_timestamps,
     }
-    if with_devices:
+    if hasattr(args, "devices"):
         manifest.update(
             {
                 "keep2": args.keep2,
@@ -334,35 +297,35 @@ def _write_manifest(args, out: Path, with_devices: bool) -> None:
 
 
 def cmd_search(args) -> int:
-    _apply_run_config(args)
-    space, evaluator = _preflight_search(args)
-    out = _out_dir(args)
-    space_to_json(space, out / "space.json")
-    _write_manifest(args, out, with_devices=False)
-    log = TrialLog(out / "trials.jsonl")
-    ranked = stage1(
-        space,
-        evaluator,
-        _settings_from_args(args),
-        budget=args.budget,
-        keep=args.keep1,
-        log=log,
-        timestamps=not args.no_timestamps,
-    )
+    space = _load_space(args.space)
+    settings = OptimizerSettings.from_dict({**args.optimizer_settings, "seed": args.seed})
+    evaluator = _make_evaluator(args.evaluator, space, args.evaluator_timeout)
+    try:
+        out = _out_dir(args)
+        space_to_json(space, out / "space.json")
+        _write_manifest(args, out, settings)
+        ranked = stage1(
+            space,
+            evaluator,
+            settings,
+            budget=args.budget,
+            keep=args.keep1,
+            log=TrialLog(out / "trials.jsonl"),
+            timestamps=not args.no_timestamps,
+        )
+    finally:
+        if isinstance(evaluator, ExternalEvaluator):
+            evaluator.close()
     _write_json(out / "stage1.json", ranked.to_json_dict())
     best = ranked.records[0]
     print(f"stage 1 kept {len(ranked.records)} configurations; best accuracy {best.accuracy_pct:.4f}")
     return 0
 
 
-def _stage2_inputs(args):
+def _measurement_inputs(args):
     out = _out_dir(args)
     manifest = _manifest(out)
     space = space_from_json(out / "space.json")
-    stage1_path = out / "stage1.json"
-    if not stage1_path.exists():
-        raise UsageError(f"no stage1.json in {out}")
-    candidates = RankedSet.from_json_dict(json.loads(stage1_path.read_text()))
     devices_dir = args.devices or manifest.get("devices_dir") or str(PROFILES_DIR)
     profiles = dict(sorted(load_profiles(devices_dir).items()))
     jitter = JitterSpec(
@@ -371,11 +334,15 @@ def _stage2_inputs(args):
     )
     factory = _measurer_factory(manifest["seed"], jitter, manifest.get("warmup_runs", 0))
     timestamps = manifest.get("timestamps", True) and not args.no_timestamps
-    return out, manifest, space, candidates, profiles, factory, timestamps
+    return out, manifest, space, profiles, factory, timestamps
 
 
 def cmd_stage2(args) -> int:
-    out, manifest, space, candidates, profiles, factory, timestamps = _stage2_inputs(args)
+    out, manifest, space, profiles, factory, timestamps = _measurement_inputs(args)
+    stage1_path = out / "stage1.json"
+    if not stage1_path.exists():
+        raise UsageError(f"no stage1.json in {out}")
+    candidates = RankedSet.from_json_dict(json.loads(stage1_path.read_text()))
     keep2 = args.keep2 if args.keep2 is not None else manifest.get("keep2", 10)
     log = TrialLog(out / "trials.jsonl")
     ranked = stage2(space, candidates, profiles, factory, keep2, log=log, timestamps=timestamps)
@@ -387,7 +354,7 @@ def cmd_stage2(args) -> int:
 
 
 def cmd_stage3(args) -> int:
-    out, manifest, space, _, profiles, factory, timestamps = _stage2_inputs(args)
+    out, _, space, profiles, factory, timestamps = _measurement_inputs(args)
     stage2_path = out / "stage2.json"
     if not stage2_path.exists():
         raise UsageError(f"no stage2.json in {out}")
@@ -407,39 +374,11 @@ def cmd_stage3(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    _apply_run_config(args)
-    # Fail-fast preflight: every referenced file parses before any stage runs.
-    space, evaluator = _preflight_search(args)
-    profiles = dict(sorted(load_profiles(args.devices).items()))
-    out = _out_dir(args)
-    space_to_json(space, out / "space.json")
-    _write_manifest(args, out, with_devices=True)
-    log = TrialLog(out / "trials.jsonl")
-    jitter = JitterSpec(args.latency_jitter, args.power_jitter)
-    factory = _measurer_factory(args.seed, jitter, args.warmup_runs)
-    timestamps = not args.no_timestamps
-
-    ranked1 = stage1(
-        space,
-        evaluator,
-        _settings_from_args(args),
-        budget=args.budget,
-        keep=args.keep1,
-        log=log,
-        timestamps=timestamps,
-    )
-    _write_json(out / "stage1.json", ranked1.to_json_dict())
-    ranked2 = stage2(space, ranked1, profiles, factory, args.keep2, log=log, timestamps=timestamps)
-    _write_json(out / "stage2.json", {d: r.to_json_dict() for d, r in ranked2.items()})
-    winners = stage3(space, ranked2, profiles, factory, log=log, timestamps=timestamps)
-    _write_json(out / "stage3.json", {d: r.to_json_dict() for d, r in winners.items()})
-    for device in sorted(winners):
-        record = winners[device]
-        print(
-            f"{device}: winner accuracy/PDP {record.fitness_value:.3f} "
-            f"({record.accuracy_pct:.2f}%, {record.latency_mean_ms:.3f} ms, "
-            f"{record.dynamic_power_w:.3f} W)"
-        )
+    # Fail-fast preflight: the profiles parse before any stage runs (the
+    # space and the evaluator are checked by search before it writes).
+    load_profiles(args.devices)
+    for command in (cmd_search, cmd_stage2, cmd_stage3):
+        command(args)
     return 0
 
 
@@ -557,6 +496,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command in ("search", "pipeline") and args.config:
+            # A --config file supplies defaults; parsing again lets every
+            # explicit flag override them.
+            defaults = _run_config_defaults(args.config)
+            parser.commands[args.command].set_defaults(
+                **{k: v for k, v in defaults.items() if hasattr(args, k)}
+            )
+            args = parser.parse_args(argv)
         sub = getattr(args, "space_command", None) or getattr(args, "arch_command", None) or getattr(
             args, "devices_command", None
         )

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -152,16 +152,6 @@ class JitterSpec:
     @property
     def enabled(self) -> bool:
         return self.latency_sigma_ms > 0 or self.power_sigma_w > 0
-
-
-@dataclass(frozen=True)
-class MeasurementStats:
-    latency_mean_ms: float
-    latency_std_ms: float
-    dynamic_power_w: float
-    n_latency_runs: int
-    power_sample_hz: float
-    power_window_s: float
 
 
 def mean_std(samples: list[float]) -> tuple[float, float]:
@@ -324,33 +314,6 @@ class ExternalDevice:
         self.channel.close()
 
 
-def measure(
-    config: Configuration,
-    arch: ArchitectureDescriptor,
-    backend,
-    protocol: MeasurementProtocol | None = None,
-) -> MeasurementStats:
-    """Full latency + power measurement, reduced identically for the
-    simulated and external paths."""
-    protocol = protocol or MeasurementProtocol()
-    total_runs = protocol.latency_runs + protocol.warmup_runs
-    samples = backend.latency_samples(config, arch, total_runs)
-    timed = samples[protocol.warmup_runs :]
-    mean, std = latency_stats(timed)
-    idle, active = backend.power_traces(
-        config, arch, protocol.power_window_s, protocol.power_sample_hz
-    )
-    dynamic = dynamic_power_from_traces(idle, active)
-    return MeasurementStats(
-        latency_mean_ms=mean,
-        latency_std_ms=std,
-        dynamic_power_w=dynamic,
-        n_latency_runs=protocol.latency_runs,
-        power_sample_hz=protocol.power_sample_hz,
-        power_window_s=protocol.power_window_s,
-    )
-
-
 class DeviceMeasurer:
     """Stage-facing wrapper: latency and power are separate calls so the
     cheap measurement can run without the expensive one."""
@@ -369,9 +332,6 @@ class DeviceMeasurer:
             config, arch, self.protocol.power_window_s, self.protocol.power_sample_hz
         )
         return dynamic_power_from_traces(idle, active)
-
-    def full(self, config: Configuration, arch: ArchitectureDescriptor) -> MeasurementStats:
-        return measure(config, arch, self.backend, self.protocol)
 
 
 @dataclass(frozen=True)
@@ -458,11 +418,4 @@ def fit_profile(
         if obs.dynamic_power_w is not None
     }
     residuals = {"latency_ms": latency_residuals, "power_w": power_residuals}
-    return DeviceProfile(
-        name=name,
-        precision=precision,
-        latency_model=latency_model,
-        power_model=power_model,
-        accuracy_delta_pct=accuracy_delta_pct,
-        fit_residuals=residuals,
-    )
+    return replace(profile, fit_residuals=residuals)

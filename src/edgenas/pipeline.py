@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -20,7 +20,7 @@ from typing import Callable
 
 import json
 
-from .architecture import ArchitectureDescriptor, build_architecture
+from .architecture import build_architecture
 from .devices import DeviceMeasurer, DeviceProfile, MeasurementError
 from .space import Configuration, SearchSpace, index_of
 from .tpe import OptimizerSettings, best_accuracy, run_optimization
@@ -130,12 +130,29 @@ class TrialLog:
             handle.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
 
     def load(self) -> list[TrialRecord]:
+        """Every record in the log. A last line with no newline that does
+        not parse is an append cut short by a crash: it is dropped with a
+        warning and cut from the file, so the next append starts a fresh
+        line. Any other bad line raises ValueError naming path:line."""
         if not self.path.exists():
             return []
+        lines = self.path.read_text(errors="replace").split("\n")
         records = []
-        for line in self.path.read_text().splitlines():
-            if line.strip():
+        for number, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
                 records.append(TrialRecord.from_json_dict(json.loads(line)))
+            except (ValueError, KeyError, TypeError) as exc:
+                if number < len(lines):
+                    raise ValueError(f"{self.path}:{number}: bad trial record: {exc}") from None
+                logger.warning("%s: dropping torn last line %d", self.path, number)
+                with self.path.open("r+b") as handle:
+                    handle.truncate(handle.read().rfind(b"\n") + 1)
+                return records
+        if lines[-1].strip():
+            with self.path.open("a") as handle:
+                handle.write("\n")
         return records
 
     def index(self) -> dict[tuple, TrialRecord]:
@@ -240,6 +257,80 @@ def stage1(
     return rank_records(records, FitnessKind.ACCURACY, keep, space)
 
 
+def _measure_and_rank(
+    stage: int,
+    kind: FitnessKind,
+    keep: int,
+    space: SearchSpace,
+    candidates: dict[str, list[TrialRecord]],
+    profiles: dict[str, DeviceProfile],
+    measurer_factory: Callable[[DeviceProfile], DeviceMeasurer],
+    measure: Callable[..., tuple],
+    log: TrialLog | None,
+    timestamps: bool,
+) -> dict[str, RankedSet]:
+    """The stage-2/3 loop: per device, reuse logged records, measure the
+    other candidates, exclude pairs that raise MeasurementError, rank.
+
+    ``measure(measurer, profile, candidate, arch)`` returns the record's
+    (accuracy, latency mean, latency std, dynamic power)."""
+    cached = log.index() if log is not None else {}
+    result: dict[str, RankedSet] = {}
+    for device_name, device_candidates in candidates.items():
+        if not device_candidates:
+            raise PipelineError(f"stage {stage}: empty candidate set for {device_name}")
+        profile = profiles[device_name]
+        measurer = measurer_factory(profile)
+        records: list[TrialRecord] = []
+        for candidate in device_candidates:
+            key = _record_key(stage, device_name, candidate.config)
+            if key in cached:
+                records.append(cached[key])
+                continue
+            arch = build_architecture(candidate.config)
+            try:
+                accuracy, mean, std, power = measure(measurer, profile, candidate, arch)
+            except MeasurementError as exc:
+                logger.warning(
+                    "stage %d: excluding %s on %s: %s",
+                    stage,
+                    candidate.config.canonical_json(),
+                    device_name,
+                    exc,
+                )
+                continue
+            record = TrialRecord(
+                config=candidate.config,
+                stage=stage,
+                fitness_kind=kind,
+                fitness_value=fitness(accuracy, mean, power, kind),
+                accuracy_pct=accuracy,
+                device=device_name,
+                latency_mean_ms=mean,
+                latency_std_ms=std,
+                dynamic_power_w=power,
+                seed=candidate.seed,
+                ts=_now_rfc3339() if timestamps else None,
+            )
+            records.append(record)
+            if log is not None:
+                log.append(record)
+        if not records:
+            raise PipelineError(f"stage {stage}: no successful measurements on {device_name}")
+        result[device_name] = rank_records(records, kind, keep, space)
+    return result
+
+
+def _measure_latency(measurer, profile, candidate, arch) -> tuple:
+    mean, std = measurer.latency(candidate.config, arch)
+    return candidate.accuracy_pct - profile.accuracy_delta_pct, mean, std, None
+
+
+def _measure_power(measurer, profile, candidate, arch) -> tuple:
+    power = measurer.power(candidate.config, arch)
+    return candidate.accuracy_pct, candidate.latency_mean_ms, candidate.latency_std_ms, power
+
+
 def stage2(
     space: SearchSpace,
     candidates: RankedSet,
@@ -253,49 +344,18 @@ def stage2(
     ranked per device by accuracy/latency."""
     if not candidates.records:
         raise PipelineError("stage 2 requires a non-empty candidate set")
-    cached = log.index() if log is not None else {}
-    result: dict[str, RankedSet] = {}
-    for device_name, profile in profiles.items():
-        measurer = measurer_factory(profile)
-        records: list[TrialRecord] = []
-        for candidate in candidates.records:
-            key = _record_key(2, device_name, candidate.config)
-            if key in cached:
-                records.append(cached[key])
-                continue
-            arch = build_architecture(candidate.config)
-            try:
-                mean, std = measurer.latency(candidate.config, arch)
-            except MeasurementError as exc:
-                logger.warning(
-                    "stage 2: excluding %s on %s: %s",
-                    candidate.config.canonical_json(),
-                    device_name,
-                    exc,
-                )
-                continue
-            accuracy = candidate.accuracy_pct - profile.accuracy_delta_pct
-            record = TrialRecord(
-                config=candidate.config,
-                stage=2,
-                fitness_kind=FitnessKind.ACCURACY_PER_LATENCY,
-                fitness_value=fitness(accuracy, mean, kind=FitnessKind.ACCURACY_PER_LATENCY),
-                accuracy_pct=accuracy,
-                device=device_name,
-                latency_mean_ms=mean,
-                latency_std_ms=std,
-                seed=candidate.seed,
-                ts=_now_rfc3339() if timestamps else None,
-            )
-            records.append(record)
-            if log is not None:
-                log.append(record)
-        if not records:
-            raise PipelineError(f"stage 2: no successful measurements on {device_name}")
-        result[device_name] = rank_records(
-            records, FitnessKind.ACCURACY_PER_LATENCY, keep_per_device, space
-        )
-    return result
+    return _measure_and_rank(
+        2,
+        FitnessKind.ACCURACY_PER_LATENCY,
+        keep_per_device,
+        space,
+        dict.fromkeys(profiles, candidates.records),
+        profiles,
+        measurer_factory,
+        _measure_latency,
+        log,
+        timestamps,
+    )
 
 
 def stage3(
@@ -309,56 +369,19 @@ def stage3(
     """Dynamic-power measurement for the stage-2 survivors; the single
     accuracy/PDP winner per device. PDP reuses the stage-2 latency mean
     (power is the only new measurement here)."""
-    cached = log.index() if log is not None else {}
-    winners: dict[str, TrialRecord] = {}
-    for device_name, ranked in per_device.items():
-        if not ranked.records:
-            raise PipelineError(f"stage 3: empty candidate set for {device_name}")
-        profile = profiles[device_name]
-        measurer = measurer_factory(profile)
-        records: list[TrialRecord] = []
-        for candidate in ranked.records:
-            key = _record_key(3, device_name, candidate.config)
-            if key in cached:
-                records.append(cached[key])
-                continue
-            arch = build_architecture(candidate.config)
-            try:
-                power = measurer.power(candidate.config, arch)
-            except MeasurementError as exc:
-                logger.warning(
-                    "stage 3: excluding %s on %s: %s",
-                    candidate.config.canonical_json(),
-                    device_name,
-                    exc,
-                )
-                continue
-            record = TrialRecord(
-                config=candidate.config,
-                stage=3,
-                fitness_kind=FitnessKind.ACCURACY_PER_PDP,
-                fitness_value=fitness(
-                    candidate.accuracy_pct,
-                    candidate.latency_mean_ms,
-                    power,
-                    FitnessKind.ACCURACY_PER_PDP,
-                ),
-                accuracy_pct=candidate.accuracy_pct,
-                device=device_name,
-                latency_mean_ms=candidate.latency_mean_ms,
-                latency_std_ms=candidate.latency_std_ms,
-                dynamic_power_w=power,
-                seed=candidate.seed,
-                ts=_now_rfc3339() if timestamps else None,
-            )
-            records.append(record)
-            if log is not None:
-                log.append(record)
-        if not records:
-            raise PipelineError(f"stage 3: no successful measurements on {device_name}")
-        ranked_pdp = rank_records(records, FitnessKind.ACCURACY_PER_PDP, 1, space)
-        winners[device_name] = ranked_pdp.records[0]
-    return winners
+    ranked = _measure_and_rank(
+        3,
+        FitnessKind.ACCURACY_PER_PDP,
+        1,
+        space,
+        {device_name: r.records for device_name, r in per_device.items()},
+        profiles,
+        measurer_factory,
+        _measure_power,
+        log,
+        timestamps,
+    )
+    return {device_name: r.records[0] for device_name, r in ranked.items()}
 
 
 @dataclass

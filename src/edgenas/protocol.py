@@ -90,17 +90,20 @@ class JsonLineChannel:
         return response
 
     def close(self) -> None:
-        if self._proc.poll() is None:
-            try:
-                if self._proc.stdin is not None:
-                    self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
-                self._proc.wait()
+        """Close stdin so the child sees EOF, wait for it to exit (killing
+        it after 5 s), then join the reader and close stdout."""
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self._proc.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        self._reader.join(timeout=5)
+        if not self._reader.is_alive():
+            self._proc.stdout.close()
 
     def __enter__(self) -> "JsonLineChannel":
         return self

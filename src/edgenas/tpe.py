@@ -15,13 +15,13 @@ re-asking with the same history returns the same configuration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .evaluators import EvaluatorError
-from .space import Configuration, SearchSpace, cardinality, config_from_index, sample_uniform
+from .space import Configuration, SearchSpace, sample_uniform
 
 SMOOTHING_ALPHA = 1.0
 DEDUP_BUDGET_FACTOR = 3
@@ -215,14 +215,7 @@ def run_optimization(
     """
     if budget < 1:
         raise ValueError(f"budget {budget} must be >= 1")
-    base = settings or OptimizerSettings(seed=seed)
-    if base.seed != seed:
-        base = OptimizerSettings(
-            gamma=base.gamma,
-            n_startup=base.n_startup,
-            n_candidates=base.n_candidates,
-            seed=seed,
-        )
+    base = replace(settings or OptimizerSettings(), seed=seed)
     history = ObservationHistory.from_settings(base)
     cache: dict[Configuration, tuple[float | None, bool]] = {}
     limit = budget
@@ -251,21 +244,9 @@ def run_optimization(
 def random_search(
     space: SearchSpace, evaluate: Callable[[Configuration], float], budget: int, seed: int
 ) -> ObservationHistory:
-    """Uniform-sampling baseline with the same bookkeeping as the optimizer."""
-    history = ObservationHistory(seed=seed, n_startup=budget + 1)
-    cache: dict[Configuration, tuple[float | None, bool]] = {}
-    for _ in range(budget):
-        config = suggest(space, history)
-        if config in cache:
-            loss, failed = cache[config]
-        else:
-            try:
-                loss, failed = -float(evaluate(config)), False
-            except EvaluatorError:
-                loss, failed = None, True
-            cache[config] = (loss, failed)
-        history.record(config, loss, failed=failed)
-    return history
+    """Uniform-sampling baseline: the optimizer with its startup phase
+    covering the whole budget."""
+    return run_optimization(space, evaluate, budget, seed, OptimizerSettings(n_startup=budget + 1))
 
 
 def best_accuracy(history: ObservationHistory) -> float:

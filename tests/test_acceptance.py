@@ -13,8 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from edgenas.architecture import build_architecture, count_layers
-from edgenas.devices import ExternalDevice, MeasurementError, measure
+from edgenas.architecture import build_architecture
+from edgenas.devices import DeviceMeasurer, ExternalDevice, MeasurementError
 from edgenas.evaluators import Precision, SurrogateEvaluator
 from edgenas.pipeline import FitnessKind, RankedSet, TrialRecord, fitness, rank_records, stage1
 from edgenas.protocol import JsonLineChannel
@@ -129,8 +129,7 @@ def test_criterion_05_layer_count_claims():
         4: Configuration(block=4, k1=6, k2=24, k3=36, k4=52, fc1=100, do1=10, fc2=80, do2=10),
     }
     for block, expected in ((2, 7), (3, 9), (4, 11)):
-        assert count_layers(configs[block]) == expected
-        assert build_architecture(configs[block]).weighted_layer_count == expected
+        assert build_architecture(configs[block]).weighted_layer_count == expected == 2 * block + 3
     _ok(5, "blocks 2/3/4 give 7/9/11 weighted layers")
 
 
@@ -239,20 +238,37 @@ def test_criterion_09_measurement_protocol(pi_best):
     def channel(mode):
         return JsonLineChannel([sys.executable, str(MOCK_DEVICE), mode], timeout_s=10.0)
 
+    def measure(backend):
+        measurer = DeviceMeasurer(backend)
+        return measurer.latency(pi_best, arch), measurer.power(pi_best, arch)
+
+    class CountingBackend:
+        def __init__(self):
+            self.requested_runs = []
+
+        def latency_samples(self, config, arch, runs):
+            self.requested_runs.append(runs)
+            return [2.35] * runs
+
+        def power_traces(self, config, arch, window_s, sample_hz):
+            return [2.00] * window_s * sample_hz, [4.08] * window_s * sample_hz
+
     with channel("ok") as ok_channel:
-        stats = measure(pi_best, arch, ExternalDevice(ok_channel))
-    assert stats.latency_mean_ms == pytest.approx(2.35)
-    assert stats.latency_std_ms == 0.0
-    assert stats.n_latency_runs == 40
-    assert stats.dynamic_power_w == pytest.approx(4.08 - 2.00)
+        (mean, std), power = measure(ExternalDevice(ok_channel))
+    assert mean == pytest.approx(2.35)
+    assert std == 0.0
+    assert power == pytest.approx(4.08 - 2.00)
+    counting = CountingBackend()
+    assert measure(counting) == ((mean, std), power)
+    assert counting.requested_runs == [40]
 
     with channel("short") as short_channel:
         with pytest.raises(MeasurementError, match="expected 40 latency runs"):
-            measure(pi_best, arch, ExternalDevice(short_channel))
+            measure(ExternalDevice(short_channel))
 
     with channel("negative") as negative_channel:
         with pytest.raises(MeasurementError, match="negative dynamic power"):
-            measure(pi_best, arch, ExternalDevice(negative_channel))
+            measure(ExternalDevice(negative_channel))
     _ok(9, "NDJSON device protocol: stats match hand arithmetic; bad responses rejected")
 
 

@@ -3,12 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from edgenas.architecture import (
-    build_architecture,
-    count_layers,
-    count_macs,
-    count_params,
-)
+from edgenas.architecture import build_architecture
 from edgenas.space import Configuration, SpaceValidationError, config_from_index, cardinality
 from oracles import layer_walk_counts
 
@@ -70,8 +65,7 @@ def test_weighted_layer_counts_per_depth(table1):
     for block, config in cases.items():
         arch = build_architecture(config)
         assert arch.weighted_layer_count == expected[block]
-        assert count_layers(config) == expected[block]
-        assert count_layers(config) == 2 * block + 3
+        assert arch.weighted_layer_count == 2 * block + 3
 
 
 def test_spatial_progression_block3():
@@ -89,8 +83,8 @@ def test_oracle_agreement_100_random_configs(table1):
         params, macs = layer_walk_counts(
             config.block, list(config.kernels), config.fc1, config.fc2, config.output_classes
         )
-        assert count_params(arch) == params
-        assert count_macs(arch) == macs
+        assert arch.total_params == params
+        assert arch.total_macs == macs
 
 
 def test_grammar_sequence(table1):

@@ -219,6 +219,69 @@ class TestPipelineCli:
         assert (out_dir / "stage3.json").read_text() == (flag_run / "stage3.json").read_text()
 
 
+    def test_explicit_flags_override_run_config(self, capsys, tmp_path, reduced_space_file):
+        run_config = tmp_path / "run.json"
+        run_config.write_text(
+            json.dumps(
+                {
+                    "space": str(reduced_space_file),
+                    "budget": 40,
+                    "keep1": 5,
+                    "keep2": 2,
+                    "seed": 7,
+                    "jitter": {"latency_sigma_ms": 0.02, "power_sigma_w": 0.05},
+                }
+            )
+        )
+        from_file = tmp_path / "file"
+        code, _, _ = _run(capsys, "search", "--config", str(run_config), "--out", str(from_file))
+        assert code == 0
+        assert json.loads((from_file / "manifest.json").read_text())["seed"] == 7
+
+        searched = tmp_path / "search"
+        code, _, _ = _run(
+            capsys, "search", "--config", str(run_config), "--seed", "42", "--out", str(searched)
+        )
+        assert code == 0
+        assert json.loads((searched / "manifest.json").read_text())["seed"] == 42
+
+        piped = tmp_path / "pipeline"
+        code, _, _ = _run(
+            capsys,
+            "pipeline",
+            "--config",
+            str(run_config),
+            "--latency-jitter",
+            "0",
+            "--out",
+            str(piped),
+        )
+        assert code == 0
+        manifest = json.loads((piped / "manifest.json").read_text())
+        assert manifest["seed"] == 7
+        assert manifest["jitter"] == {"latency_sigma_ms": 0.0, "power_sigma_w": 0.05}
+
+    def test_torn_trial_log_resumes(self, capsys, tmp_path, reduced_space_file):
+        run = tmp_path / "run"
+        code, _, _ = self._pipeline(capsys, run, reduced_space_file)
+        assert code == 0
+        stages = {name: (run / name).read_bytes() for name in ("stage2.json", "stage3.json")}
+        log = run / "trials.jsonl"
+        log.write_bytes(log.read_bytes()[:-40])
+        for command in ("stage2", "stage3"):
+            code, _, _ = _run(capsys, command, "--out", str(run))
+            assert code == 0
+        assert {name: (run / name).read_bytes() for name in stages} == stages
+        assert log.read_bytes().endswith(b"\n")
+
+        lines = log.read_text().splitlines(keepends=True)
+        lines[2] = lines[2][:30] + "\n"
+        log.write_text("".join(lines))
+        code, _, err = _run(capsys, "stage2", "--out", str(run))
+        assert code == 1
+        assert "trials.jsonl:3" in err
+
+
 class TestExternalEvaluatorCli:
     def test_exec_selector(self, capsys, tmp_path, reduced_space_file):
         command = f"{sys.executable} {MOCK_EVALUATOR} per_config"
@@ -242,6 +305,39 @@ class TestExternalEvaluatorCli:
         )
         assert code == 0
         assert (out_dir / "stage1.json").exists()
+
+    @pytest.mark.parametrize("command", ["search", "pipeline"])
+    def test_evaluator_child_exits(self, command, capsys, tmp_path, reduced_space_file, monkeypatch):
+        import edgenas.cli
+
+        channels = []
+
+        class RecordingChannel(edgenas.cli.JsonLineChannel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                channels.append(self)
+
+        monkeypatch.setattr(edgenas.cli, "JsonLineChannel", RecordingChannel)
+        argv = [
+            command,
+            "--space",
+            str(reduced_space_file),
+            "--evaluator",
+            f"exec:{sys.executable} {MOCK_EVALUATOR} per_config",
+            "--budget",
+            "40",
+            "--keep1",
+            "5",
+            "--out",
+            str(tmp_path / "ext"),
+        ]
+        if command == "pipeline":
+            argv += ["--keep2", "2"]
+        code, _, _ = _run(capsys, *argv)
+        assert code == 0
+        assert len(channels) == 1
+        assert channels[0]._proc.returncode is not None
+        assert not channels[0]._reader.is_alive()
 
     def test_bad_selector(self, capsys, tmp_path, reduced_space_file):
         code, _, err = _run(

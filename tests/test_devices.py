@@ -21,7 +21,6 @@ from edgenas.devices import (
     fit_profile,
     latency_stats,
     load_profile,
-    measure,
     save_profile,
     simulate_dynamic_power,
     simulate_latency,
@@ -151,82 +150,91 @@ class TestStatistics:
             dynamic_power_from_traces([], [2.0])
 
 
+def _measure(config, backend, protocol=None):
+    """Latency (mean, std) and dynamic power through the stage-facing path."""
+    measurer = DeviceMeasurer(backend, protocol)
+    arch = build_architecture(config)
+    return measurer.latency(config, arch), measurer.power(config, arch)
+
+
+class RecordingBackend:
+    """Canned samples: warm-up runs read 100 ms, timed runs 2.35 ms."""
+
+    def __init__(self, warmup_runs=0):
+        self.warmup_runs = warmup_runs
+        self.requested_runs = []
+
+    def latency_samples(self, config, arch, runs):
+        self.requested_runs.append(runs)
+        return [100.0] * self.warmup_runs + [2.35] * (runs - self.warmup_runs)
+
+    def power_traces(self, config, arch, window_s, sample_hz):
+        n = window_s * sample_hz
+        return [2.0] * n, [4.08] * n
+
+
 class TestSimulatedMeasurement:
     def test_noiseless_measure(self, pi_best):
         profile = _profile()
         arch = build_architecture(pi_best)
-        stats = measure(pi_best, arch, SimulatedDevice(profile))
-        assert stats.latency_mean_ms == pytest.approx(simulate_latency(arch, profile))
-        assert stats.latency_std_ms == 0.0
-        assert stats.n_latency_runs == 40
-        assert stats.dynamic_power_w == pytest.approx(
+        (mean, std), power = _measure(pi_best, SimulatedDevice(profile))
+        assert mean == pytest.approx(simulate_latency(arch, profile))
+        assert std == 0.0
+        assert power == pytest.approx(
             simulate_dynamic_power(arch, profile, simulate_latency(arch, profile))
         )
+        backend = RecordingBackend()
+        _measure(pi_best, backend)
+        assert backend.requested_runs == [40]
 
     def test_jitter_is_seeded_and_order_independent(self, pi_best):
         profile = _profile()
-        arch = build_architecture(pi_best)
         jitter = JitterSpec(latency_sigma_ms=0.05, power_sigma_w=0.01)
-        first = measure(pi_best, arch, SimulatedDevice(profile, jitter, seed=5))
-        second = measure(pi_best, arch, SimulatedDevice(profile, jitter, seed=5))
+        first = _measure(pi_best, SimulatedDevice(profile, jitter, seed=5))
+        second = _measure(pi_best, SimulatedDevice(profile, jitter, seed=5))
         assert first == second
-        assert first.latency_std_ms > 0.0
+        assert first[0][1] > 0.0
 
     def test_warmup_runs_dropped(self, pi_best):
-        profile = _profile()
-        arch = build_architecture(pi_best)
-        protocol = MeasurementProtocol(warmup_runs=5)
-        stats = measure(pi_best, arch, SimulatedDevice(profile), protocol)
-        assert stats.n_latency_runs == 40
+        backend = RecordingBackend(warmup_runs=5)
+        (mean, std), _ = _measure(pi_best, backend, MeasurementProtocol(warmup_runs=5))
+        assert backend.requested_runs == [45]
+        assert (mean, std) == (2.35, 0.0)
 
 
 class TestExternalMeasurement:
     def test_published_ncs2_numbers(self, pi_best):
-        arch = build_architecture(pi_best)
         with _device_channel("ok") as channel:
-            stats = measure(pi_best, arch, ExternalDevice(channel))
-        assert stats.latency_mean_ms == pytest.approx(2.35)
-        assert stats.latency_std_ms == 0.0
-        assert stats.dynamic_power_w == pytest.approx(2.08)
+            (mean, std), power = _measure(pi_best, ExternalDevice(channel))
+        assert mean == pytest.approx(2.35)
+        assert std == 0.0
+        assert power == pytest.approx(2.08)
 
     def test_short_latency_response_rejected(self, pi_best):
-        arch = build_architecture(pi_best)
         with _device_channel("short") as channel:
             with pytest.raises(MeasurementError, match="expected 40 latency runs"):
-                measure(pi_best, arch, ExternalDevice(channel))
+                _measure(pi_best, ExternalDevice(channel))
 
     def test_negative_power_rejected(self, pi_best):
-        arch = build_architecture(pi_best)
         with _device_channel("negative") as channel:
             with pytest.raises(MeasurementError, match="negative dynamic power"):
-                measure(pi_best, arch, ExternalDevice(channel))
+                _measure(pi_best, ExternalDevice(channel))
 
     def test_short_power_trace_rejected(self, pi_best):
-        arch = build_architecture(pi_best)
         with _device_channel("short_trace") as channel:
             with pytest.raises(MeasurementError, match="idle_w samples"):
-                measure(pi_best, arch, ExternalDevice(channel))
+                _measure(pi_best, ExternalDevice(channel))
 
     def test_device_error_response(self, pi_best):
-        arch = build_architecture(pi_best)
         with _device_channel("error") as channel:
             with pytest.raises(MeasurementError, match="device unreachable"):
-                measure(pi_best, arch, ExternalDevice(channel))
+                _measure(pi_best, ExternalDevice(channel))
 
     def test_reduction_equivalence_with_simulated_path(self, pi_best):
         # identical raw samples must reduce to identical stats
-        class CannedBackend:
-            def latency_samples(self, config, arch, runs):
-                return [2.35] * runs
-
-            def power_traces(self, config, arch, window_s, sample_hz):
-                n = window_s * sample_hz
-                return [2.0] * n, [4.08] * n
-
-        arch = build_architecture(pi_best)
-        canned = measure(pi_best, arch, CannedBackend())
+        canned = _measure(pi_best, RecordingBackend())
         with _device_channel("ok") as channel:
-            external = measure(pi_best, arch, ExternalDevice(channel))
+            external = _measure(pi_best, ExternalDevice(channel))
         assert canned == external
 
 

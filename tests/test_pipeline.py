@@ -351,6 +351,40 @@ class TestTrialLog:
         assert log.load() == [record]
 
 
+    def _three_records(self, tmp_path, table1):
+        log = TrialLog(tmp_path / "trials.jsonl")
+        records = [_stage1_record(config_from_index(table1, i), 95.0 + i) for i in range(3)]
+        for record in records:
+            log.append(record)
+        return log, records
+
+    def test_torn_last_line_dropped_and_cut(self, tmp_path, table1, caplog):
+        log, records = self._three_records(tmp_path, table1)
+        whole = log.path.read_bytes()
+        log.path.write_bytes(whole[:-25])
+        assert log.load() == records[:2]
+        assert "trials.jsonl" in caplog.text
+        assert log.path.read_bytes() == whole[: whole.rindex(b"\n", 0, len(whole) - 1) + 1]
+        log.append(records[2])
+        assert log.path.read_bytes() == whole
+        assert log.load() == records
+
+    def test_whole_last_line_without_newline_kept(self, tmp_path, table1):
+        log, records = self._three_records(tmp_path, table1)
+        whole = log.path.read_bytes()
+        log.path.write_bytes(whole[:-1])
+        assert log.load() == records
+        assert log.path.read_bytes() == whole
+
+    def test_corrupt_middle_line_names_path_and_line(self, tmp_path, table1):
+        log, _ = self._three_records(tmp_path, table1)
+        lines = log.path.read_text().splitlines(keepends=True)
+        lines[1] = '{"stage": 1}\n'
+        log.path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=r"trials\.jsonl:2: "):
+            log.load()
+
+
 def _zero_delta_profile(name):
     from edgenas.devices import DeviceProfile, LatencyModel, PowerModel
     from edgenas.evaluators import Precision
