@@ -1,8 +1,10 @@
-"""Golden outputs of a small seeded `edgenas pipeline` run.
+"""Golden outputs of seeded `edgenas` runs.
 
 The hashes pin every byte the stages write, so a refactor or a speed-up
 that changes a seeded output fails here. A change that is meant to alter
-the outputs updates these values and says why.
+the outputs updates these values and says why. The small pipeline runs
+cover stages 2 and 3; the default-size search pins the whole 2000-entry
+stage-1 history on the Table-1 grid.
 """
 
 import hashlib
@@ -67,3 +69,19 @@ def test_pipeline_outputs_match_golden(case, tmp_path, reduced_space, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     del manifest["devices_dir"]  # absolute path of the profile directory
     assert manifest == {**MANIFEST, **manifest_extra}
+
+
+# `edgenas search --seed 1 --no-timestamps` at its defaults: the Table-1
+# space, budget 2000, keep1 1000.
+DEFAULT_SEARCH = {
+    "trials.jsonl": "07a67088e5be2dc603fec5d2c6c981ed2594fb1c45a2fe193d2c4380723fa02b",
+    "stage1.json": "17179621ea4810d8327e6fe4e1580531a8bdd7ee584d6c3e6586f3a207d6b276",
+}
+
+
+def test_default_search_matches_golden(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["search", "--seed", "1", "--no-timestamps", "--out", str(out)]) == 0
+    capsys.readouterr()
+    for name, digest in DEFAULT_SEARCH.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
