@@ -10,6 +10,7 @@ expensive stage by stage, so the cheap metric always prunes first.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ import json
 
 from .architecture import build_architecture
 from .devices import DeviceMeasurer, DeviceProfile, MeasurementError
-from .space import Configuration, SearchSpace, index_of
+from .space import Configuration, SearchSpace, SpaceValidationError, index_of
 from .tpe import OptimizerSettings, best_accuracy, run_optimization
 
 logger = logging.getLogger(__name__)
@@ -187,23 +188,23 @@ def rank_records(
     records: list[TrialRecord], kind: FitnessKind, keep: int, space: SearchSpace
 ) -> RankedSet:
     """Descending fitness with the deterministic tie-break chain:
-    lower latency, then fewer parameters, then lower canonical index."""
-    tie_cache: dict[Configuration, tuple[int, int]] = {}
+    lower latency, then fewer parameters, then lower canonical index.
 
-    def tie_info(config: Configuration) -> tuple[int, int]:
-        if config not in tie_cache:
-            tie_cache[config] = (
-                build_architecture(config).total_params,
-                index_of(space, config),
-            )
-        return tie_cache[config]
+    Only records equal in fitness and latency are compiled for the last
+    two keys; sorting each such run after a stable sort on the first two
+    gives the order of one sort on all four."""
 
-    def sort_key(record: TrialRecord):
-        params, canonical = tie_info(record.config)
+    def primary(record: TrialRecord) -> tuple[float, float]:
         latency = record.latency_mean_ms if record.latency_mean_ms is not None else math.inf
-        return (-record.fitness_value, latency, params, canonical)
+        return (-record.fitness_value, latency)
 
-    ordered = sorted(records, key=sort_key)
+    def structural(record: TrialRecord) -> tuple[int, int]:
+        return build_architecture(record.config).total_params, index_of(space, record.config)
+
+    ordered: list[TrialRecord] = []
+    for _, run in itertools.groupby(sorted(records, key=primary), key=primary):
+        run = list(run)
+        ordered.extend(sorted(run, key=structural) if len(run) > 1 else run)
     return RankedSet(fitness=kind, records=ordered[:keep], k=keep)
 
 
@@ -274,6 +275,14 @@ def _measure_and_rank(
 
     ``measure(measurer, profile, candidate, arch)`` returns the record's
     (accuracy, latency mean, latency std, dynamic power)."""
+    # Reject a candidate off the grid before any device is measured.
+    for config in dict.fromkeys(c.config for cs in candidates.values() for c in cs):
+        try:
+            index_of(space, config)
+        except SpaceValidationError as exc:
+            raise SpaceValidationError(
+                f"stage {stage}: candidate {config.canonical_json()} is not in the space: {exc}"
+            ) from None
     cached = log.index() if log is not None else {}
     result: dict[str, RankedSet] = {}
     for device_name, device_candidates in candidates.items():

@@ -6,6 +6,11 @@ stay meaningful as a second route.
 """
 
 import itertools
+import math
+
+import numpy as np
+
+from edgenas.space import Configuration, sample_uniform
 
 
 def layer_walk_counts(block, kernels, fc1, fc2, output_classes=7, side=48):
@@ -83,3 +88,79 @@ def pareto_oracle(points):
         if not any(dominates(other, candidate) for j, other in enumerate(points) if j != i):
             front.append(i)
     return front
+
+
+# Reference TPE: the list-based implementation the incremental
+# edgenas.tpe.suggest replaced. It rebuilds every density from the whole
+# history on each call, so it is O(n) per suggestion, and it draws with
+# Generator.choice; the library must suggest exactly what it suggests.
+
+
+def tpe_split_history(history):
+    """Lowest-loss ceil(gamma*n) successful entries vs the rest; ties keep
+    the earlier entry in the good side."""
+    entries = history.succeeded()
+    if not entries:
+        raise ValueError("empty history")
+    n_good = math.ceil(history.gamma * len(entries))
+    order = sorted(range(len(entries)), key=lambda i: (entries[i].loss, i))
+    good_idx = set(order[:n_good])
+    good = [entries[i] for i in range(len(entries)) if i in good_idx]
+    bad = [entries[i] for i in range(len(entries)) if i not in good_idx]
+    return good, bad
+
+
+def tpe_density_weights(grid, observations):
+    counts = {v: 0 for v in grid}
+    for value in observations:
+        counts[value] += 1
+    denom = len(observations) + 1.0 * len(grid)
+    return tuple((counts[v] + 1.0) / denom for v in grid)
+
+
+def tpe_param_values(entries, name):
+    """Values of ``name`` in the entries that carry it."""
+    return [getattr(e.config, name) for e in entries if getattr(e.config, name) is not None]
+
+
+def tpe_suggest(space, history):
+    """What edgenas.tpe.suggest must return for this history."""
+    rng = np.random.default_rng([history.seed, len(history.entries)])
+    if len(history.entries) < history.n_startup or not history.succeeded():
+        return sample_uniform(space, rng)
+
+    good, bad = tpe_split_history(history)
+    densities = {}
+    for name in space.params:
+        grid = space.spec_for(name).grid
+        densities[name] = (
+            grid,
+            tpe_density_weights(grid, tpe_param_values(good, name)),
+            tpe_density_weights(grid, tpe_param_values(bad, name)),
+        )
+    seen = {entry.config for entry in history.entries}
+
+    best_score = -math.inf
+    best_config = None
+    best_unseen_score = -math.inf
+    best_unseen = None
+    for _ in range(history.n_candidates):
+        grid, good_w, bad_w = densities["block"]
+        pos = int(rng.choice(len(grid), p=good_w))
+        values = {"block": grid[pos]}
+        score = good_w[pos] / bad_w[pos]
+        for name in space.active_params(values["block"]):
+            if name == "block":
+                continue
+            grid, good_w, bad_w = densities[name]
+            pos = int(rng.choice(len(grid), p=good_w))
+            values[name] = grid[pos]
+            score *= good_w[pos] / bad_w[pos]
+        candidate = Configuration(output_classes=space.output_classes, **values)
+        if score > best_score:
+            best_score = score
+            best_config = candidate
+        if candidate not in seen and score > best_unseen_score:
+            best_unseen_score = score
+            best_unseen = candidate
+    return best_unseen if best_unseen is not None else best_config

@@ -282,6 +282,26 @@ class TestPipelineCli:
         assert "trials.jsonl:3" in err
 
 
+    def test_off_grid_stage1_candidate_rejected_before_measuring(
+        self, capsys, tmp_path, reduced_space_file
+    ):
+        run = tmp_path / "run"
+        code, _, _ = _run(
+            capsys, "search", "--space", str(reduced_space_file), "--budget", "120",
+            "--keep1", "15", "--seed", "1", "--out", str(run), "--no-timestamps",
+        )
+        assert code == 0
+        stage1 = json.loads((run / "stage1.json").read_text())
+        stage1["records"][-1]["config"]["k1"] = 7  # the grid is 6..10 step 2
+        (run / "stage1.json").write_text(json.dumps(stage1))
+        code, _, err = _run(capsys, "stage2", "--out", str(run), "--no-timestamps")
+        assert code == 1
+        assert '"k1":7' in err and "K1=7 off-grid" in err
+        stages = {json.loads(line)["stage"] for line in (run / "trials.jsonl").read_text().splitlines()}
+        assert stages == {1}
+        assert not (run / "stage2.json").exists()
+
+
 class TestExternalEvaluatorCli:
     def test_exec_selector(self, capsys, tmp_path, reduced_space_file):
         command = f"{sys.executable} {MOCK_EVALUATOR} per_config"

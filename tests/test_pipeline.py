@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import edgenas.pipeline as pipeline_module
 from edgenas.architecture import build_architecture
 from edgenas.devices import DeviceMeasurer, MeasurementError, SimulatedDevice
 from edgenas.evaluators import SurrogateEvaluator
@@ -18,7 +19,13 @@ from edgenas.pipeline import (
     stage2,
     stage3,
 )
-from edgenas.space import Configuration, cardinality, config_from_index
+from edgenas.space import (
+    Configuration,
+    SpaceValidationError,
+    cardinality,
+    config_from_index,
+    index_of,
+)
 from edgenas.tpe import OptimizerSettings
 
 
@@ -211,10 +218,78 @@ class TestStage2:
         with pytest.raises(PipelineError, match="no successful measurements"):
             stage2(table1, candidates, {"dev": _zero_delta_profile("dev")}, lambda p: measurer, 1)
 
+    def test_off_grid_candidate_rejected_before_measuring(self, table1):
+        off_grid = Configuration(block=2, k1=7, k2=24, fc1=100, do1=10, fc2=80, do2=10)
+        candidates = _candidates([(config_from_index(table1, 0), 95.0), (off_grid, 96.0)])
+        measurer = FakeMeasurer()
+        with pytest.raises(SpaceValidationError, match=r'stage 2: candidate .*"k1":7'):
+            stage2(table1, candidates, {"dev": _zero_delta_profile("dev")}, lambda p: measurer, 2)
+        assert measurer.latency_calls == 0
+
     def test_empty_candidates_rejected(self, table1):
         empty = RankedSet(fitness=FitnessKind.ACCURACY, records=[], k=0)
         with pytest.raises(PipelineError, match="non-empty"):
             stage2(table1, empty, {"dev": _zero_delta_profile("dev")}, lambda p: FakeMeasurer(), 1)
+
+
+def _stage2_record(config, fitness_value, latency):
+    return TrialRecord(
+        config=config,
+        stage=2,
+        fitness_kind=FitnessKind.ACCURACY_PER_LATENCY,
+        fitness_value=fitness_value,
+        accuracy_pct=fitness_value * latency,
+        device="dev",
+        latency_mean_ms=latency,
+    )
+
+
+def _params(config):
+    return build_architecture(config).total_params
+
+
+class TestRankTieBreak:
+    # k1 varies slower than fc1 in the canonical order
+    WIDE = Configuration(block=2, k1=6, k2=24, fc1=120, do1=10, fc2=80, do2=10)
+    SLIM = Configuration(block=2, k1=8, k2=24, fc1=100, do1=10, fc2=80, do2=10)
+
+    def test_equal_fitness_and_latency_prefer_fewer_params(self, table1):
+        assert _params(self.SLIM) < _params(self.WIDE)
+        assert index_of(table1, self.SLIM) > index_of(table1, self.WIDE)
+        records = [_stage2_record(self.WIDE, 40.0, 2.0), _stage2_record(self.SLIM, 40.0, 2.0)]
+        ranked = rank_records(records, FitnessKind.ACCURACY_PER_LATENCY, 2, table1)
+        assert [r.config for r in ranked.records] == [self.SLIM, self.WIDE]
+
+    def test_equal_params_prefer_lower_canonical_index(self, table1):
+        low = Configuration(block=2, k1=6, k2=24, fc1=100, do1=10, fc2=80, do2=10)
+        high = Configuration(block=2, k1=6, k2=24, fc1=100, do1=20, fc2=80, do2=10)
+        assert _params(low) == _params(high)
+        assert index_of(table1, low) < index_of(table1, high)
+        records = [_stage2_record(high, 40.0, 2.0), _stage2_record(low, 40.0, 2.0)]
+        ranked = rank_records(records, FitnessKind.ACCURACY_PER_LATENCY, 2, table1)
+        assert [r.config for r in ranked.records] == [low, high]
+
+    def test_only_tied_records_are_compiled(self, table1, monkeypatch):
+        top, fast, low = (config_from_index(table1, i) for i in (3, 4, 5))
+        records = [
+            _stage2_record(low, 30.0, 1.0),
+            _stage2_record(self.WIDE, 40.0, 2.0),
+            _stage2_record(fast, 40.0, 1.0),
+            _stage2_record(top, 50.0, 3.0),
+            _stage2_record(self.SLIM, 40.0, 2.0),
+        ]
+        built = []
+
+        def counting_build(config):
+            built.append(config)
+            return build_architecture(config)
+
+        monkeypatch.setattr(pipeline_module, "build_architecture", counting_build)
+        ranked = rank_records(records, FitnessKind.ACCURACY_PER_LATENCY, 5, table1)
+        assert [r.config for r in ranked.records] == [top, fast, self.SLIM, self.WIDE, low]
+        assert sorted(built, key=repr) == sorted([self.WIDE, self.SLIM], key=repr)
+        ranked = rank_records(records, FitnessKind.ACCURACY_PER_LATENCY, 3, table1)
+        assert [r.config for r in ranked.records] == [top, fast, self.SLIM]
 
 
 class TestStage3:

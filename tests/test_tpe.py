@@ -1,18 +1,28 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from oracles import tpe_suggest
 
 from edgenas.evaluators import EvaluatorError, SurrogateEvaluator
-from edgenas.space import Configuration, sample_uniform, validate
+from edgenas.space import (
+    PARAM_ORDER,
+    Configuration,
+    cardinality,
+    config_from_index,
+    sample_uniform,
+    validate,
+)
 from edgenas.tpe import (
     Observation,
     ObservationHistory,
     OptimizerSettings,
     best_accuracy,
-    build_density,
     density_weights,
+    position_counts,
     random_search,
     run_optimization,
-    split_history,
+    split_losses,
     suggest,
 )
 
@@ -24,6 +34,20 @@ def _history(entries, **kwargs):
     return history
 
 
+def _split(history, space):
+    """The good and bad successful entries, as suggest splits them."""
+    mirror = history.mirror(space)
+    good, bad = split_losses(mirror.losses[mirror.ok], history.gamma)
+    succeeded = history.succeeded()
+    return [succeeded[i] for i in sorted(good)], [succeeded[i] for i in sorted(bad)]
+
+
+def _weights(column, size):
+    """Smoothed weights of one parameter from its observed grid positions."""
+    counts = position_counts(np.array(column, dtype=np.int64).reshape(-1, 1), size)
+    return tuple(density_weights(counts, np.array([size]))[0])
+
+
 def _uniform_configs(space, n, seed=0):
     rng = np.random.default_rng(seed)
     return [sample_uniform(space, rng) for _ in range(n)]
@@ -33,59 +57,63 @@ class TestSplit:
     def test_quarter_of_twenty(self, table1):
         configs = _uniform_configs(table1, 20)
         history = _history([(c, -90.0 - i) for i, c in enumerate(configs)], gamma=0.25)
-        good, bad = split_history(history)
+        good, bad = _split(history, table1)
         assert len(good) == 5 and len(bad) == 15
         assert {e.config for e in good} | {e.config for e in bad} == set(configs)
 
     def test_ceil_on_small_history(self, table1):
         configs = _uniform_configs(table1, 3)
         history = _history([(c, -90.0 - i) for i, c in enumerate(configs)], gamma=0.25)
-        good, bad = split_history(history)
+        good, bad = _split(history, table1)
         assert len(good) == 1
 
     def test_good_side_has_lowest_losses(self, table1):
         configs = _uniform_configs(table1, 12)
         losses = [-95.0, -99.0, -91.0, -97.0, -90.0, -96.0, -98.0, -92.0, -93.0, -94.0, -89.0, -88.0]
         history = _history(list(zip(configs, losses)), gamma=0.25)
-        good, _ = split_history(history)
+        good, _ = _split(history, table1)
         assert sorted(e.loss for e in good) == [-99.0, -98.0, -97.0]
 
     def test_tie_goes_to_earlier_entry(self, table1):
         configs = _uniform_configs(table1, 4)
         history = _history([(c, -90.0) for c in configs], gamma=0.25)
-        good, _ = split_history(history)
+        good, _ = _split(history, table1)
         assert good[0].config == configs[0]
 
-    def test_empty_history_errors(self):
+    def test_empty_history_errors(self, table1):
         with pytest.raises(ValueError, match="empty history"):
-            split_history(ObservationHistory())
+            _split(ObservationHistory(), table1)
 
     def test_failed_entries_excluded(self, table1):
         configs = _uniform_configs(table1, 4)
         history = _history([(c, -90.0 - i) for i, c in enumerate(configs[:3])])
         history.record(configs[3], None, failed=True)
-        good, bad = split_history(history)
+        good, bad = _split(history, table1)
         assert all(not e.failed for e in good + bad)
         assert len(good) + len(bad) == 3
 
 
 class TestDensities:
     def test_uniform_prior_with_no_observations(self):
-        weights = density_weights((6, 8, 10, 12, 14, 16), [])
+        weights = _weights([], 6)
         assert weights == tuple([1 / 6] * 6)
 
     def test_counts_plus_smoothing(self):
-        density = build_density((24, 28, 32), [24, 24, 28], [])
-        assert density.good_weights == (3 / 6, 2 / 6, 1 / 6)
-        assert density.bad_weights == (1 / 3, 1 / 3, 1 / 3)
+        # grid (24, 28, 32): good observations 24, 24, 28; no bad ones
+        assert _weights([0, 0, 1], 3) == (3 / 6, 2 / 6, 1 / 6)
+        assert _weights([], 3) == (1 / 3, 1 / 3, 1 / 3)
 
     def test_weights_positive_and_normalized(self):
         rng = np.random.default_rng(2)
         grid = tuple(range(10, 31))
         observations = [int(rng.choice(grid)) for _ in range(57)]
-        weights = density_weights(grid, observations)
+        weights = _weights([grid.index(v) for v in observations], len(grid))
         assert all(w > 0 for w in weights)
         assert abs(sum(weights) - 1.0) < 1e-12
+
+    def test_counts_per_parameter_skip_inactive(self):
+        positions = np.array([[0, -1], [2, 1], [0, -1]])
+        assert position_counts(positions, 3).tolist() == [[2, 0, 1], [0, 1, 0]]
 
 
 class TestSuggest:
@@ -133,10 +161,76 @@ class TestSuggest:
         shallow = Configuration(block=2, k1=6, k2=24, fc1=100, do1=10, fc2=80, do2=10)
         deep = Configuration(block=3, k1=6, k2=24, k3=48, fc1=100, do1=10, fc2=80, do2=10)
         history = _history([(shallow, -95.0), (deep, -99.0)])
-        good, bad = split_history(history)
-        from edgenas.tpe import _param_values
+        mirror = history.mirror(table1)
+        column = mirror.positions[mirror.ok, PARAM_ORDER.index("k3")]
+        k3_grid = table1.spec_for("k3").grid
+        assert [k3_grid[p] for p in column if p >= 0] == [48]
 
-        assert _param_values(good + bad, "k3") == [48]
+
+def _assert_mirror_rebuilt(history, space):
+    """The incrementally kept mirror equals one built from scratch."""
+    kept = history._mirror
+    fresh = ObservationHistory(entries=list(history.entries)).mirror(space)
+    assert kept.n == fresh.n
+    assert np.array_equal(kept.positions, fresh.positions)
+    assert np.array_equal(kept.losses, fresh.losses, equal_nan=True)
+    assert np.array_equal(kept.ok, fresh.ok)
+    assert kept.seen == fresh.seen
+
+
+class TestReferenceEquivalence:
+    """suggest against the list-based reference TPE in tests/oracles.py,
+    at every step of a run with failed trials, tied losses, entries
+    appended straight to ``entries``, and an entry list rewritten in
+    place, cut short and replaced."""
+
+    @pytest.mark.parametrize("space_name", ["table1", "reduced_space", "toy8_space"])
+    def test_matches_reference_every_step(self, space_name, request):
+        space = request.getfixturevalue(space_name)
+        evaluator = SurrogateEvaluator(space)
+        history = ObservationHistory(seed=5, n_startup=6)
+        rng = np.random.default_rng(11)
+        for step in range(160):
+            config = suggest(space, history)
+            assert config == tpe_suggest(space, history), step
+            if len(history.entries) >= history.n_startup:
+                _assert_mirror_rebuilt(history, space)
+            if step == 60:  # same length, another last entry
+                history.entries[-1] = Observation(history.entries[0].config, -99.0)
+            if config.k1 == 8:
+                history.record(config, None, failed=True)
+            else:
+                # rounding to 0.5 pp gives many tied losses
+                history.record(config, -round(2 * evaluator.evaluate(config).accuracy_pct) / 2)
+            if step % 7 == 3:
+                index = int(rng.integers(cardinality(space)))
+                history.entries.append(Observation(config_from_index(space, index), -97.0))
+            if step == 90:  # shorter
+                del history.entries[-4:]
+            if step == 120:  # a new list of the same length and last entry
+                history.entries = [history.entries[-1]] + history.entries[1:]
+        assert any(e.failed for e in history.entries)
+        if space_name != "toy8_space":
+            assert any(e.config.block >= 3 for e in history.entries)
+            assert any(e.config.block == 2 for e in history.entries)
+
+    def test_entries_with_other_output_classes_count_as_unseen(self, toy8_space):
+        history = ObservationHistory(n_startup=1)
+        for index in range(cardinality(toy8_space)):
+            config = config_from_index(toy8_space, index)
+            if index % 2:
+                history.record(replace(config, output_classes=10), -90.0)
+            else:
+                history.record(config, -99.0)
+        for seed in range(20):
+            history.seed = seed
+            assert suggest(toy8_space, history) == tpe_suggest(toy8_space, history), seed
+
+    def test_history_without_success_draws_uniformly(self, table1):
+        history = ObservationHistory(seed=3, n_startup=2)
+        for config in _uniform_configs(table1, 4):
+            history.record(config, None, failed=True)
+        assert suggest(table1, history) == tpe_suggest(table1, history)
 
 
 class TestRunOptimization:
