@@ -127,7 +127,7 @@ class GridMirror:
         self.reset(None)
 
     def reset(self, entries: list[Observation] | None) -> None:
-        self.entries = entries
+        self._entries = entries
         self.n = 0
         self._last: Observation | None = None
         self._positions = np.empty((64, len(PARAM_ORDER)), dtype=np.int64)
@@ -140,7 +140,7 @@ class GridMirror:
         the list was replaced, got shorter, or its last mirrored entry
         changed."""
         if (
-            entries is not self.entries
+            entries is not self._entries
             or len(entries) < self.n
             or (self.n and entries[self.n - 1] is not self._last)
         ):
@@ -159,6 +159,8 @@ class GridMirror:
             self._positions[i] = row
             self._losses[i] = math.nan if entry.failed else entry.loss
             self._ok[i] = not entry.failed
+            # A candidate carries the space's output_classes, so it never
+            # equals an entry with other ones.
             if entry.config.output_classes == self.space.output_classes:
                 self.seen.add(row)
         self.n = len(entries)
