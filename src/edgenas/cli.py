@@ -304,15 +304,16 @@ def cmd_search(args) -> int:
         out = _out_dir(args)
         space_to_json(space, out / "space.json")
         _write_manifest(args, out, settings)
-        ranked = stage1(
-            space,
-            evaluator,
-            settings,
-            budget=args.budget,
-            keep=args.keep1,
-            log=TrialLog(out / "trials.jsonl"),
-            timestamps=not args.no_timestamps,
-        )
+        with TrialLog(out / "trials.jsonl") as log:
+            ranked = stage1(
+                space,
+                evaluator,
+                settings,
+                budget=args.budget,
+                keep=args.keep1,
+                log=log,
+                timestamps=not args.no_timestamps,
+            )
     finally:
         if isinstance(evaluator, ExternalEvaluator):
             evaluator.close()
@@ -344,8 +345,8 @@ def cmd_stage2(args) -> int:
         raise UsageError(f"no stage1.json in {out}")
     candidates = RankedSet.from_json_dict(json.loads(stage1_path.read_text()))
     keep2 = args.keep2 if args.keep2 is not None else manifest.get("keep2", 10)
-    log = TrialLog(out / "trials.jsonl")
-    ranked = stage2(space, candidates, profiles, factory, keep2, log=log, timestamps=timestamps)
+    with TrialLog(out / "trials.jsonl") as log:
+        ranked = stage2(space, candidates, profiles, factory, keep2, log=log, timestamps=timestamps)
     _write_json(out / "stage2.json", {d: r.to_json_dict() for d, r in ranked.items()})
     for device, rset in ranked.items():
         top = rset.records[0]
@@ -361,8 +362,8 @@ def cmd_stage3(args) -> int:
     per_device = {
         d: RankedSet.from_json_dict(r) for d, r in json.loads(stage2_path.read_text()).items()
     }
-    log = TrialLog(out / "trials.jsonl")
-    winners = stage3(space, per_device, profiles, factory, log=log, timestamps=timestamps)
+    with TrialLog(out / "trials.jsonl") as log:
+        winners = stage3(space, per_device, profiles, factory, log=log, timestamps=timestamps)
     _write_json(out / "stage3.json", {d: r.to_json_dict() for d, r in winners.items()})
     for device, record in winners.items():
         print(

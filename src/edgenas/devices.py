@@ -20,7 +20,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .architecture import ArchitectureDescriptor
 from .evaluators import Precision
@@ -343,6 +342,10 @@ class FitObservation:
 
 
 def _scaled_nnls(design: np.ndarray, target: np.ndarray) -> np.ndarray:
+    # Imported here: scipy takes most of the package's import time and
+    # only profile fitting needs it.
+    from scipy.optimize import nnls
+
     scales = np.max(np.abs(design), axis=0)
     scales[scales == 0] = 1.0
     coeffs, _ = nnls(design / scales, target)

@@ -21,7 +21,7 @@ from typing import Callable
 
 import json
 
-from .architecture import build_architecture
+from .architecture import ArchitectureDescriptor, build_architecture
 from .devices import DeviceMeasurer, DeviceProfile, MeasurementError
 from .space import Configuration, SearchSpace, SpaceValidationError, index_of
 from .tpe import OptimizerSettings, best_accuracy, run_optimization
@@ -115,20 +115,47 @@ class TrialRecord:
 
 
 def _record_key(stage: int, device: str | None, config: Configuration) -> tuple:
-    return (stage, device, config.canonical_json())
+    # Configuration is a frozen dataclass of ints and None: two configs
+    # are equal exactly when their canonical JSON is.
+    return (stage, device, config)
 
 
 class TrialLog:
-    """Append-only JSONL persistence; one record per line, flushed per
-    append so concurrent readers see whole records."""
+    """Append-only JSONL persistence, one record per line.
+
+    The first ``append`` opens the file in append mode and keeps the
+    handle for the ones after it. Each record is flushed as soon as it is
+    written, so it reaches the OS at once and any other reader of the
+    file (``load``, another process, a resumed run) sees whole records.
+    ``close`` releases the handle and may be called again; an ``append``
+    after it opens the file anew. Leaving a ``with`` block closes the
+    log, and ``__del__`` closes a handle still open when the log is
+    collected, for callers that never close it."""
 
     def __init__(self, path: str | Path):
+        self._handle = None
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
 
     def append(self, record: TrialRecord) -> None:
-        with self.path.open("a") as handle:
-            handle.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
+        if self._handle is None:
+            self._handle = self.path.open("a")
+        self._handle.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
+        self._handle.flush()
+
+    def close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def __enter__(self) -> "TrialLog":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        self.close()
 
     def load(self) -> list[TrialRecord]:
         """Every record in the log. A last line with no newline that does
@@ -284,6 +311,9 @@ def _measure_and_rank(
                 f"stage {stage}: candidate {config.canonical_json()} is not in the space: {exc}"
             ) from None
     cached = log.index() if log is not None else {}
+    # Each distinct candidate is compiled once for all devices; the dict
+    # lives only for this call.
+    archs: dict[Configuration, ArchitectureDescriptor] = {}
     result: dict[str, RankedSet] = {}
     for device_name, device_candidates in candidates.items():
         if not device_candidates:
@@ -296,7 +326,9 @@ def _measure_and_rank(
             if key in cached:
                 records.append(cached[key])
                 continue
-            arch = build_architecture(candidate.config)
+            arch = archs.get(candidate.config)
+            if arch is None:
+                arch = archs[candidate.config] = build_architecture(candidate.config)
             try:
                 accuracy, mean, std, power = measure(measurer, profile, candidate, arch)
             except MeasurementError as exc:

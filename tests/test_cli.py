@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import edgenas
 from edgenas.cli import main
 from edgenas.space import space_to_json
 from conftest import MOCK_EVALUATOR
@@ -20,6 +23,16 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is loaded only by fit-profile, not by every command.
+    env = {**os.environ, "PYTHONPATH": str(Path(edgenas.__file__).parents[1])}
+    probe = "import sys, edgenas.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 class TestSpaceCommands:

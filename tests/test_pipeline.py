@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -402,6 +403,41 @@ class TestEndToEnd:
             r.to_json_dict() for r in ranked["dev"].records
         ]
 
+    def test_resume_hit_whatever_the_config_key_order(self, tmp_path, table1):
+        config = config_from_index(table1, 0)
+        logged = TrialRecord(
+            config=config,
+            stage=2,
+            fitness_kind=FitnessKind.ACCURACY_PER_LATENCY,
+            fitness_value=48.0,
+            accuracy_pct=96.0,
+            device="dev",
+            latency_mean_ms=2.0,
+            latency_std_ms=0.0,
+            seed=1,
+        )
+        line = logged.to_json_dict()
+        wire = line["config"]
+        del wire["output_classes"]  # the default, 7
+        line["config"] = dict(reversed(wire.items()))
+        path = tmp_path / "trials.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        before = path.read_bytes()
+
+        measurer = FakeMeasurer()
+        with TrialLog(path) as log:
+            ranked = stage2(
+                table1,
+                _candidates([(config, 96.0)]),
+                {"dev": _zero_delta_profile("dev")},
+                lambda p: measurer,
+                1,
+                log=log,
+            )
+        assert measurer.latency_calls == 0
+        assert path.read_bytes() == before
+        assert ranked["dev"].records == [logged]
+
 
 class TestTrialLog:
     def test_roundtrip_schema(self, tmp_path, pi_best):
@@ -458,6 +494,115 @@ class TestTrialLog:
         log.path.write_text("".join(lines))
         with pytest.raises(ValueError, match=r"trials\.jsonl:2: "):
             log.load()
+
+    @pytest.fixture()
+    def append_handles(self, monkeypatch):
+        """Every handle a TrialLog opens in append mode, in order."""
+        handles = []
+        real_open = pathlib.Path.open
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            handle = real_open(path, mode, *args, **kwargs)
+            if mode == "a":
+                handles.append(handle)
+            return handle
+
+        monkeypatch.setattr(pathlib.Path, "open", recording_open)
+        return handles
+
+    def test_record_readable_before_close(self, tmp_path, table1, append_handles):
+        log, records = self._three_records(tmp_path, table1)
+        assert len(append_handles) == 1 and not append_handles[0].closed
+        assert TrialLog(log.path).load() == records
+        assert log.path.read_text().count("\n") == 3
+        log.close()
+
+    def test_torn_last_line_cut_while_open(self, tmp_path, table1):
+        log = TrialLog(tmp_path / "trials.jsonl")
+        records = [_stage1_record(config_from_index(table1, i), 95.0 + i) for i in range(3)]
+        log.append(records[0])
+        log.append(records[1])
+        with log.path.open("a") as other:
+            other.write('{"stage": 1, "config": {"blo')
+        assert log.load() == records[:2]
+        log.append(records[2])
+        assert log.load() == records
+        assert log.path.read_text().count("\n") == 3
+        log.close()
+
+    def test_close_twice_then_append_reopens(self, tmp_path, table1, append_handles):
+        log, records = self._three_records(tmp_path, table1)
+        log.close()
+        log.close()
+        assert [h.closed for h in append_handles] == [True]
+        log.append(records[0])
+        assert [h.closed for h in append_handles] == [True, False]
+        log.close()
+        assert log.load() == records + records[:1]
+
+    def test_with_block_closes(self, tmp_path, table1, append_handles):
+        record = _stage1_record(config_from_index(table1, 0), 95.0)
+        with TrialLog(tmp_path / "trials.jsonl") as log:
+            log.append(record)
+            assert not append_handles[0].closed
+        assert [h.closed for h in append_handles] == [True]
+        assert log.load() == [record]
+
+
+class TestCompileOnce:
+    @pytest.fixture()
+    def compiled(self, monkeypatch):
+        """The configs handed to build_architecture, in call order."""
+        calls = []
+
+        def counting_build(config):
+            calls.append(config)
+            return build_architecture(config)
+
+        monkeypatch.setattr(pipeline_module, "build_architecture", counting_build)
+        return calls
+
+    def _candidates(self, table1, n):
+        # distinct accuracies, so ranking needs no structural tie-break
+        return _candidates([(config_from_index(table1, i), 90.0 + i) for i in range(n)])
+
+    def test_each_candidate_compiled_once_across_devices(
+        self, table1, shipped_profiles, compiled
+    ):
+        candidates = self._candidates(table1, 7)
+        stage2(table1, candidates, shipped_profiles, lambda p: FakeMeasurer(), 3)
+        assert sorted(compiled, key=lambda c: index_of(table1, c)) == [
+            r.config for r in candidates.records
+        ]
+
+    def test_resumed_stage_compiles_nothing(self, tmp_path, table1, shipped_profiles, compiled):
+        candidates = self._candidates(table1, 7)
+        with TrialLog(tmp_path / "trials.jsonl") as log:
+            stage2(table1, candidates, shipped_profiles, lambda p: FakeMeasurer(), 3, log=log)
+            del compiled[:]
+            measurer = FakeMeasurer()
+            stage2(table1, candidates, shipped_profiles, lambda p: measurer, 3, log=log)
+        assert compiled == []
+        assert measurer.latency_calls == 0
+
+    def test_pair_excluded_on_one_device_measured_on_others(
+        self, table1, shipped_profiles, compiled
+    ):
+        candidates = self._candidates(table1, 4)
+        failing = candidates.records[0].config
+        first = next(iter(shipped_profiles))
+        measurers = {
+            name: FakeMeasurer(
+                latency_by_key={failing.canonical_json(): None} if name == first else None
+            )
+            for name in shipped_profiles
+        }
+        result = stage2(table1, candidates, shipped_profiles, lambda p: measurers[p.name], 4)
+        assert len(compiled) == 4
+        for name, measurer in measurers.items():
+            assert measurer.latency_calls == 4
+            kept = {r.config for r in result[name].records}
+            assert (failing in kept) == (name != first)
 
 
 def _zero_delta_profile(name):
