@@ -31,12 +31,10 @@ from .evaluators import (
 )
 from .pipeline import (
     FitnessKind,
-    PipelineResult,
     RankedSet,
     TrialLog,
     TrialRecord,
     fitness,
-    run_pipeline,
     stage1,
     stage2,
     stage3,

@@ -10,6 +10,7 @@ are multiplies only.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .space import Configuration, SpaceValidationError
 
@@ -44,11 +45,13 @@ class ArchitectureDescriptor:
     total_macs: int
     weighted_layer_count: int
 
-    @property
+    # Computed on first read and kept in the instance dict; not fields,
+    # so equality and hashing still see only the fields above.
+    @cached_property
     def conv_macs(self) -> int:
         return sum(l.macs for l in self.layers if l.kind == CONV)
 
-    @property
+    @cached_property
     def fc_macs(self) -> int:
         return sum(l.macs for l in self.layers if l.kind == FC)
 

@@ -167,17 +167,28 @@ def mean_std(samples: list[float]) -> tuple[float, float]:
     return mean, math.sqrt(var)
 
 
+def _require_finite(samples: list[float], label: str) -> None:
+    if not all(map(math.isfinite, samples)):
+        raise MeasurementError(f"non-finite {label} sample")
+
+
 def latency_stats(samples: list[float]) -> tuple[float, float]:
     if len(samples) < 2:
         raise MeasurementError(f"need >= 2 latency samples, got {len(samples)}")
-    return mean_std(samples)
+    _require_finite(samples, "latency")
+    mean, std = mean_std(samples)
+    if mean <= 0.0:
+        raise MeasurementError(f"non-positive mean latency {mean} ms")
+    return mean, std
 
 
 def dynamic_power_from_traces(idle_w: list[float], active_w: list[float]) -> float:
     """mean(active) - mean(idle); tiny negatives clamp to 0, larger ones
-    indicate an inconsistent sensor and raise."""
+    indicate an inconsistent sensor and raise, as does a non-finite sample."""
     if not idle_w or not active_w:
         raise MeasurementError("empty power trace")
+    _require_finite(idle_w, "idle power")
+    _require_finite(active_w, "active power")
     diff = mean_std(active_w)[0] - mean_std(idle_w)[0]
     if diff < -NEGATIVE_POWER_TOLERANCE_W:
         raise MeasurementError(f"negative dynamic power {diff:.2f} W")
@@ -210,6 +221,12 @@ def _jitter_rng(seed: int, device: str, config: Configuration, salt: int) -> np.
     )
 
 
+def _clamp_at_zero(samples: np.ndarray) -> list[float]:
+    # max(x, 0.0) element by element, as Python floats. np.maximum would
+    # turn -0.0 into +0.0, where max keeps -0.0.
+    return np.where(samples < 0.0, 0.0, samples).tolist()
+
+
 class SimulatedDevice:
     """Synthesizes raw samples from the cost models (noiseless unless a
     jitter spec is given; jitter is seeded per device and configuration,
@@ -228,7 +245,7 @@ class SimulatedDevice:
             return [base] * runs
         rng = _jitter_rng(self.seed, self.profile.name, config, 1)
         noise = rng.normal(0.0, self.jitter.latency_sigma_ms, size=runs)
-        return [max(base + float(n), 0.0) for n in noise]
+        return _clamp_at_zero(base + noise)
 
     def power_traces(
         self,
@@ -245,10 +262,7 @@ class SimulatedDevice:
         rng = _jitter_rng(self.seed, self.profile.name, config, 2)
         idle_noise = rng.normal(0.0, self.jitter.power_sigma_w, size=n)
         active_noise = rng.normal(0.0, self.jitter.power_sigma_w, size=n)
-        return (
-            [max(idle + float(x), 0.0) for x in idle_noise],
-            [max(active + float(x), 0.0) for x in active_noise],
-        )
+        return _clamp_at_zero(idle + idle_noise), _clamp_at_zero(active + active_noise)
 
 
 class ExternalDevice:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import json
 
@@ -114,12 +114,6 @@ class TrialRecord:
         )
 
 
-def _record_key(stage: int, device: str | None, config: Configuration) -> tuple:
-    # Configuration is a frozen dataclass of ints and None: two configs
-    # are equal exactly when their canonical JSON is.
-    return (stage, device, config)
-
-
 class TrialLog:
     """Append-only JSONL persistence, one record per line.
 
@@ -130,7 +124,13 @@ class TrialLog:
     ``close`` releases the handle and may be called again; an ``append``
     after it opens the file anew. Leaving a ``with`` block closes the
     log, and ``__del__`` closes a handle still open when the log is
-    collected, for callers that never close it."""
+    collected, for callers that never close it.
+
+    Both readers decode every line with ``json.loads`` and require a JSON
+    object with an integer ``stage``. ``load`` then builds and checks a
+    ``TrialRecord`` for every line. ``index(stage)`` builds records only
+    for the lines of that stage, so a line of another stage whose record
+    fields are broken is caught by ``load`` (the report), not here."""
 
     def __init__(self, path: str | Path):
         self._handle = None
@@ -157,36 +157,44 @@ class TrialLog:
     def __del__(self) -> None:
         self.close()
 
-    def load(self) -> list[TrialRecord]:
-        """Every record in the log. A last line with no newline that does
-        not parse is an append cut short by a crash: it is dropped with a
-        warning and cut from the file, so the next append starts a fresh
-        line. Any other bad line raises ValueError naming path:line."""
+    def _records(self, stage: int | None) -> Iterator[TrialRecord]:
+        """The records of one stage, or of every stage when ``stage`` is
+        None. A last line with no newline that fails is an append cut
+        short by a crash: it is dropped with a warning and cut from the
+        file, so the next append starts a fresh line. Any other bad line
+        raises ValueError naming path:line."""
         if not self.path.exists():
-            return []
+            return
         lines = self.path.read_text(errors="replace").split("\n")
-        records = []
         for number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
-                records.append(TrialRecord.from_json_dict(json.loads(line)))
+                data = json.loads(line)
+                if not isinstance(data, dict) or type(data.get("stage")) is not int:
+                    raise ValueError("not an object with an integer stage")
+                record = TrialRecord.from_json_dict(data) if stage in (None, data["stage"]) else None
             except (ValueError, KeyError, TypeError) as exc:
                 if number < len(lines):
                     raise ValueError(f"{self.path}:{number}: bad trial record: {exc}") from None
                 logger.warning("%s: dropping torn last line %d", self.path, number)
                 with self.path.open("r+b") as handle:
                     handle.truncate(handle.read().rfind(b"\n") + 1)
-                return records
+                return
+            if record is not None:
+                yield record
         if lines[-1].strip():
             with self.path.open("a") as handle:
                 handle.write("\n")
-        return records
 
-    def index(self) -> dict[tuple, TrialRecord]:
-        # Later lines win, so resuming after a partial stage sees the
-        # freshest measurement for each (stage, device, config).
-        return {_record_key(r.stage, r.device, r.config): r for r in self.load()}
+    def load(self) -> list[TrialRecord]:
+        """Every record in the log, each one checked."""
+        return list(self._records(None))
+
+    def index(self, stage: int) -> dict[tuple, TrialRecord]:
+        """One stage's records by (device, config); later lines win, so a
+        resumed stage sees the freshest measurement of each pair."""
+        return {(r.device, r.config): r for r in self._records(stage)}
 
 
 @dataclass
@@ -310,7 +318,7 @@ def _measure_and_rank(
             raise SpaceValidationError(
                 f"stage {stage}: candidate {config.canonical_json()} is not in the space: {exc}"
             ) from None
-    cached = log.index() if log is not None else {}
+    cached = log.index(stage) if log is not None else {}
     # Each distinct candidate is compiled once for all devices; the dict
     # lives only for this call.
     archs: dict[Configuration, ArchitectureDescriptor] = {}
@@ -322,9 +330,9 @@ def _measure_and_rank(
         measurer = measurer_factory(profile)
         records: list[TrialRecord] = []
         for candidate in device_candidates:
-            key = _record_key(stage, device_name, candidate.config)
-            if key in cached:
-                records.append(cached[key])
+            hit = cached.get((device_name, candidate.config))
+            if hit is not None:
+                records.append(hit)
                 continue
             arch = archs.get(candidate.config)
             if arch is None:
@@ -369,6 +377,8 @@ def _measure_latency(measurer, profile, candidate, arch) -> tuple:
 
 def _measure_power(measurer, profile, candidate, arch) -> tuple:
     power = measurer.power(candidate.config, arch)
+    if power <= 0.0:  # accuracy per PDP is undefined
+        raise MeasurementError(f"non-positive dynamic power {power} W")
     return candidate.accuracy_pct, candidate.latency_mean_ms, candidate.latency_std_ms, power
 
 
@@ -423,30 +433,3 @@ def stage3(
         timestamps,
     )
     return {device_name: r.records[0] for device_name, r in ranked.items()}
-
-
-@dataclass
-class PipelineResult:
-    stage1: RankedSet
-    stage2: dict[str, RankedSet]
-    winners: dict[str, TrialRecord]
-
-
-def run_pipeline(
-    space: SearchSpace,
-    evaluator,
-    profiles: dict[str, DeviceProfile],
-    measurer_factory: Callable[[DeviceProfile], DeviceMeasurer],
-    settings: OptimizerSettings,
-    budget: int,
-    keep1: int = 1000,
-    keep2: int = 10,
-    log: TrialLog | None = None,
-    timestamps: bool = True,
-) -> PipelineResult:
-    ranked1 = stage1(space, evaluator, settings, budget, keep1, log=log, timestamps=timestamps)
-    ranked2 = stage2(
-        space, ranked1, profiles, measurer_factory, keep2, log=log, timestamps=timestamps
-    )
-    winners = stage3(space, ranked2, profiles, measurer_factory, log=log, timestamps=timestamps)
-    return PipelineResult(stage1=ranked1, stage2=ranked2, winners=winners)

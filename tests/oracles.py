@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from edgenas import devices
 from edgenas.space import Configuration, sample_uniform
 
 
@@ -164,3 +165,31 @@ def tpe_suggest(space, history):
             best_unseen_score = score
             best_unseen = candidate
     return best_unseen if best_unseen is not None else best_config
+
+
+# The jittered SimulatedDevice samples as first written: each noise draw
+# added and clamped at zero one Python float at a time. The library clamps
+# the whole array and must return the same floats, signed zeros included.
+# The device module's functions are looked up at call time, so a test that
+# stubs them stubs the reference too.
+
+
+def simulated_latency_samples(device, config, arch, runs):
+    base = devices.simulate_latency(arch, device.profile)
+    rng = devices._jitter_rng(device.seed, device.profile.name, config, 1)
+    noise = rng.normal(0.0, device.jitter.latency_sigma_ms, size=runs)
+    return [max(base + float(n), 0.0) for n in noise]
+
+
+def simulated_power_traces(device, config, arch, window_s, sample_hz):
+    n = window_s * sample_hz
+    idle = device.profile.power_model.idle_w
+    latency = devices.simulate_latency(arch, device.profile)
+    active = idle + devices.simulate_dynamic_power(arch, device.profile, latency)
+    rng = devices._jitter_rng(device.seed, device.profile.name, config, 2)
+    idle_noise = rng.normal(0.0, device.jitter.power_sigma_w, size=n)
+    active_noise = rng.normal(0.0, device.jitter.power_sigma_w, size=n)
+    return (
+        [max(idle + float(x), 0.0) for x in idle_noise],
+        [max(active + float(x), 0.0) for x in active_noise],
+    )

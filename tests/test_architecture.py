@@ -68,6 +68,29 @@ def test_weighted_layer_counts_per_depth(table1):
         assert arch.weighted_layer_count == 2 * block + 3
 
 
+def test_cached_mac_totals_equal_layer_scan():
+    for block in (2, 3, 4):
+        kernels = {"k1": 6, "k2": 24, "k3": 36, "k4": 52}
+        config = Configuration(
+            block=block, fc1=100, do1=10, fc2=80, do2=10,
+            **{k: v for i, (k, v) in enumerate(kernels.items()) if i < block},
+        )
+        arch = build_architecture(config)
+        conv = sum(l.macs for l in arch.layers if l.kind == "conv3x3")
+        fc = sum(l.macs for l in arch.layers if l.kind == "fully_connected")
+        for _ in range(2):  # the first read fills the cache, the second reads it
+            assert (arch.conv_macs, arch.fc_macs) == (conv, fc)
+        assert conv + fc == arch.total_macs
+
+
+def test_cached_mac_totals_leave_equality_and_hash(pi_best):
+    read, unread = build_architecture(pi_best), build_architecture(pi_best)
+    assert read.conv_macs > 0 and read.fc_macs > 0
+    assert "conv_macs" in vars(read) and "conv_macs" not in vars(unread)
+    assert read == unread
+    assert hash(read) == hash(unread)
+
+
 def test_spatial_progression_block3():
     config = Configuration(block=3, k1=6, k2=24, k3=36, fc1=100, do1=10, fc2=80, do2=10)
     arch = build_architecture(config)

@@ -295,6 +295,37 @@ class TestPipelineCli:
         assert "trials.jsonl:3" in err
 
 
+    def test_stage3_checks_every_line_report_checks_every_record(
+        self, capsys, tmp_path, reduced_space_file
+    ):
+        run = tmp_path / "run"
+        code, _, _ = self._pipeline(capsys, run, reduced_space_file)
+        assert code == 0
+        stage3 = (run / "stage3.json").read_bytes()
+        log = run / "trials.jsonl"
+        whole = log.read_text()
+        lines = whole.splitlines(keepends=True)
+        assert json.loads(lines[4])["stage"] == 1
+
+        def with_line_5(text):
+            log.write_text("".join(lines[:4] + [text] + lines[5:]))
+
+        for broken in (lines[4][:30] + "\n", json.dumps({"config": {}}) + "\n"):
+            with_line_5(broken)
+            code, _, err = _run(capsys, "stage3", "--out", str(run))
+            assert code == 1
+            assert "trials.jsonl:5" in err
+
+        record = json.loads(lines[4])
+        del record["accuracy_pct"]
+        with_line_5(json.dumps(record, sort_keys=True) + "\n")
+        code, _, _ = _run(capsys, "stage3", "--out", str(run), "--no-timestamps")
+        assert code == 0  # every stage-3 pair is a cache hit; stage-1 records are not built
+        assert (run / "stage3.json").read_bytes() == stage3
+        code, _, err = _run(capsys, "report", "--out", str(run))
+        assert code == 1
+        assert "trials.jsonl:5" in err and "accuracy_pct" in err
+
     def test_off_grid_stage1_candidate_rejected_before_measuring(
         self, capsys, tmp_path, reduced_space_file
     ):

@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+import edgenas.devices as devices_module
+import oracles
 from edgenas.architecture import ArchitectureDescriptor, build_architecture
 from edgenas.devices import (
     DeviceMeasurer,
@@ -149,6 +151,26 @@ class TestStatistics:
         with pytest.raises(MeasurementError, match="empty power trace"):
             dynamic_power_from_traces([], [2.0])
 
+    @pytest.mark.parametrize(
+        "samples",
+        [[1.0, math.nan, 1.0], [1.0, math.inf], [-math.inf, 1.0], [math.nan] * 40],
+    )
+    def test_non_finite_latency_sample_errors(self, samples):
+        with pytest.raises(MeasurementError, match="non-finite latency sample"):
+            latency_stats(samples)
+
+    @pytest.mark.parametrize("samples", [[-1.0, -2.0], [0.0] * 40, [-0.5, 0.5]])
+    def test_non_positive_mean_latency_errors(self, samples):
+        with pytest.raises(MeasurementError, match="non-positive mean latency"):
+            latency_stats(samples)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_power_sample_errors(self, bad):
+        with pytest.raises(MeasurementError, match="non-finite idle power sample"):
+            dynamic_power_from_traces([2.0, bad], [3.0, 3.0])
+        with pytest.raises(MeasurementError, match="non-finite active power sample"):
+            dynamic_power_from_traces([2.0, 2.0], [bad, 3.0])
+
 
 def _measure(config, backend, protocol=None):
     """Latency (mean, std) and dynamic power through the stage-facing path."""
@@ -200,6 +222,73 @@ class TestSimulatedMeasurement:
         (mean, std), _ = _measure(pi_best, backend, MeasurementProtocol(warmup_runs=5))
         assert backend.requested_runs == [45]
         assert (mean, std) == (2.35, 0.0)
+
+
+class TestJitterClamp:
+    """The array clamp of SimulatedDevice against the per-float reference."""
+
+    CASES = [
+        # (fixed latency ms, latency sigma ms, idle W, power sigma W): the
+        # last two clamp a large share of the samples at zero
+        (0.5, 0.05, 2.0, 0.05),
+        (0.05, 0.1, 0.05, 0.1),
+        (0.01, 1.0, 0.0, 1.0),
+    ]
+
+    @staticmethod
+    def _assert_same_floats(got, expected):
+        assert all(type(x) is float for x in got)
+        assert [(x, math.copysign(1.0, x)) for x in got] == [
+            (x, math.copysign(1.0, x)) for x in expected
+        ]
+
+    @pytest.mark.parametrize("fixed, latency_sigma, idle, power_sigma", CASES)
+    def test_samples_equal_reference(self, table1, fixed, latency_sigma, idle, power_sigma):
+        profile = _profile(fixed=fixed, per_layer=0.0, idle=idle, alpha=0.0, beta=1e-6)
+        jitter = JitterSpec(latency_sigma_ms=latency_sigma, power_sigma_w=power_sigma)
+        clamped = 0
+        for seed, index in ((1, 0), (2, 12_345), (3, cardinality(table1) - 1)):
+            config = config_from_index(table1, index)
+            # no layers: the latency is the fixed term alone
+            arch = _empty_arch(config) if fixed < latency_sigma else build_architecture(config)
+            device = SimulatedDevice(profile, jitter, seed=seed)
+            latency = device.latency_samples(config, arch, 45)
+            self._assert_same_floats(
+                latency, oracles.simulated_latency_samples(device, config, arch, 45)
+            )
+            idle_w, active_w = device.power_traces(config, arch, 180, 1)
+            ref_idle, ref_active = oracles.simulated_power_traces(device, config, arch, 180, 1)
+            self._assert_same_floats(idle_w, ref_idle)
+            self._assert_same_floats(active_w, ref_active)
+            clamped += (latency + idle_w + active_w).count(0.0)
+        if fixed < latency_sigma:
+            assert clamped > 100
+
+    def test_negative_zero_kept(self, pi_best, monkeypatch):
+        noise = np.array([-0.0, 0.0, -1.0, 1.0, -1e-300, 2.5])
+
+        class StubGenerator:
+            def normal(self, loc, scale, size):
+                return noise[:size].copy()
+
+        monkeypatch.setattr(devices_module, "_jitter_rng", lambda *args: StubGenerator())
+        monkeypatch.setattr(devices_module, "simulate_latency", lambda arch, profile: -0.0)
+        monkeypatch.setattr(
+            devices_module, "simulate_dynamic_power", lambda arch, profile, latency: -0.0
+        )
+        profile = _profile(idle=-0.0)
+        device = SimulatedDevice(profile, JitterSpec(latency_sigma_ms=1.0, power_sigma_w=1.0))
+        arch = _empty_arch(pi_best)
+        latency = device.latency_samples(pi_best, arch, 6)
+        assert math.copysign(1.0, latency[0]) == -1.0
+        self._assert_same_floats(
+            latency, oracles.simulated_latency_samples(device, pi_best, arch, 6)
+        )
+        traces = device.power_traces(pi_best, arch, 6, 1)
+        reference = oracles.simulated_power_traces(device, pi_best, arch, 6, 1)
+        for got, expected in zip(traces, reference):
+            assert math.copysign(1.0, got[0]) == -1.0
+            self._assert_same_floats(got, expected)
 
 
 class TestExternalMeasurement:

@@ -1,4 +1,5 @@
 import json
+import math
 import pathlib
 
 import pytest
@@ -15,7 +16,6 @@ from edgenas.pipeline import (
     TrialRecord,
     fitness,
     rank_records,
-    run_pipeline,
     stage1,
     stage2,
     stage3,
@@ -353,33 +353,32 @@ class TestEndToEnd:
 
         def run(out_name):
             log = TrialLog(tmp_path / out_name)
-            result = run_pipeline(
-                reduced_space,
-                evaluator,
-                shipped_profiles,
-                lambda p: DeviceMeasurer(SimulatedDevice(p, seed=1)),
-                OptimizerSettings(seed=1),
-                budget=400,
-                keep1=40,
-                keep2=10,
-                log=log,
-                timestamps=False,
+            factory = lambda p: DeviceMeasurer(SimulatedDevice(p, seed=1))  # noqa: E731
+            ranked1 = stage1(
+                reduced_space, evaluator, OptimizerSettings(seed=1), budget=400, keep=40,
+                log=log, timestamps=False,
             )
-            return result, log
+            ranked2 = stage2(
+                reduced_space, ranked1, shipped_profiles, factory, 10, log=log, timestamps=False
+            )
+            winners = stage3(
+                reduced_space, ranked2, shipped_profiles, factory, log=log, timestamps=False
+            )
+            return (ranked1, ranked2, winners), log
 
-        first, log_a = run("a.jsonl")
-        second, log_b = run("b.jsonl")
+        (ranked1, ranked2, winners), log_a = run("a.jsonl")
+        (_, _, second_winners), log_b = run("b.jsonl")
 
         # identical winners and identical persisted files
-        assert {d: r.to_json_dict() for d, r in first.winners.items()} == {
-            d: r.to_json_dict() for d, r in second.winners.items()
+        assert {d: r.to_json_dict() for d, r in winners.items()} == {
+            d: r.to_json_dict() for d, r in second_winners.items()
         }
         assert log_a.path.read_text() == log_b.path.read_text()
 
-        stage1_configs = {r.config for r in first.stage1.records}
-        for device, ranked in first.stage2.items():
+        stage1_configs = {r.config for r in ranked1.records}
+        for device, ranked in ranked2.items():
             assert {r.config for r in ranked.records} <= stage1_configs
-            assert first.winners[device].config in {r.config for r in ranked.records}
+            assert winners[device].config in {r.config for r in ranked.records}
 
         for record in log_a.load():
             assert record.recomputed_fitness() == pytest.approx(
@@ -495,6 +494,84 @@ class TestTrialLog:
         with pytest.raises(ValueError, match=r"trials\.jsonl:2: "):
             log.load()
 
+    def _three_stage_log(self, tmp_path, table1):
+        log = TrialLog(tmp_path / "trials.jsonl")
+        configs = [config_from_index(table1, i) for i in range(3)]
+        for config in configs:
+            log.append(_stage1_record(config, 95.0))
+        for stage, kind in ((2, FitnessKind.ACCURACY_PER_LATENCY), (3, FitnessKind.ACCURACY_PER_PDP)):
+            for device in ("a", "b"):
+                for config in configs[:2]:
+                    log.append(
+                        TrialRecord(
+                            config=config, stage=stage, fitness_kind=kind, fitness_value=40.0,
+                            accuracy_pct=95.0, device=device, latency_mean_ms=2.0,
+                            latency_std_ms=0.0, dynamic_power_w=0.5 if stage == 3 else None,
+                        )
+                    )
+        log.close()
+        return log, configs
+
+    def test_index_builds_only_its_stage(self, tmp_path, table1, monkeypatch):
+        log, configs = self._three_stage_log(tmp_path, table1)
+        built = []
+        real = TrialRecord.from_json_dict.__func__
+
+        def counting(cls, data):
+            built.append(data["stage"])
+            return real(cls, data)
+
+        monkeypatch.setattr(TrialRecord, "from_json_dict", classmethod(counting))
+        index = log.index(3)
+        assert built == [3] * 4
+        assert set(index) == {(d, c) for d in ("a", "b") for c in configs[:2]}
+        assert all(r.stage == 3 and r.dynamic_power_w == 0.5 for r in index.values())
+        assert log.index(4) == {}
+        del built[:]
+        assert len(log.load()) == 11 and len(built) == 11
+
+    def test_index_later_line_wins(self, tmp_path, table1):
+        log, configs = self._three_stage_log(tmp_path, table1)
+        fresher = TrialRecord(
+            config=configs[0], stage=2, fitness_kind=FitnessKind.ACCURACY_PER_LATENCY,
+            fitness_value=10.0, accuracy_pct=95.0, device="a", latency_mean_ms=9.5,
+        )
+        log.append(fresher)
+        log.close()
+        assert log.index(2)[("a", configs[0])] == fresher
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ('{"stage": 1, "config": {"blo\n', "bad trial record"),
+            ('{"config": {}}\n', "not an object with an integer stage"),
+            ('{"stage": "1"}\n', "not an object with an integer stage"),
+            ("[1, 2]\n", "not an object with an integer stage"),
+        ],
+    )
+    def test_index_fails_on_any_stage_without_json_or_stage(
+        self, tmp_path, table1, bad_line, message
+    ):
+        log, _ = self._three_stage_log(tmp_path, table1)
+        lines = log.path.read_text().splitlines(keepends=True)
+        lines[1] = bad_line
+        log.path.write_text("".join(lines))
+        with pytest.raises(ValueError, match=rf"trials\.jsonl:2: .*{message}"):
+            log.index(3)
+
+    def test_other_stage_schema_fault_left_to_load(self, tmp_path, table1):
+        log, _ = self._three_stage_log(tmp_path, table1)
+        lines = log.path.read_text().splitlines(keepends=True)
+        line = json.loads(lines[1])
+        del line["accuracy_pct"]
+        lines[1] = json.dumps(line) + "\n"
+        log.path.write_text("".join(lines))
+        assert len(log.index(3)) == 4
+        with pytest.raises(ValueError, match=r"trials\.jsonl:2: .*accuracy_pct"):
+            log.index(1)
+        with pytest.raises(ValueError, match=r"trials\.jsonl:2: .*accuracy_pct"):
+            log.load()
+
     @pytest.fixture()
     def append_handles(self, monkeypatch):
         """Every handle a TrialLog opens in append mode, in order."""
@@ -603,6 +680,69 @@ class TestCompileOnce:
             assert measurer.latency_calls == 4
             kept = {r.config for r in result[name].records}
             assert (failing in kept) == (name != first)
+
+
+class SampleBackend:
+    """Canned raw samples by config: a NaN, infinite or negative latency
+    for some, a NaN or zero-difference power trace for others."""
+
+    def __init__(self, latency=None, power=None):
+        self.latency = latency or {}
+        self.power = power or {}
+        self.latency_calls = []
+
+    def latency_samples(self, config, arch, runs):
+        self.latency_calls.append(config)
+        return list(self.latency.get(config, [1.0] * runs))
+
+    def power_traces(self, config, arch, window_s, sample_hz):
+        n = window_s * sample_hz
+        return [2.0] * n, list(self.power.get(config, [2.5] * n))
+
+
+class TestBadMeasurements:
+    def test_bad_latency_excluded_and_measured_elsewhere(self, table1, caplog):
+        configs = [config_from_index(table1, i) for i in range(5)]
+        candidates = _candidates([(c, 95.0) for c in configs])
+        bad = {
+            configs[0]: [1.0, math.nan, 1.0] + [1.0] * 37,
+            configs[1]: [1.0, math.inf] + [1.0] * 38,
+            configs[2]: [-1.0] * 40,
+            configs[3]: [0.0] * 40,
+        }
+        backends = {"a": SampleBackend(latency=bad), "b": SampleBackend()}
+        profiles = {name: _zero_delta_profile(name) for name in backends}
+        result = stage2(
+            table1, candidates, profiles, lambda p: DeviceMeasurer(backends[p.name]), 5
+        )
+        assert [r.config for r in result["a"].records] == [configs[4]]
+        assert {r.config for r in result["b"].records} == set(configs)
+        assert backends["a"].latency_calls == backends["b"].latency_calls == configs
+        excluded = [m for m in caplog.messages if m.startswith("stage 2: excluding")]
+        assert len(excluded) == 4 and all(" on a: " in m for m in excluded)
+        assert "non-finite latency sample" in excluded[0]
+        assert "non-positive mean latency" in excluded[2]
+
+    def test_bad_power_excluded(self, table1, caplog):
+        configs = [config_from_index(table1, i) for i in range(4)]
+        stage2_set = _stage2_set(table1, [(c, 95.0, 2.0) for c in configs])
+        bad = {
+            configs[0]: [math.nan] * 180,
+            configs[1]: [math.inf] * 180,
+            configs[2]: [2.0] * 180,  # no dynamic power: PDP undefined
+        }
+        backend = SampleBackend(power=bad)
+        winners = stage3(
+            table1,
+            {"dev": stage2_set},
+            {"dev": _zero_delta_profile("dev")},
+            lambda p: DeviceMeasurer(backend),
+        )
+        assert winners["dev"].config == configs[3]
+        excluded = [m for m in caplog.messages if m.startswith("stage 3: excluding")]
+        assert len(excluded) == 3
+        assert "non-finite active power sample" in excluded[0]
+        assert "non-positive dynamic power 0.0 W" in excluded[2]
 
 
 def _zero_delta_profile(name):
