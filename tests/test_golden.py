@@ -79,9 +79,55 @@ DEFAULT_SEARCH = {
 }
 
 
-def test_default_search_matches_golden(tmp_path, capsys):
+def _assert_search_matches(tmp_path, capsys, argv, hashes):
     out = tmp_path / "run"
-    assert main(["search", "--seed", "1", "--no-timestamps", "--out", str(out)]) == 0
+    assert main(["search", "--no-timestamps", "--out", str(out), *argv]) == 0
     capsys.readouterr()
-    for name, digest in DEFAULT_SEARCH.items():
+    for name, digest in hashes.items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+def test_default_search_matches_golden(tmp_path, capsys):
+    _assert_search_matches(tmp_path, capsys, ["--seed", "1"], DEFAULT_SEARCH)
+
+
+# More stage-1 histories on the Table-1 grid: the defaults on two other
+# seeds, and a shorter run whose --config moves the good/bad split to half
+# the successes with few candidates per suggestion. Each case gives its
+# flags, the optimizer section of its --config file (or None), and hashes.
+SEARCH_GOLDEN = {
+    "seed2": (
+        ["--seed", "2"],
+        None,
+        {
+            "trials.jsonl": "cafd6b58a8dc4bc9d1829dba249f6976e95cc26154572b78b026cdc4ffee7cb5",
+            "stage1.json": "227689cb28ca5d55819f23d0bcb2f3ae1676a0103d6fe9f4470cf88396f0fd8b",
+        },
+    ),
+    "seed3": (
+        ["--seed", "3"],
+        None,
+        {
+            "trials.jsonl": "08b9eb55ba20052c08aa5254701cecb5f674104b22d984add62b6e0c8f35a2fa",
+            "stage1.json": "c66afd546115fd602657571eb3041c6fc8c1198f79ed3db6e69c194be0d5f428",
+        },
+    ),
+    "gamma-half": (
+        ["--seed", "1", "--budget", "600", "--keep1", "200"],
+        {"gamma": 0.5, "n_candidates": 8},
+        {
+            "trials.jsonl": "5fed356bfd4e06ee2503f4732dafd83d1ab729cb3f4be00f963b4da02c0820c8",
+            "stage1.json": "10ca83cdc2a555cbaaee9c4d33a04c820a23d4ef7431ae149740c8caec1e5d79",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEARCH_GOLDEN))
+def test_search_matches_golden(case, tmp_path, capsys):
+    argv, optimizer, hashes = SEARCH_GOLDEN[case]
+    if optimizer is not None:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"optimizer": optimizer}))
+        argv = [*argv, "--config", str(config)]
+    _assert_search_matches(tmp_path, capsys, argv, hashes)
