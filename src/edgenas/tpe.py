@@ -12,13 +12,15 @@ suggest step is a pure function of the seed and the observations: the
 first n_startup suggestions are exactly the seeded uniform sequence, and
 re-asking with the same history returns the same configuration.
 
-The history keeps its entries mirrored as arrays (GridMirror): a
-preallocated (n x 9) int array of grid positions, -1 where a parameter is
-inactive, a loss vector, a success mask and the set of rows tried. Each
-suggestion extends the mirror by the entries added since the last one, so
-it costs a sort and a bincount per parameter instead of a pass of Python
-code over every entry; the mirror is rebuilt when the entry list is
-replaced or rewritten.
+The history keeps its entries mirrored (GridMirror): a preallocated
+(n x 9) int array of grid positions, -1 where a parameter is inactive,
+the set of rows tried, the successes sorted by (loss, index), and the
+per-parameter position counts of all successes and of the good side.
+Each suggestion extends the mirror by the entries added since the last
+one, each a bisect insertion and a count update, and moves the good/bad
+boundary to ceil(gamma*n) one entry at a time, so its cost does not grow
+with the history; the mirror is rebuilt when the entry list is replaced
+or rewritten.
 
 Each categorical draw is the first index of ``cdf`` above ``u``, with
 ``cdf = w.cumsum(); cdf /= cdf[-1]`` and ``u`` one double of
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -61,8 +63,10 @@ class OptimizerSettings:
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerSettings":
-        known = {k: data[k] for k in ("gamma", "n_startup", "n_candidates", "seed") if k in data}
-        return cls(**known)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown optimizer settings: {', '.join(unknown)}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)
@@ -110,9 +114,16 @@ class ObservationHistory:
 
 
 class GridMirror:
-    """The entries of a history as arrays over one space: a row of grid
-    positions per entry (-1 where the parameter is inactive), its loss
-    (NaN when failed), its success flag, and the set of rows tried."""
+    """The entries of a history over one space: a row of grid positions
+    per entry (-1 where the parameter is inactive), the set of rows tried,
+    and the TPE split of the successes.
+
+    ``order`` holds the successes as (loss, entry index), sorted: the
+    stable-argsort order of their losses. Its first ``n_good`` entries are
+    the good side. ``all_counts`` and ``good_counts`` count, per parameter
+    (row), the grid positions of all successes and of the good side;
+    column 0 takes the inactive -1 positions.
+    """
 
     def __init__(self, space: SearchSpace):
         self.space = space
@@ -124,6 +135,7 @@ class GridMirror:
             [PARAM_ORDER.index(name) for name in space.active_params(block) if name != "block"]
             for block in self.specs[0].grid
         ]
+        self._columns = np.arange(len(PARAM_ORDER))
         self.reset(None)
 
     def reset(self, entries: list[Observation] | None) -> None:
@@ -131,9 +143,15 @@ class GridMirror:
         self.n = 0
         self._last: Observation | None = None
         self._positions = np.empty((64, len(PARAM_ORDER)), dtype=np.int64)
-        self._losses = np.empty(64)
-        self._ok = np.empty(64, dtype=bool)
         self.seen: set[tuple[int, ...]] = set()
+        self.order: list[tuple[float, int]] = []
+        self.all_counts = np.zeros((len(PARAM_ORDER), self.width + 1), dtype=np.int64)
+        self.good_counts = np.zeros_like(self.all_counts)
+        self.n_good = 0
+
+    def _count(self, counts: np.ndarray, index: int, step: int) -> None:
+        """Add entry ``index``'s grid positions to ``counts``, ``step`` times."""
+        counts[self._columns, self._positions[index] + 1] += step
 
     def sync(self, entries: list[Observation]) -> None:
         """Add the entries appended since the last sync; start over when
@@ -145,20 +163,27 @@ class GridMirror:
             or (self.n and entries[self.n - 1] is not self._last)
         ):
             self.reset(entries)
-        if len(entries) > len(self._ok):
-            capacity = max(2 * len(self._ok), len(entries))
+        if len(entries) > len(self._positions):
+            capacity = max(2 * len(self._positions), len(entries))
             self._positions = np.resize(self._positions, (capacity, len(PARAM_ORDER)))
-            self._losses = np.resize(self._losses, capacity)
-            self._ok = np.resize(self._ok, capacity)
         for i in range(self.n, len(entries)):
             entry = entries[i]
+            if not entry.failed and (entry.loss is None or not math.isfinite(entry.loss)):
+                self.reset(None)  # the entries before this one are not counted in self.n
+                raise ValueError(f"entry {i}: non-finite loss {entry.loss!r} for a successful trial")
             row = tuple(
                 -1 if (value := getattr(entry.config, spec.name)) is None else spec.position(value)
                 for spec in self.specs
             )
             self._positions[i] = row
-            self._losses[i] = math.nan if entry.failed else entry.loss
-            self._ok[i] = not entry.failed
+            if not entry.failed:
+                # Ties rank the earlier entry first, as a stable sort does.
+                rank = bisect.bisect(self.order, (entry.loss, i))
+                self.order.insert(rank, (entry.loss, i))
+                self._count(self.all_counts, i, 1)
+                if rank < self.n_good:
+                    self._count(self.good_counts, i, 1)
+                    self._count(self.good_counts, self.order[self.n_good][1], -1)
             # A candidate carries the space's output_classes, so it never
             # equals an entry with other ones.
             if entry.config.output_classes == self.space.output_classes:
@@ -170,37 +195,23 @@ class GridMirror:
     def positions(self) -> np.ndarray:
         return self._positions[: self.n]
 
-    @property
-    def losses(self) -> np.ndarray:
-        return self._losses[: self.n]
+    def split(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+        """The good and bad position counts, per parameter over ``width``
+        positions, with the lowest-loss ceil(gamma*n) successes good.
 
-    @property
-    def ok(self) -> np.ndarray:
-        return self._ok[: self.n]
-
-
-def split_losses(losses: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the lowest-loss ceil(gamma*n) entries, and of the rest.
-
-    Ties keep the earlier entry in the good side: a stable sort is the
-    (loss, index) order.
-    """
-    if not len(losses):
-        raise ValueError("empty history")
-    order = np.argsort(losses, kind="stable")
-    n_good = math.ceil(gamma * len(losses))
-    return order[:n_good], order[n_good:]
-
-
-def position_counts(positions: np.ndarray, width: int) -> np.ndarray:
-    """Per parameter, the observations of each grid position: row j counts
-    column j of ``positions`` over ``width`` positions. -1 (an inactive
-    parameter) is not an observation, so k3/k4 densities see only the
-    entries deep enough to carry them."""
-    n_params = positions.shape[1]
-    bins = positions + 1 + (width + 1) * np.arange(n_params)
-    counts = np.bincount(bins.ravel(), minlength=n_params * (width + 1))
-    return counts.reshape(n_params, width + 1)[:, 1:]
+        -1 (an inactive parameter) is not an observation, so k3/k4
+        densities see only the entries deep enough to carry them.
+        """
+        if not self.order:
+            raise ValueError("empty history")
+        n_good = math.ceil(gamma * len(self.order))
+        while self.n_good < n_good:
+            self._count(self.good_counts, self.order[self.n_good][1], 1)
+            self.n_good += 1
+        while self.n_good > n_good:
+            self.n_good -= 1
+            self._count(self.good_counts, self.order[self.n_good][1], -1)
+        return self.good_counts[:, 1:], (self.all_counts - self.good_counts)[:, 1:]
 
 
 def density_weights(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -226,16 +237,12 @@ def suggest(space: SearchSpace, history: ObservationHistory) -> Configuration:
     if len(history.entries) < history.n_startup:
         return sample_uniform(space, rng)
     mirror = history.mirror(space)
-    if not mirror.ok.any():
+    if not mirror.order:
         return sample_uniform(space, rng)
 
-    succeeded = np.flatnonzero(mirror.ok)
-    good_rows, bad_rows = (
-        mirror.positions[succeeded[side]]
-        for side in split_losses(mirror.losses[succeeded], history.gamma)
-    )
-    good_weights = density_weights(position_counts(good_rows, mirror.width), mirror.sizes)
-    bad_weights = density_weights(position_counts(bad_rows, mirror.width), mirror.sizes)
+    good_counts, bad_counts = mirror.split(history.gamma)
+    good_weights = density_weights(good_counts, mirror.sizes)
+    bad_weights = density_weights(bad_counts, mirror.sizes)
     ratios = (good_weights / bad_weights).tolist()
     cdfs = []
     for weights, size in zip(good_weights, mirror.sizes):

@@ -111,6 +111,27 @@ def tpe_split_history(history):
     return good, bad
 
 
+def split_losses(losses, gamma):
+    """Indices of the lowest-loss ceil(gamma*n) entries, and of the rest,
+    from one stable sort: ties keep the earlier entry in the good side."""
+    if not len(losses):
+        raise ValueError("empty history")
+    order = np.argsort(losses, kind="stable")
+    n_good = math.ceil(gamma * len(losses))
+    return order[:n_good], order[n_good:]
+
+
+def position_counts(positions, width):
+    """Per parameter, the observations of each grid position: row j counts
+    column j of ``positions`` over ``width`` positions, and -1 (an inactive
+    parameter) is not an observation. The from-scratch counts that
+    edgenas.tpe.GridMirror keeps incrementally."""
+    n_params = positions.shape[1]
+    bins = positions + 1 + (width + 1) * np.arange(n_params)
+    counts = np.bincount(bins.ravel(), minlength=n_params * (width + 1))
+    return counts.reshape(n_params, width + 1)[:, 1:]
+
+
 def tpe_density_weights(grid, observations):
     counts = {v: 0 for v in grid}
     for value in observations:

@@ -274,6 +274,33 @@ class TestPipelineCli:
         assert manifest["seed"] == 7
         assert manifest["jitter"] == {"latency_sigma_ms": 0.0, "power_sigma_w": 0.05}
 
+    def test_unknown_optimizer_settings_refused(self, capsys, tmp_path, reduced_space_file):
+        run_config = tmp_path / "run.json"
+        run_config.write_text(json.dumps({"optimizer": {"gama": 0.5, "n_candidate": 4}}))
+        argv = [
+            "search", "--space", str(reduced_space_file), "--budget", "40", "--keep1", "10",
+            "--no-timestamps",
+        ]
+        out = tmp_path / "typo"
+        code, _, err = _run(capsys, *argv, "--config", str(run_config), "--out", str(out))
+        assert code == 1
+        assert "unknown optimizer settings: gama, n_candidate" in err
+        assert not (out / "manifest.json").exists()
+
+        # A run's own manifest, optimizer section included, loads as a run config.
+        first, again = tmp_path / "first", tmp_path / "again"
+        run_config.write_text(json.dumps({"optimizer": {"gamma": 0.5, "n_candidates": 4}}))
+        code, _, _ = _run(capsys, *argv, "--config", str(run_config), "--out", str(first))
+        assert code == 0
+        manifest = json.loads((first / "manifest.json").read_text())
+        assert manifest["optimizer"] == {"gamma": 0.5, "n_startup": 20, "n_candidates": 4, "seed": 42}
+        code, _, _ = _run(
+            capsys, *argv, "--config", str(first / "manifest.json"), "--out", str(again)
+        )
+        assert code == 0
+        assert json.loads((again / "manifest.json").read_text()) == manifest
+        assert (again / "trials.jsonl").read_bytes() == (first / "trials.jsonl").read_bytes()
+
     def test_torn_trial_log_resumes(self, capsys, tmp_path, reduced_space_file):
         run = tmp_path / "run"
         code, _, _ = self._pipeline(capsys, run, reduced_space_file)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import tpe_suggest
+from oracles import position_counts, split_losses, tpe_suggest
 
 from edgenas.evaluators import EvaluatorError, SurrogateEvaluator
 from edgenas.space import (
@@ -19,10 +19,8 @@ from edgenas.tpe import (
     OptimizerSettings,
     best_accuracy,
     density_weights,
-    position_counts,
     random_search,
     run_optimization,
-    split_losses,
     suggest,
 )
 
@@ -37,9 +35,10 @@ def _history(entries, **kwargs):
 def _split(history, space):
     """The good and bad successful entries, as suggest splits them."""
     mirror = history.mirror(space)
-    good, bad = split_losses(mirror.losses[mirror.ok], history.gamma)
-    succeeded = history.succeeded()
-    return [succeeded[i] for i in sorted(good)], [succeeded[i] for i in sorted(bad)]
+    mirror.split(history.gamma)
+    good = sorted(i for _, i in mirror.order[: mirror.n_good])
+    bad = sorted(i for _, i in mirror.order[mirror.n_good :])
+    return [history.entries[i] for i in good], [history.entries[i] for i in bad]
 
 
 def _weights(column, size):
@@ -111,9 +110,16 @@ class TestDensities:
         assert all(w > 0 for w in weights)
         assert abs(sum(weights) - 1.0) < 1e-12
 
-    def test_counts_per_parameter_skip_inactive(self):
-        positions = np.array([[0, -1], [2, 1], [0, -1]])
-        assert position_counts(positions, 3).tolist() == [[2, 0, 1], [0, 1, 0]]
+    def test_counts_per_parameter_skip_inactive(self, table1):
+        # block positions 0, 2, 0; k3 inactive, position 1 (k3=40), inactive
+        shallow = Configuration(block=2, k1=6, k2=24, fc1=100, do1=10, fc2=80, do2=10)
+        deep = Configuration(
+            block=4, k1=6, k2=24, k3=40, k4=52, fc1=100, do1=10, fc2=80, do2=10
+        )
+        history = _history([(shallow, -95.0), (deep, -99.0), (shallow, -90.0)])
+        good, bad = history.mirror(table1).split(history.gamma)
+        rows = (good + bad)[[PARAM_ORDER.index("block"), PARAM_ORDER.index("k3")], :3]
+        assert rows.tolist() == [[2, 0, 1], [0, 1, 0]]
 
 
 class TestSuggest:
@@ -162,7 +168,7 @@ class TestSuggest:
         deep = Configuration(block=3, k1=6, k2=24, k3=48, fc1=100, do1=10, fc2=80, do2=10)
         history = _history([(shallow, -95.0), (deep, -99.0)])
         mirror = history.mirror(table1)
-        column = mirror.positions[mirror.ok, PARAM_ORDER.index("k3")]
+        column = mirror.positions[:, PARAM_ORDER.index("k3")]
         k3_grid = table1.spec_for("k3").grid
         assert [k3_grid[p] for p in column if p >= 0] == [48]
 
@@ -171,18 +177,34 @@ def _assert_mirror_rebuilt(history, space):
     """The incrementally kept mirror equals one built from scratch."""
     kept = history._mirror
     fresh = ObservationHistory(entries=list(history.entries)).mirror(space)
+    fresh.split(history.gamma)
     assert kept.n == fresh.n
     assert np.array_equal(kept.positions, fresh.positions)
-    assert np.array_equal(kept.losses, fresh.losses, equal_nan=True)
-    assert np.array_equal(kept.ok, fresh.ok)
     assert kept.seen == fresh.seen
+    assert kept.order == fresh.order
+    assert kept.n_good == fresh.n_good
+    assert np.array_equal(kept.all_counts, fresh.all_counts)
+    assert np.array_equal(kept.good_counts, fresh.good_counts)
+
+
+def _assert_split_from_scratch(history, space):
+    """The mirror's counts equal those of the reference split, rebuilt
+    from every successful entry."""
+    mirror = history._mirror
+    succeeded = [i for i, e in enumerate(history.entries) if not e.failed]
+    losses = np.array([history.entries[i].loss for i in succeeded])
+    good, _ = split_losses(losses, history.gamma)
+    rows = mirror.positions[succeeded]
+    assert mirror.n_good == len(good)
+    assert np.array_equal(mirror.good_counts[:, 1:], position_counts(rows[good], mirror.width))
+    assert np.array_equal(mirror.all_counts[:, 1:], position_counts(rows, mirror.width))
 
 
 class TestReferenceEquivalence:
     """suggest against the list-based reference TPE in tests/oracles.py,
     at every step of a run with failed trials, tied losses, entries
-    appended straight to ``entries``, and an entry list rewritten in
-    place, cut short and replaced."""
+    appended straight to ``entries``, an entry list rewritten in place,
+    cut short and replaced, and a gamma raised and lowered mid-run."""
 
     @pytest.mark.parametrize("space_name", ["table1", "reduced_space", "toy8_space"])
     def test_matches_reference_every_step(self, space_name, request):
@@ -191,10 +213,13 @@ class TestReferenceEquivalence:
         history = ObservationHistory(seed=5, n_startup=6)
         rng = np.random.default_rng(11)
         for step in range(160):
+            # The good/bad boundary moves up, then down, across tied losses.
+            history.gamma = {40: 0.6, 100: 0.1}.get(step, history.gamma)
             config = suggest(space, history)
             assert config == tpe_suggest(space, history), step
             if len(history.entries) >= history.n_startup:
                 _assert_mirror_rebuilt(history, space)
+                _assert_split_from_scratch(history, space)
             if step == 60:  # same length, another last entry
                 history.entries[-1] = Observation(history.entries[0].config, -99.0)
             if config.k1 == 8:
@@ -225,6 +250,21 @@ class TestReferenceEquivalence:
         for seed in range(20):
             history.seed = seed
             assert suggest(toy8_space, history) == tpe_suggest(toy8_space, history), seed
+
+    @pytest.mark.parametrize("loss", [None, float("nan"), float("inf")])
+    def test_success_without_finite_loss_is_refused(self, table1, loss):
+        configs = _uniform_configs(table1, 8)
+        history = _history([(c, -90.0 - i) for i, c in enumerate(configs[:6])], n_startup=2)
+        suggest(table1, history)
+        history.entries.append(Observation(configs[6], loss))
+        history.entries.append(Observation(configs[7], -95.0))
+        message = rf"entry 6: non-finite loss {loss!r} for a successful trial"
+        for _ in range(2):  # still refused when asked again
+            with pytest.raises(ValueError, match=message):
+                suggest(table1, history)
+        history.entries[6] = Observation(configs[6], -93.0)
+        assert suggest(table1, history) == tpe_suggest(table1, history)
+        _assert_mirror_rebuilt(history, table1)
 
     def test_history_without_success_draws_uniformly(self, table1):
         history = ObservationHistory(seed=3, n_startup=2)
