@@ -169,8 +169,8 @@ class GridMirror:
         for i in range(self.n, len(entries)):
             entry = entries[i]
             if not entry.failed and (entry.loss is None or not math.isfinite(entry.loss)):
-                self.reset(None)  # the entries before this one are not counted in self.n
-                raise ValueError(f"entry {i}: non-finite loss {entry.loss!r} for a successful trial")
+                self.reset(None)  # this call's earlier entries are counted, but not in self.n
+                raise ValueError(f"entry {i}: non-finite loss {entry.loss!r} for a success")
             row = tuple(
                 -1 if (value := getattr(entry.config, spec.name)) is None else spec.position(value)
                 for spec in self.specs

@@ -293,7 +293,8 @@ class TestPipelineCli:
         code, _, _ = _run(capsys, *argv, "--config", str(run_config), "--out", str(first))
         assert code == 0
         manifest = json.loads((first / "manifest.json").read_text())
-        assert manifest["optimizer"] == {"gamma": 0.5, "n_startup": 20, "n_candidates": 4, "seed": 42}
+        settings = {"gamma": 0.5, "n_startup": 20, "n_candidates": 4, "seed": 42}
+        assert manifest["optimizer"] == settings
         code, _, _ = _run(
             capsys, *argv, "--config", str(first / "manifest.json"), "--out", str(again)
         )

@@ -3,8 +3,9 @@
 The hashes pin every byte the stages write, so a refactor or a speed-up
 that changes a seeded output fails here. A change that is meant to alter
 the outputs updates these values and says why. The small pipeline runs
-cover stages 2 and 3; the default-size search pins the whole 2000-entry
-stage-1 history on the Table-1 grid.
+cover stages 2 and 3; the searches on the Table-1 grid pin whole stage-1
+histories: at the defaults on seeds 1, 2 and 3, and at budget 600 with a
+non-default gamma and candidate count.
 """
 
 import hashlib

@@ -113,9 +113,7 @@ class TestDensities:
     def test_counts_per_parameter_skip_inactive(self, table1):
         # block positions 0, 2, 0; k3 inactive, position 1 (k3=40), inactive
         shallow = Configuration(block=2, k1=6, k2=24, fc1=100, do1=10, fc2=80, do2=10)
-        deep = Configuration(
-            block=4, k1=6, k2=24, k3=40, k4=52, fc1=100, do1=10, fc2=80, do2=10
-        )
+        deep = Configuration(block=4, k1=6, k2=24, k3=40, k4=52, fc1=100, do1=10, fc2=80, do2=10)
         history = _history([(shallow, -95.0), (deep, -99.0), (shallow, -90.0)])
         good, bad = history.mirror(table1).split(history.gamma)
         rows = (good + bad)[[PARAM_ORDER.index("block"), PARAM_ORDER.index("k3")], :3]
@@ -258,7 +256,7 @@ class TestReferenceEquivalence:
         suggest(table1, history)
         history.entries.append(Observation(configs[6], loss))
         history.entries.append(Observation(configs[7], -95.0))
-        message = rf"entry 6: non-finite loss {loss!r} for a successful trial"
+        message = rf"entry 6: non-finite loss {loss!r} for a success"
         for _ in range(2):  # still refused when asked again
             with pytest.raises(ValueError, match=message):
                 suggest(table1, history)
