@@ -4,7 +4,8 @@ Grammar: (conv3x3 relu conv3x3 relu maxpool2x2) x block, flatten,
 (fc relu dropout) x 2, fc, softmax. Convolutions are stride-1 with
 size-preserving padding, so only pooling halves the spatial side
 (48 -> 24 -> 12 -> 6 -> 3). Parameter counts include biases; MAC counts
-are multiplies only.
+are multiplies only. The totals are computed in closed form; the
+layer stack is walked only when a caller reads it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ FC = "fully_connected"
 DROPOUT = "dropout"
 SOFTMAX = "softmax"
 
-WEIGHTED_KINDS = (CONV, FC)
-
 
 @dataclass(frozen=True)
 class LayerDescriptor:
@@ -40,20 +39,17 @@ class LayerDescriptor:
 class ArchitectureDescriptor:
     config: Configuration
     input_shape: tuple[int, int, int]
-    layers: tuple[LayerDescriptor, ...]
     total_params: int
     total_macs: int
     weighted_layer_count: int
+    conv_macs: int
+    fc_macs: int
 
-    # Computed on first read and kept in the instance dict; not fields,
-    # so equality and hashing still see only the fields above.
+    # Walked on first read and kept in the instance dict; not a field, so
+    # equality and hashing see only the fields above, which determine it.
     @cached_property
-    def conv_macs(self) -> int:
-        return sum(l.macs for l in self.layers if l.kind == CONV)
-
-    @cached_property
-    def fc_macs(self) -> int:
-        return sum(l.macs for l in self.layers if l.kind == FC)
+    def layers(self) -> tuple[LayerDescriptor, ...]:
+        return _layer_walk(self.config, self.input_shape)
 
     def kind_sequence(self) -> tuple[str, ...]:
         return tuple(l.kind for l in self.layers)
@@ -100,15 +96,40 @@ def _check_structure(config: Configuration) -> None:
 def build_architecture(
     config: Configuration, input_shape: tuple[int, int, int] = INPUT_SHAPE
 ) -> ArchitectureDescriptor:
-    """Compile a configuration into the full layer stack with shape,
-    parameter, and MAC accounting."""
+    """Check a configuration and total its parameters and MACs; the
+    layer stack itself is built only when ``layers`` is read."""
     _check_structure(config)
     height, width, channels = input_shape
     if height % (2 ** config.block) or width % (2 ** config.block):
         raise SpaceValidationError(
             f"input {height}x{width} not divisible by 2^{config.block} pooling stages"
         )
+    params = conv_macs = fc_macs = 0
+    for k in config.kernels:  # two convolutions, then pooling halves the side
+        params += 9 * channels * k + k + 9 * k * k + k
+        conv_macs += height * width * 9 * (channels + k) * k
+        height, width, channels = height // 2, width // 2, k
+    units_in = height * width * channels
+    for units in (config.fc1, config.fc2, config.output_classes):
+        params += units_in * units + units
+        fc_macs += units_in * units
+        units_in = units
+    return ArchitectureDescriptor(
+        config=config,
+        input_shape=input_shape,
+        total_params=params,
+        total_macs=conv_macs + fc_macs,
+        weighted_layer_count=2 * len(config.kernels) + 3,
+        conv_macs=conv_macs,
+        fc_macs=fc_macs,
+    )
 
+
+def _layer_walk(
+    config: Configuration, input_shape: tuple[int, int, int]
+) -> tuple[LayerDescriptor, ...]:
+    """The full layer stack with shape, parameter and MAC accounting."""
+    height, width, channels = input_shape
     layers: list[LayerDescriptor] = []
 
     def conv(h: int, w: int, c_in: int, c_out: int) -> None:
@@ -157,12 +178,4 @@ def build_architecture(
     dense(flat, config.output_classes)
     passthrough(SOFTMAX, (config.output_classes,))
 
-    return ArchitectureDescriptor(
-        config=config,
-        input_shape=input_shape,
-        layers=tuple(layers),
-        total_params=sum(l.params for l in layers),
-        total_macs=sum(l.macs for l in layers),
-        weighted_layer_count=sum(1 for l in layers if l.kind in WEIGHTED_KINDS),
-    )
-
+    return tuple(layers)

@@ -172,12 +172,20 @@ def _load_space(path: str):
     return space_from_json(path)
 
 
+def _read_json(path: str | Path):
+    """A JSON input file's content; a parse error names the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _run_config_defaults(path: str) -> dict:
     """Parser defaults from a --config run file, keyed by flag destination,
     so that an explicit flag always wins over the file."""
     if not Path(path).exists():
         raise UsageError(f"run config not found: {path}")
-    data = json.loads(Path(path).read_text())
+    data = _read_json(path)
     jitter = data.get("jitter", {})
     defaults = {
         key: data[key]
@@ -228,7 +236,7 @@ def _manifest(out: Path) -> dict:
     path = out / "manifest.json"
     if not path.exists():
         raise UsageError(f"no manifest.json in {out}; run search or pipeline first")
-    return json.loads(path.read_text())
+    return _read_json(path)
 
 
 def cmd_space_count(args) -> int:
@@ -335,15 +343,15 @@ def _measurement_inputs(args):
     )
     factory = _measurer_factory(manifest["seed"], jitter, manifest.get("warmup_runs", 0))
     timestamps = manifest.get("timestamps", True) and not args.no_timestamps
-    return out, manifest, space, profiles, factory, timestamps
+    return out, manifest, space, devices_dir, profiles, factory, timestamps
 
 
 def cmd_stage2(args) -> int:
-    out, manifest, space, profiles, factory, timestamps = _measurement_inputs(args)
+    out, manifest, space, _, profiles, factory, timestamps = _measurement_inputs(args)
     stage1_path = out / "stage1.json"
     if not stage1_path.exists():
         raise UsageError(f"no stage1.json in {out}")
-    candidates = RankedSet.from_json_dict(json.loads(stage1_path.read_text()))
+    candidates = RankedSet.from_json_dict(_read_json(stage1_path))
     keep2 = args.keep2 if args.keep2 is not None else manifest.get("keep2", 10)
     with TrialLog(out / "trials.jsonl") as log:
         ranked = stage2(space, candidates, profiles, factory, keep2, log=log, timestamps=timestamps)
@@ -355,13 +363,16 @@ def cmd_stage2(args) -> int:
 
 
 def cmd_stage3(args) -> int:
-    out, _, space, profiles, factory, timestamps = _measurement_inputs(args)
+    out, _, space, devices_dir, profiles, factory, timestamps = _measurement_inputs(args)
     stage2_path = out / "stage2.json"
     if not stage2_path.exists():
         raise UsageError(f"no stage2.json in {out}")
-    per_device = {
-        d: RankedSet.from_json_dict(r) for d, r in json.loads(stage2_path.read_text()).items()
-    }
+    per_device = {d: RankedSet.from_json_dict(r) for d, r in _read_json(stage2_path).items()}
+    unprofiled = [d for d in per_device if d not in profiles]
+    if unprofiled:
+        raise PipelineError(
+            f"{stage2_path} names devices with no profile in {devices_dir}: {', '.join(unprofiled)}"
+        )
     with TrialLog(out / "trials.jsonl") as log:
         winners = stage3(space, per_device, profiles, factory, log=log, timestamps=timestamps)
     _write_json(out / "stage3.json", {d: r.to_json_dict() for d, r in winners.items()})
@@ -392,13 +403,8 @@ def cmd_report(args) -> int:
         if not path.exists():
             raise UsageError(f"missing {path.name} in {out}; run the pipeline first")
     records = TrialLog(trials_path).load()
-    per_device = {
-        d: RankedSet.from_json_dict(r)
-        for d, r in json.loads(stage2_path.read_text()).items()
-    }
-    winners = {
-        d: TrialRecord.from_json_dict(r) for d, r in json.loads(stage3_path.read_text()).items()
-    }
+    per_device = {d: RankedSet.from_json_dict(r) for d, r in _read_json(stage2_path).items()}
+    winners = {d: TrialRecord.from_json_dict(r) for d, r in _read_json(stage3_path).items()}
 
     measured = [r for r in records if r.stage >= 2]
     by_device: dict[str, list] = {}
@@ -433,7 +439,7 @@ def cmd_fit_profile(args) -> int:
     if args.observations:
         if not args.precision:
             raise UsageError("--precision is required with --observations")
-        data = json.loads(Path(args.observations).read_text())
+        data = _read_json(args.observations)
         observations = [
             FitObservation(
                 arch=build_architecture(Configuration.from_json_dict(entry["config"])),

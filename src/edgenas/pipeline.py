@@ -420,6 +420,8 @@ def stage3(
     """Dynamic-power measurement for the stage-2 survivors; the single
     accuracy/PDP winner per device. PDP reuses the stage-2 latency mean
     (power is the only new measurement here)."""
+    if not per_device:
+        raise PipelineError("stage 3 requires a non-empty per-device map")
     ranked = _measure_and_rank(
         3,
         FitnessKind.ACCURACY_PER_PDP,

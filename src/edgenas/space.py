@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -153,8 +154,14 @@ class Configuration:
             raise SpaceValidationError(f"configuration missing fields: {', '.join(missing)}")
         return cls(**kwargs)
 
-    def canonical_json(self) -> str:
+    # Built on first read and kept in the instance dict; not a field, so
+    # equality and hashing are unchanged.
+    @cached_property
+    def _canonical_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+
+    def canonical_json(self) -> str:
+        return self._canonical_json
 
 
 @dataclass(frozen=True)

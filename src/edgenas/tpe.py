@@ -78,6 +78,15 @@ class Observation:
 
 @dataclass
 class ObservationHistory:
+    """The trials so far, in evaluation order.
+
+    ``entries`` is append-only: add to it with ``record`` and never
+    rewrite an earlier entry in place. ``suggest`` reads the entries
+    through a ``GridMirror`` that adds only the new ones, so an earlier
+    entry rewritten in place goes undetected and the old one is still
+    used. Replacing or shortening the list is detected.
+    """
+
     seed: int = 42
     n_startup: int = 20
     gamma: float = 0.25
@@ -156,7 +165,9 @@ class GridMirror:
     def sync(self, entries: list[Observation]) -> None:
         """Add the entries appended since the last sync; start over when
         the list was replaced, got shorter, or its last mirrored entry
-        changed."""
+        changed. ``entries`` must be append-only: an earlier entry
+        rewritten in place is not detected (checking every entry would
+        cost O(n) per call again), and the mirror keeps the old one."""
         if (
             entries is not self._entries
             or len(entries) < self.n

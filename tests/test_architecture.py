@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from edgenas.architecture import build_architecture
-from edgenas.space import Configuration, SpaceValidationError, config_from_index, cardinality
+from edgenas.reporting import load_paper_tables
+from edgenas.space import (
+    Configuration,
+    SpaceValidationError,
+    cardinality,
+    config_from_index,
+    validate,
+)
 from oracles import layer_walk_counts
 
 GRAMMAR = re.compile(
@@ -68,27 +75,43 @@ def test_weighted_layer_counts_per_depth(table1):
         assert arch.weighted_layer_count == 2 * block + 3
 
 
-def test_cached_mac_totals_equal_layer_scan():
-    for block in (2, 3, 4):
-        kernels = {"k1": 6, "k2": 24, "k3": 36, "k4": 52}
-        config = Configuration(
-            block=block, fc1=100, do1=10, fc2=80, do2=10,
-            **{k: v for i, (k, v) in enumerate(kernels.items()) if i < block},
-        )
+def _table3_off_grid_configs(table1):
+    configs = {
+        Configuration.from_json_dict(row["config"])
+        for rows in load_paper_tables()["table3"].values()
+        for row in rows
+    }
+    return sorted((c for c in configs if not validate(c, table1).valid), key=repr)
+
+
+def test_closed_form_totals_equal_layer_sums(table1):
+    rng = np.random.default_rng(31)
+    configs = [config_from_index(table1, int(i)) for i in rng.integers(cardinality(table1), size=300)]
+    off_grid = _table3_off_grid_configs(table1)
+    assert off_grid
+    configs += off_grid
+    assert {c.block for c in configs} == {2, 3, 4}
+    for config in configs:
         arch = build_architecture(config)
-        conv = sum(l.macs for l in arch.layers if l.kind == "conv3x3")
-        fc = sum(l.macs for l in arch.layers if l.kind == "fully_connected")
-        for _ in range(2):  # the first read fills the cache, the second reads it
-            assert (arch.conv_macs, arch.fc_macs) == (conv, fc)
-        assert conv + fc == arch.total_macs
+        conv = [l for l in arch.layers if l.kind == "conv3x3"]
+        fc = [l for l in arch.layers if l.kind == "fully_connected"]
+        assert arch.total_params == sum(l.params for l in arch.layers)
+        assert arch.total_macs == sum(l.macs for l in arch.layers)
+        assert (arch.conv_macs, arch.fc_macs) == (sum(l.macs for l in conv), sum(l.macs for l in fc))
+        assert arch.weighted_layer_count == len(conv) + len(fc)
+        walk = layer_walk_counts(
+            config.block, list(config.kernels), config.fc1, config.fc2, config.output_classes
+        )
+        assert (arch.total_params, arch.total_macs) == walk
 
 
-def test_cached_mac_totals_leave_equality_and_hash(pi_best):
+def test_lazy_layers_leave_equality_and_hash(pi_best):
     read, unread = build_architecture(pi_best), build_architecture(pi_best)
-    assert read.conv_macs > 0 and read.fc_macs > 0
-    assert "conv_macs" in vars(read) and "conv_macs" not in vars(unread)
+    assert len(read.layers) == 19
+    assert "layers" in vars(read) and "layers" not in vars(unread)
     assert read == unread
     assert hash(read) == hash(unread)
+    assert read.layers == unread.layers  # now both have walked the stack
 
 
 def test_spatial_progression_block3():
@@ -147,6 +170,16 @@ def test_structural_validation():
         build_architecture(
             Configuration(block=2, k1=6, k2=24, k3=36, fc1=100, do1=10, fc2=80, do2=10)
         )
+
+
+def test_input_not_divisible_by_pooling_refused(pi_best):
+    config = Configuration(block=4, k1=6, k2=24, k3=36, k4=52, fc1=100, do1=10, fc2=80, do2=10)
+    message = "input 40x40 not divisible by 2^4 pooling stages"
+    with pytest.raises(SpaceValidationError, match=re.escape(message)):
+        build_architecture(config, input_shape=(40, 40, 1))
+    message = "input 48x50 not divisible by 2^2 pooling stages"
+    with pytest.raises(SpaceValidationError, match=re.escape(message)):
+        build_architecture(pi_best, input_shape=(48, 50, 1))
 
 
 def test_off_grid_config_still_compiles():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -372,6 +373,58 @@ class TestPipelineCli:
         stages = {json.loads(line)["stage"] for line in (run / "trials.jsonl").read_text().splitlines()}
         assert stages == {1}
         assert not (run / "stage2.json").exists()
+
+    def test_empty_stage2_refused_by_stage3(self, capsys, tmp_path, reduced_space_file):
+        run = tmp_path / "run"
+        code, _, _ = self._pipeline(capsys, run, reduced_space_file)
+        assert code == 0
+        (run / "stage3.json").unlink()
+        (run / "stage2.json").write_text("{}\n")
+        code, _, err = _run(capsys, "stage3", "--out", str(run))
+        assert code == 2
+        assert "stage 3 requires a non-empty per-device map" in err
+        assert not (run / "stage3.json").exists()
+
+    def test_stage2_device_without_profile_refused_before_measuring(
+        self, capsys, tmp_path, reduced_space_file
+    ):
+        run = tmp_path / "run"
+        code, _, _ = self._pipeline(capsys, run, reduced_space_file)
+        assert code == 0
+        (run / "stage3.json").unlink()
+        stage2 = json.loads((run / "stage2.json").read_text())
+        stage2["nano-x"] = stage2.pop("pi")
+        (run / "stage2.json").write_text(json.dumps(stage2))
+        log = run / "trials.jsonl"
+        lines = [line for line in log.read_text().splitlines(keepends=True) if '"stage": 3' not in line]
+        log.write_text("".join(lines))
+        code, _, err = _run(capsys, "stage3", "--out", str(run))
+        assert code == 2
+        devices_dir = json.loads((run / "manifest.json").read_text())["devices_dir"]
+        assert "nano-x" in err and devices_dir in err
+        assert "Traceback" not in err
+        assert log.read_text() == "".join(lines)  # nothing was measured
+        assert not (run / "stage3.json").exists()
+
+    def test_corrupt_run_files_are_named(self, capsys, tmp_path, reduced_space_file):
+        run = tmp_path / "run"
+        code, _, _ = self._pipeline(capsys, run, reduced_space_file)
+        assert code == 0
+        cases = (
+            ("stage1.json", "stage2"),
+            ("manifest.json", "stage2"),
+            ("stage2.json", "stage3"),
+            ("stage2.json", "report"),
+            ("stage3.json", "report"),
+        )
+        for name, command in cases:
+            path = run / name
+            whole = path.read_bytes()
+            path.write_bytes(whole[:45])
+            code, _, err = _run(capsys, command, "--out", str(run))
+            assert code == 1, (name, command)
+            assert re.search(rf"error: {re.escape(str(path))}: .* line \d+ column \d+", err), err
+            path.write_bytes(whole)
 
 
 class TestExternalEvaluatorCli:

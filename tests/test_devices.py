@@ -46,8 +46,8 @@ def _profile(
 
 def _empty_arch(pi_best):
     return ArchitectureDescriptor(
-        config=pi_best, input_shape=(48, 48, 1), layers=(), total_params=0, total_macs=0,
-        weighted_layer_count=0,
+        config=pi_best, input_shape=(48, 48, 1), total_params=0, total_macs=0,
+        weighted_layer_count=0, conv_macs=0, fc_macs=0,
     )
 
 

@@ -193,6 +193,17 @@ class TestSerialization:
         assert "k3" not in data and "k4" not in data
         assert Configuration.from_json_dict(data) == pi_best
 
+    def test_canonical_json_is_built_once_and_leaves_equality(self, table1):
+        rng = np.random.default_rng(5)
+        for index in rng.integers(cardinality(table1), size=50):
+            read, unread = config_from_index(table1, int(index)), config_from_index(table1, int(index))
+            fresh = json.dumps(read.to_json_dict(), sort_keys=True, separators=(",", ":"))
+            assert read.canonical_json() == fresh
+            assert read.canonical_json() is read.canonical_json()
+            assert "_canonical_json" in vars(read) and "_canonical_json" not in vars(unread)
+            assert read == unread and hash(read) == hash(unread)
+            assert len({read, unread}) == 1
+
     def test_config_json_missing_field(self):
         with pytest.raises(SpaceValidationError, match="missing fields"):
             Configuration.from_json_dict({"block": 2, "k1": 16})
