@@ -15,6 +15,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -172,12 +173,13 @@ def _load_space(path: str):
     return space_from_json(path)
 
 
-def _read_json(path: str | Path):
-    """A JSON input file's content; a parse error names the file."""
+def _read_json(path: str | Path, parse: Callable = lambda data: data):
+    """A JSON input file's content, passed through ``parse``; an error in
+    either (bad JSON, a missing key, a wrong type) names the file."""
     try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+        return parse(json.loads(Path(path).read_text()))
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def _run_config_defaults(path: str) -> dict:
@@ -351,7 +353,7 @@ def cmd_stage2(args) -> int:
     stage1_path = out / "stage1.json"
     if not stage1_path.exists():
         raise UsageError(f"no stage1.json in {out}")
-    candidates = RankedSet.from_json_dict(_read_json(stage1_path))
+    candidates = _read_json(stage1_path, RankedSet.from_json_dict)
     keep2 = args.keep2 if args.keep2 is not None else manifest.get("keep2", 10)
     with TrialLog(out / "trials.jsonl") as log:
         ranked = stage2(space, candidates, profiles, factory, keep2, log=log, timestamps=timestamps)
@@ -362,12 +364,16 @@ def cmd_stage2(args) -> int:
     return 0
 
 
+def _per_device(data: dict) -> dict[str, RankedSet]:
+    return {d: RankedSet.from_json_dict(r) for d, r in data.items()}
+
+
 def cmd_stage3(args) -> int:
     out, _, space, devices_dir, profiles, factory, timestamps = _measurement_inputs(args)
     stage2_path = out / "stage2.json"
     if not stage2_path.exists():
         raise UsageError(f"no stage2.json in {out}")
-    per_device = {d: RankedSet.from_json_dict(r) for d, r in _read_json(stage2_path).items()}
+    per_device = _read_json(stage2_path, _per_device)
     unprofiled = [d for d in per_device if d not in profiles]
     if unprofiled:
         raise PipelineError(
@@ -403,8 +409,10 @@ def cmd_report(args) -> int:
         if not path.exists():
             raise UsageError(f"missing {path.name} in {out}; run the pipeline first")
     records = TrialLog(trials_path).load()
-    per_device = {d: RankedSet.from_json_dict(r) for d, r in _read_json(stage2_path).items()}
-    winners = {d: TrialRecord.from_json_dict(r) for d, r in _read_json(stage3_path).items()}
+    per_device = _read_json(stage2_path, _per_device)
+    winners = _read_json(
+        stage3_path, lambda data: {d: TrialRecord.from_json_dict(r) for d, r in data.items()}
+    )
 
     measured = [r for r in records if r.stage >= 2]
     by_device: dict[str, list] = {}

@@ -426,6 +426,22 @@ class TestPipelineCli:
             assert re.search(rf"error: {re.escape(str(path))}: .* line \d+ column \d+", err), err
             path.write_bytes(whole)
 
+        # Well-formed JSON of the wrong shape is named too.
+        cases = (
+            ("stage1.json", "[1]", "stage2", "TypeError"),
+            ("stage2.json", '{"pi": {}}', "stage3", "KeyError: 'fitness'"),
+            ("stage2.json", "[]", "report", "AttributeError"),
+            ("stage3.json", '{"pi": {"stage": 3}}', "report", "KeyError: 'config'"),
+        )
+        for name, content, command, kind in cases:
+            path = run / name
+            whole = path.read_bytes()
+            path.write_text(content)
+            code, _, err = _run(capsys, command, "--out", str(run))
+            assert code == 1, (name, command)
+            assert f"error: {path}: {kind}" in err, err
+            path.write_bytes(whole)
+
 
 class TestExternalEvaluatorCli:
     def test_exec_selector(self, capsys, tmp_path, reduced_space_file):
