@@ -238,7 +238,7 @@ def _manifest(out: Path) -> dict:
     path = out / "manifest.json"
     if not path.exists():
         raise UsageError(f"no manifest.json in {out}; run search or pipeline first")
-    return _read_json(path)
+    return _read_json(path, lambda data: {**data, "seed": int(data["seed"])})
 
 
 def cmd_space_count(args) -> int:

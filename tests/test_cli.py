@@ -428,6 +428,8 @@ class TestPipelineCli:
 
         # Well-formed JSON of the wrong shape is named too.
         cases = (
+            ("manifest.json", "[]", "stage2", "TypeError"),
+            ("manifest.json", "{}", "stage3", "KeyError: 'seed'"),
             ("stage1.json", "[1]", "stage2", "TypeError"),
             ("stage2.json", '{"pi": {}}', "stage3", "KeyError: 'fitness'"),
             ("stage2.json", "[]", "report", "AttributeError"),
