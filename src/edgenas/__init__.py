@@ -40,13 +40,13 @@ from .pipeline import (
     stage3,
 )
 from .reporting import (
+    Claim,
     DeviceSummaryRow,
-    RatioClaim,
     comparison_table,
+    evaluate_claims,
     load_paper_tables,
     pareto_front,
-    ratio_sheet,
-    ratio_sheet_from_tables,
+    run_source,
     summary_table,
 )
 from .space import (

@@ -45,10 +45,11 @@ from .pipeline import (
 )
 from .protocol import JsonLineChannel, ProtocolError
 from .reporting import (
+    evaluate_claims,
     load_paper_tables,
     pareto_front,
-    ratio_sheet_from_tables,
     render_markdown,
+    run_source,
     summary_table,
     write_best_models_csv,
     write_pareto_json,
@@ -413,6 +414,9 @@ def cmd_report(args) -> int:
     winners = _read_json(
         stage3_path, lambda data: {d: TrialRecord.from_json_dict(r) for d, r in data.items()}
     )
+    for path, data in ((stage2_path, per_device), (stage3_path, winners)):
+        if not data:
+            raise UsageError(f"{path}: empty per-device map")
 
     measured = [r for r in records if r.stage >= 2]
     by_device: dict[str, list] = {}
@@ -420,10 +424,10 @@ def cmd_report(args) -> int:
         by_device.setdefault(record.device, []).append(record)
     summary = summary_table(dict(sorted(by_device.items())))
     best_latency = {device: rset.records[0] for device, rset in per_device.items()}
-    claims = ratio_sheet_from_tables()
+    tables = load_paper_tables()
+    claims = evaluate_claims(tables, run_source(tables, summary, best_latency, winners))
     stage3_records = [r for r in records if r.stage == 3]
     front = pareto_front(stage3_records)
-    tables = load_paper_tables()
 
     write_summary_csv(summary, out / "summary.csv")
     write_best_models_csv(best_latency, winners, out / "best_models.csv")

@@ -1,12 +1,17 @@
 """Report generation: per-device summary statistics, best-model tables,
-the fixed catalog of published-ratio claims, prior-model comparison, and
-Pareto fronts.
+the paper's claim catalog evaluated on the paper and on a run,
+prior-model comparison, and Pareto fronts.
 
-The published reference cells ship as a frozen fixture
-(data/paper_tables.json), so the ratio sheet runs without any search.
-Ratios are recomputed from 2-decimal table cells, hence the +/-0.05
-tolerance; one Jetson speedup claim is inconsistent with its own source
-cells and carries a discrepancy note instead of a forced pass.
+The published reference cells and the claim catalog ship as data
+(data/paper_tables.json). One evaluator, `evaluate_claims`, resolves each
+claim's two cell references against a source and applies its op. It
+reads the published tables, so the paper column needs no search, and
+the tables of a finished run built in the same shape by `run_source`.
+Both columns are judged against the published value with the same
++/-0.05 tolerance, since the claims are recomputed from 2-decimal cells;
+a run value is reported as it is, never forced to pass. One Jetson
+speedup claim is inconsistent with its own source cells and carries a
+discrepancy note instead of a forced pass.
 """
 
 from __future__ import annotations
@@ -14,12 +19,12 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from ._data import PAPER_TABLES_PATH
 from .devices import mean_std
-from .pipeline import TrialRecord
+from .pipeline import FitnessKind, TrialRecord, fitness
 
 logger = logging.getLogger(__name__)
 
@@ -70,324 +75,150 @@ def summary_table(records_by_device: dict[str, list[TrialRecord]]) -> list[Devic
                 return None, None
             return mean_std(values)
 
-        acc = stats("accuracy")
-        lat = stats("latency")
-        pow_ = stats("power")
         rows.append(
             DeviceSummaryRow(
-                device=device,
-                n_models=len(merged),
-                accuracy_mean=acc[0],
-                accuracy_std=acc[1],
-                latency_mean_ms=lat[0],
-                latency_std_ms=lat[1],
-                power_mean_w=pow_[0],
-                power_std_w=pow_[1],
+                device, len(merged), *stats("accuracy"), *stats("latency"), *stats("power")
             )
         )
     return rows
 
 
-@dataclass
-class RatioClaim:
-    label: str
-    numerator: str
-    denominator: str
-    expected: float
-    tolerance: float = RATIO_TOLERANCE
-    computed: float | None = None
-    note: str | None = None
+_OPS = {
+    "ratio": lambda a, b: a / b,
+    "difference": lambda a, b: a - b,
+    "fraction": lambda a, b: (a - b) / a,
+}
 
-    @property
-    def available(self) -> bool:
-        return self.computed is not None
+
+@dataclass(frozen=True)
+class Claim:
+    """One catalog claim, evaluated on the published tables (``computed``)
+    and on a run (``run``); each passes within ``tolerance`` of
+    ``expected`` and is None (unavailable) when an input is missing."""
+
+    label: str
+    op: str
+    a: list
+    b: list
+    expected: float
+    computed: float | None
+    run: float | None = None
+    note: str | None = None
+    tolerance: float = RATIO_TOLERANCE
+
+    def _verdict(self, value: float | None) -> bool | None:
+        return None if value is None else abs(value - self.expected) <= self.tolerance
 
     @property
     def passed(self) -> bool | None:
-        if self.computed is None:
-            return None
-        return abs(self.computed - self.expected) <= self.tolerance
+        return self._verdict(self.computed)
+
+    @property
+    def run_passed(self) -> bool | None:
+        return self._verdict(self.run)
 
     def to_json_dict(self) -> dict:
         out = {
             "label": self.label,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
+            "op": self.op,
+            "a": self.a,
+            "b": self.b,
             "expected": self.expected,
             "computed": self.computed,
             "tolerance": self.tolerance,
             "pass": self.passed,
+            "run": self.run,
+            "run_pass": self.run_passed,
         }
         if self.note:
             out["note"] = self.note
         return out
 
 
-@dataclass(frozen=True)
-class BestModel:
-    device: str
-    accuracy_pct: float
-    latency_ms: float
-    power_w: float | None = None
+def _lookup(source: dict, ref: list[str]) -> float | None:
+    """The cell ``[table, device or model, field]`` of a source; None when
+    the source has no such row or the cell holds no value."""
+    table, name, field = ref
+    rows = source
+    for key in table.split("."):
+        rows = rows[key]
+    row = next((r for r in rows if name in (r.get("device"), r.get("model"))), None)
+    if row is None:
+        return None
+    if field == "pdp":
+        return fitness(
+            row["accuracy_pct"], row["latency_ms"], row["power_w"], FitnessKind.ACCURACY_PER_PDP
+        )
+    for key in field.split("."):
+        row = row[key]
+    return row
 
 
-@dataclass(frozen=True)
-class ComparisonEntry:
-    label: str
-    accuracy_pct: float
-    latency_ms: float
-    power_w: float
+def _evaluate(spec: dict, source: dict) -> float | None:
+    a, b = _lookup(source, spec["a"]), _lookup(source, spec["b"])
+    return None if a is None or b is None else _OPS[spec["op"]](a, b)
 
 
-def summary_rows_from_tables(tables: dict) -> list[DeviceSummaryRow]:
-    rows = []
-    for entry in tables["table2"]:
-        rows.append(
-            DeviceSummaryRow(
-                device=entry["device"],
-                n_models=0,
-                accuracy_mean=entry["accuracy_pct"]["ave"],
-                accuracy_std=entry["accuracy_pct"]["std"],
-                latency_mean_ms=entry["latency_ms"]["ave"],
-                latency_std_ms=entry["latency_ms"]["std"],
-                power_mean_w=entry["power_w"]["ave"],
-                power_std_w=entry["power_w"]["std"],
+def evaluate_claims(tables: dict | None = None, run: dict | None = None) -> list[Claim]:
+    """The catalog in ``tables["claims"]`` evaluated on the published
+    cells and, when given, on a run source of the same shape
+    (`run_source`). A claim whose inputs are missing is marked
+    unavailable, never dropped."""
+    tables = tables or load_paper_tables()
+    claims = []
+    for spec in tables["claims"]:
+        computed = _evaluate(spec, tables)
+        note = spec.get("note")
+        if computed is None:
+            note = (note + "; " if note else "") + "unavailable: missing input"
+        run_value = None if run is None else _evaluate(spec, run)
+        claims.append(
+            Claim(
+                spec["label"], spec["op"], spec["a"], spec["b"], spec["expected"], computed,
+                run_value, note,
             )
         )
-    return rows
-
-
-def best_models_from_tables(tables: dict) -> tuple[dict[str, BestModel], dict[str, BestModel]]:
-    by_latency = {
-        e["device"]: BestModel(e["device"], e["accuracy_pct"], e["latency_ms"])
-        for e in tables["table3"]["accuracy_per_latency"]
-    }
-    by_pdp = {
-        e["device"]: BestModel(e["device"], e["accuracy_pct"], e["latency_ms"], e["power_w"])
-        for e in tables["table3"]["accuracy_per_pdp"]
-    }
-    return by_latency, by_pdp
-
-
-def comparisons_from_tables(tables: dict) -> list[ComparisonEntry]:
-    return [
-        ComparisonEntry(e["model"], e["accuracy_pct"], e["latency_ms"], e["power_w"])
-        for e in tables["table4"]
-    ]
-
-
-def ratio_sheet(
-    summary: list[DeviceSummaryRow],
-    best_latency: dict[str, BestModel],
-    best_pdp: dict[str, BestModel],
-    comparisons: list[ComparisonEntry] | None = None,
-) -> list[RatioClaim]:
-    """The full fixed claim catalog; a claim whose inputs are missing is
-    marked unavailable, never dropped.
-
-    Direction conventions: "Nx latency reduction of A vs B" and
-    "Nx less power of A vs B" both divide B's value by A's.
-    """
-    avg = {row.device: row for row in summary}
-    cmp = {c.label: c for c in (comparisons or [])}
-    claims: list[RatioClaim] = []
-
-    def add(claim: RatioClaim, values: tuple, compute) -> None:
-        if any(v is None for v in values):
-            claim.note = (claim.note + "; " if claim.note else "") + "unavailable: missing input"
-        else:
-            claim.computed = compute()
-        claims.append(claim)
-
-    def avg_latency(device):
-        return avg[device].latency_mean_ms if device in avg else None
-
-    def avg_power(device):
-        return avg[device].power_mean_w if device in avg else None
-
-    for device, expected, note in (
-        ("pi-ncs2", 1.87, None),
-        ("pi-tpu", 2.51, None),
-        ("coral-dev", 10.0, None),
-        ("jetson-low", 2.43, "published value inconsistent with its own table cells (4.70/1.92 = 2.448)"),
-        ("jetson-high", 2.44, None),
-    ):
-        num, den = avg_latency("pi"), avg_latency(device)
-        add(
-            RatioClaim(
-                label=f"average latency reduction: {device} vs pi",
-                numerator="table2 pi latency ave",
-                denominator=f"table2 {device} latency ave",
-                expected=expected,
-                note=note,
-            ),
-            (num, den),
-            lambda num=num, den=den: num / den,
-        )
-
-    for device, expected in (("jetson-low", 4.02), ("jetson-high", 3.92)):
-        num = best_latency[device].latency_ms if device in best_latency else None
-        den = best_latency["coral-dev"].latency_ms if "coral-dev" in best_latency else None
-        add(
-            RatioClaim(
-                label=f"best-model speedup: coral-dev vs {device}",
-                numerator=f"table3 accuracy/latency {device} latency",
-                denominator="table3 accuracy/latency coral-dev latency",
-                expected=expected,
-            ),
-            (num, den),
-            lambda num=num, den=den: num / den,
-        )
-
-    tpu_best = best_latency.get("pi-tpu")
-    ncs2_best = best_latency.get("pi-ncs2")
-    add(
-        RatioClaim(
-            label="best-model latency: pi-tpu fraction lower than pi-ncs2",
-            numerator="table3 accuracy/latency pi-ncs2 minus pi-tpu latency",
-            denominator="table3 accuracy/latency pi-ncs2 latency",
-            expected=0.26,
-        ),
-        (tpu_best, ncs2_best),
-        lambda: (ncs2_best.latency_ms - tpu_best.latency_ms) / ncs2_best.latency_ms,
-    )
-    add(
-        RatioClaim(
-            label="best-model accuracy: pi-tpu points above pi-ncs2",
-            numerator="table3 accuracy/latency pi-tpu accuracy",
-            denominator="table3 accuracy/latency pi-ncs2 accuracy",
-            expected=1.52,
-        ),
-        (tpu_best, ncs2_best),
-        lambda: tpu_best.accuracy_pct - ncs2_best.accuracy_pct,
-    )
-
-    add(
-        RatioClaim(
-            label="average dynamic power: pi-tpu less than pi-ncs2",
-            numerator="table2 pi-ncs2 power ave",
-            denominator="table2 pi-tpu power ave",
-            expected=2.62,
-        ),
-        (avg_power("pi-ncs2"), avg_power("pi-tpu")),
-        lambda: avg_power("pi-ncs2") / avg_power("pi-tpu"),
-    )
-
-    tpu_pdp = best_pdp.get("pi-tpu")
-    ncs2_pdp = best_pdp.get("pi-ncs2")
-    add(
-        RatioClaim(
-            label="best-model dynamic power: pi-tpu less than pi-ncs2",
-            numerator="table3 accuracy/pdp pi-ncs2 power",
-            denominator="table3 accuracy/pdp pi-tpu power",
-            expected=2.70,
-        ),
-        (
-            ncs2_pdp.power_w if ncs2_pdp else None,
-            tpu_pdp.power_w if tpu_pdp else None,
-        ),
-        lambda: ncs2_pdp.power_w / tpu_pdp.power_w,
-    )
-
-    for device, expected in (("jetson-high", 4.30), ("jetson-low", 1.87)):
-        add(
-            RatioClaim(
-                label=f"average dynamic power: coral-dev less than {device}",
-                numerator=f"table2 {device} power ave",
-                denominator="table2 coral-dev power ave",
-                expected=expected,
-            ),
-            (avg_power(device), avg_power("coral-dev")),
-            lambda device=device: avg_power(device) / avg_power("coral-dev"),
-        )
-
-    coral_pdp = best_pdp.get("coral-dev")
-    for device, expected in (("jetson-high", 2.58), ("jetson-low", 1.75)):
-        jetson_pdp = best_pdp.get(device)
-        add(
-            RatioClaim(
-                label=f"best-model dynamic power: coral-dev less than {device}",
-                numerator=f"table3 accuracy/pdp {device} power",
-                denominator="table3 accuracy/pdp coral-dev power",
-                expected=expected,
-            ),
-            (
-                jetson_pdp.power_w if jetson_pdp else None,
-                coral_pdp.power_w if coral_pdp else None,
-            ),
-            lambda jetson_pdp=jetson_pdp: jetson_pdp.power_w / coral_pdp.power_w,
-        )
-
-    ours = cmp.get("ours")
-    prior_a = cmp.get("[18]")
-    prior_b = cmp.get("[19]")
-    add(
-        RatioClaim(
-            label="comparison latency: ours vs [18]",
-            numerator="table4 [18] latency",
-            denominator="table4 ours latency",
-            expected=17.82,
-        ),
-        (prior_a, ours),
-        lambda: prior_a.latency_ms / ours.latency_ms,
-    )
-    add(
-        RatioClaim(
-            label="comparison latency: ours vs [19]",
-            numerator="table4 [19] latency",
-            denominator="table4 ours latency",
-            expected=1.67,
-        ),
-        (prior_b, ours),
-        lambda: prior_b.latency_ms / ours.latency_ms,
-    )
-    add(
-        RatioClaim(
-            label="comparison dynamic power: ours vs [19]",
-            numerator="table4 [19] power",
-            denominator="table4 ours power",
-            expected=1.29,
-        ),
-        (prior_b, ours),
-        lambda: prior_b.power_w / ours.power_w,
-    )
-
-    def pdp_fitness(entry: ComparisonEntry) -> float:
-        return entry.accuracy_pct / (entry.power_w * entry.latency_ms)
-
-    add(
-        RatioClaim(
-            label="comparison accuracy/PDP: ours vs [19]",
-            numerator="table4 ours accuracy/PDP",
-            denominator="table4 [19] accuracy/PDP",
-            expected=2.17,
-        ),
-        (ours, prior_b),
-        lambda: pdp_fitness(ours) / pdp_fitness(prior_b),
-    )
-    add(
-        RatioClaim(
-            label="comparison accuracy/PDP: ours vs [18]",
-            numerator="table4 ours accuracy/PDP",
-            denominator="table4 [18] accuracy/PDP",
-            expected=17.0,
-        ),
-        (ours, prior_a),
-        lambda: pdp_fitness(ours) / pdp_fitness(prior_a),
-    )
-
     return claims
 
 
-def ratio_sheet_from_tables(tables: dict | None = None) -> list[RatioClaim]:
-    tables = tables or load_paper_tables()
-    best_latency, best_pdp = best_models_from_tables(tables)
-    return ratio_sheet(
-        summary_rows_from_tables(tables),
-        best_latency,
-        best_pdp,
-        comparisons_from_tables(tables),
-    )
+def run_source(
+    tables: dict,
+    summary: list[DeviceSummaryRow],
+    best_latency: dict[str, TrialRecord],
+    winners: dict[str, TrialRecord],
+) -> dict:
+    """A run in the published tables' shape: table2 from the per-device
+    summary, table3 from the stage-2 best models and the stage-3 winners,
+    and table4 as the published prior rows plus "ours", the stage-3
+    winner with the highest accuracy/PDP."""
+
+    def model(record: TrialRecord, **key) -> dict:
+        return {
+            **key,
+            "accuracy_pct": record.accuracy_pct,
+            "latency_ms": record.latency_mean_ms,
+            "power_w": record.dynamic_power_w,
+        }
+
+    table4 = [entry for entry in tables["table4"] if entry["model"] != "ours"]
+    if winners:
+        table4.append(model(max(winners.values(), key=lambda r: r.fitness_value), model="ours"))
+    return {
+        "table2": [
+            {
+                "device": row.device,
+                "accuracy_pct": {"ave": row.accuracy_mean, "std": row.accuracy_std},
+                "latency_ms": {"ave": row.latency_mean_ms, "std": row.latency_std_ms},
+                "power_w": {"ave": row.power_mean_w, "std": row.power_std_w},
+            }
+            for row in summary
+        ],
+        "table3": {
+            "accuracy_per_latency": [model(r, device=d) for d, r in best_latency.items()],
+            "accuracy_per_pdp": [model(r, device=d) for d, r in winners.items()],
+        },
+        "table4": table4,
+    }
 
 
 def comparison_table(entries: list[tuple[str, float, float, float]]) -> list[dict]:
@@ -452,29 +283,11 @@ def write_summary_csv(rows: list[DeviceSummaryRow], path: str | Path) -> None:
         writer = csv.writer(handle)
         writer.writerow(
             [
-                "device",
-                "n_models",
-                "accuracy_mean_pct",
-                "accuracy_std_pct",
-                "latency_mean_ms",
-                "latency_std_ms",
-                "power_mean_w",
-                "power_std_w",
+                "device", "n_models", "accuracy_mean_pct", "accuracy_std_pct",
+                "latency_mean_ms", "latency_std_ms", "power_mean_w", "power_std_w",
             ]
         )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.device,
-                    row.n_models,
-                    row.accuracy_mean,
-                    row.accuracy_std,
-                    row.latency_mean_ms,
-                    row.latency_std_ms,
-                    row.power_mean_w,
-                    row.power_std_w,
-                ]
-            )
+        writer.writerows(astuple(row) for row in rows)
 
 
 def write_best_models_csv(
@@ -511,7 +324,7 @@ def write_best_models_csv(
                 )
 
 
-def write_ratios_json(claims: list[RatioClaim], path: str | Path) -> None:
+def write_ratios_json(claims: list[Claim], path: str | Path) -> None:
     payload = {"claims": [c.to_json_dict() for c in claims]}
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
@@ -532,7 +345,7 @@ def render_markdown(
     summary: list[DeviceSummaryRow],
     best_latency: dict[str, TrialRecord],
     winners: dict[str, TrialRecord],
-    claims: list[RatioClaim],
+    claims: list[Claim],
 ) -> str:
     """Human-readable combined report (2-decimal rendering lives here only)."""
     lines: list[str] = ["# Search report", ""]
@@ -595,13 +408,17 @@ def render_markdown(
         )
     lines.append("")
 
-    lines += ["## Ratio claims", ""]
-    lines += ["| Claim | Expected | Computed | Pass | Note |", "|---|---|---|---|---|"]
+    lines += ["## Ratio claims (published cells and this run)", ""]
+    lines += [
+        "| Claim | Expected | Paper | Pass | Run | Run pass | Note |",
+        "|---|---|---|---|---|---|---|",
+    ]
+    status = {True: "pass", False: "FAIL", None: "unavailable"}
     for claim in claims:
-        status = {True: "pass", False: "FAIL", None: "unavailable"}[claim.passed]
         lines.append(
             f"| {claim.label} | {_fmt(claim.expected)} | {_fmt(claim.computed)} "
-            f"| {status} | {claim.note or ''} |"
+            f"| {status[claim.passed]} | {_fmt(claim.run)} | {status[claim.run_passed]} "
+            f"| {claim.note or ''} |"
         )
     lines.append("")
     return "\n".join(lines)

@@ -18,7 +18,7 @@ from edgenas.devices import DeviceMeasurer, ExternalDevice, MeasurementError
 from edgenas.evaluators import Precision, SurrogateEvaluator
 from edgenas.pipeline import FitnessKind, RankedSet, TrialRecord, fitness, rank_records, stage1
 from edgenas.protocol import JsonLineChannel
-from edgenas.reporting import pareto_front, ratio_sheet_from_tables
+from edgenas.reporting import evaluate_claims, pareto_front
 from edgenas.space import (
     Configuration,
     cardinality,
@@ -48,7 +48,7 @@ def test_criterion_01_accuracy_per_pdp_arithmetic():
 
 
 def test_criterion_02_ratio_sheet():
-    claims = {c.label: c for c in ratio_sheet_from_tables()}
+    claims = {c.label: c for c in evaluate_claims()}
     expectations = {
         "average latency reduction: pi-ncs2 vs pi": 1.87,
         "average latency reduction: pi-tpu vs pi": 2.51,

@@ -434,6 +434,8 @@ class TestPipelineCli:
             ("stage2.json", '{"pi": {}}', "stage3", "KeyError: 'fitness'"),
             ("stage2.json", "[]", "report", "AttributeError"),
             ("stage3.json", '{"pi": {"stage": 3}}', "report", "KeyError: 'config'"),
+            ("stage2.json", "{}", "report", "empty per-device map"),
+            ("stage3.json", "{}", "report", "empty per-device map"),
         )
         for name, content, command, kind in cases:
             path = run / name

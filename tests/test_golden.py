@@ -3,9 +3,10 @@
 The hashes pin every byte the stages write, so a refactor or a speed-up
 that changes a seeded output fails here. A change that is meant to alter
 the outputs updates these values and says why. The small pipeline runs
-cover stages 2 and 3; the searches on the Table-1 grid pin whole stage-1
-histories: at the defaults on seeds 1, 2 and 3, and at budget 600 with a
-non-default gamma and candidate count.
+cover stages 2 and 3 and, without jitter, the report files; the searches
+on the Table-1 grid pin whole stage-1 histories: at the defaults on
+seeds 1, 2 and 3, and at budget 600 with a non-default gamma and
+candidate count.
 """
 
 import hashlib
@@ -53,9 +54,23 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_pipeline_outputs_match_golden(case, tmp_path, reduced_space, capsys):
-    extra, hashes, manifest_extra = GOLDEN[case]
+# `report` over the noiseless run above. The ratio sheet gained its run
+# column when the claim catalog became data; the other three files are
+# as the report wrote them before that change.
+REPORT_GOLDEN = {
+    "summary.csv": "d5a96461662c537b716a7af849a5d8fdc7eb56e1410a39e5bcc8b821aa5799f8",
+    "best_models.csv": "99d4395cfbef0c091816723b6b7cfef5edcaadcc61844232ed86bdf1d6da66c7",
+    "pareto.json": "2e85a71d36f3d4cfcb9696023cb151459a50265d77d14c1da441bb33eb11d294",
+    "ratios.json": "950d6adf28ae5dceb76b116c02fd0875816b2f40d6847ccb301a1902ef7efbae",
+    "report.md": "10a156fde4ce44dde1d4cc5c57e8963f841fdd99200997d5080d9a7070c636ea",
+}
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _small_pipeline(tmp_path, reduced_space, capsys, extra):
     space_file = tmp_path / "space.json"
     space_to_json(reduced_space, space_file)
     out = tmp_path / "run"
@@ -65,11 +80,26 @@ def test_pipeline_outputs_match_golden(case, tmp_path, reduced_space, capsys):
     ]
     assert main(argv + extra) == 0
     capsys.readouterr()
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_pipeline_outputs_match_golden(case, tmp_path, reduced_space, capsys):
+    extra, hashes, manifest_extra = GOLDEN[case]
+    out = _small_pipeline(tmp_path, reduced_space, capsys, extra)
     for name in STAGE_FILES:
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == hashes[name], name
+        assert _sha256(out / name) == hashes[name], name
     manifest = json.loads((out / "manifest.json").read_text())
     del manifest["devices_dir"]  # absolute path of the profile directory
     assert manifest == {**MANIFEST, **manifest_extra}
+
+
+def test_report_matches_golden(tmp_path, reduced_space, capsys):
+    out = _small_pipeline(tmp_path, reduced_space, capsys, GOLDEN["noiseless"][0])
+    assert main(["report", "--out", str(out), "--format", "md"]) == 0
+    capsys.readouterr()
+    for name, digest in REPORT_GOLDEN.items():
+        assert _sha256(out / name) == digest, name
 
 
 # `edgenas search --seed 1 --no-timestamps` at its defaults: the Table-1
@@ -85,7 +115,7 @@ def _assert_search_matches(tmp_path, capsys, argv, hashes):
     assert main(["search", "--no-timestamps", "--out", str(out), *argv]) == 0
     capsys.readouterr()
     for name, digest in hashes.items():
-        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+        assert _sha256(out / name) == digest, name
 
 
 def test_default_search_matches_golden(tmp_path, capsys):

@@ -7,15 +7,12 @@ import pytest
 
 from edgenas.pipeline import FitnessKind, TrialRecord
 from edgenas.reporting import (
-    BestModel,
-    ComparisonEntry,
     DeviceSummaryRow,
     comparison_table,
+    evaluate_claims,
     load_paper_tables,
     pareto_front,
-    ratio_sheet,
-    ratio_sheet_from_tables,
-    summary_rows_from_tables,
+    run_source,
     summary_table,
     write_ratios_json,
     write_summary_csv,
@@ -82,20 +79,65 @@ class TestSummaryTable:
         assert row.power_mean_w == 0.5
 
 
+# The paper column, float for float: where the catalog lives and how it
+# is evaluated must not change one value.
+PAPER_COLUMN = {
+    "average latency reduction: pi-ncs2 vs pi": 1.8725099601593629,
+    "average latency reduction: pi-tpu vs pi": 2.513368983957219,
+    "average latency reduction: coral-dev vs pi": 10.000000000000002,
+    "average latency reduction: jetson-low vs pi": 2.447916666666667,
+    "average latency reduction: jetson-high vs pi": 2.435233160621762,
+    "best-model speedup: coral-dev vs jetson-low": 4.0256410256410255,
+    "best-model speedup: coral-dev vs jetson-high": 3.923076923076923,
+    "best-model latency: pi-tpu fraction lower than pi-ncs2": 0.2638297872340426,
+    "best-model accuracy: pi-tpu points above pi-ncs2": 1.5200000000000102,
+    "average dynamic power: pi-tpu less than pi-ncs2": 2.6219512195121952,
+    "best-model dynamic power: pi-tpu less than pi-ncs2": 2.7012987012987013,
+    "average dynamic power: coral-dev less than jetson-high": 4.309090909090909,
+    "average dynamic power: coral-dev less than jetson-low": 1.8727272727272726,
+    "best-model dynamic power: coral-dev less than jetson-high": 2.576923076923077,
+    "best-model dynamic power: coral-dev less than jetson-low": 1.75,
+    "comparison latency: ours vs [18]": 17.82051282051282,
+    "comparison latency: ours vs [19]": 1.6666666666666667,
+    "comparison dynamic power: ours vs [19]": 1.2884615384615385,
+    "comparison accuracy/PDP: ours vs [19]": 2.1702690530221025,
+    "comparison accuracy/PDP: ours vs [18]": 17.045441896761574,
+}
+
+
+def _source(table2):
+    """A hand-built source in the published tables' shape, with only Table 2 rows."""
+    return {
+        "table2": table2,
+        "table3": {"accuracy_per_latency": [], "accuracy_per_pdp": []},
+        "table4": [],
+    }
+
+
+def _averages(device, latency, power):
+    return {"device": device, "latency_ms": {"ave": latency}, "power_w": {"ave": power}}
+
+
 class TestRatioSheet:
     def test_full_catalog_passes_on_fixture(self):
-        claims = ratio_sheet_from_tables()
+        claims = evaluate_claims()
         assert len(claims) == 20
         assert all(claim.passed for claim in claims)
 
+    def test_paper_column_exact(self):
+        claims = evaluate_claims()
+        assert [c.label for c in claims] == list(PAPER_COLUMN)
+        for claim in claims:
+            assert claim.computed == PAPER_COLUMN[claim.label], claim.label
+
     def test_labels_unique_and_total(self):
-        claims = ratio_sheet_from_tables()
+        claims = evaluate_claims()
         labels = [c.label for c in claims]
         assert len(labels) == len(set(labels))
         assert all(c.passed is not None or "unavailable" in (c.note or "") for c in claims)
 
     def test_jetson_discrepancy_note_present(self):
-        claims = ratio_sheet_from_tables()
+        claims = evaluate_claims()
         jetson = next(c for c in claims if c.label == "average latency reduction: jetson-low vs pi")
         assert jetson.note and "inconsistent" in jetson.note
 
@@ -108,7 +150,7 @@ class TestRatioSheet:
         tables["table3"]["accuracy_per_pdp"] = [
             r for r in tables["table3"]["accuracy_per_pdp"] if r["device"] != "pi-ncs2"
         ]
-        claims = ratio_sheet_from_tables(tables)
+        claims = evaluate_claims(tables)
         assert len(claims) == 20  # never silently dropped
         unavailable = [c for c in claims if c.computed is None]
         assert unavailable
@@ -116,13 +158,78 @@ class TestRatioSheet:
         assert all(c.passed is None for c in unavailable)
 
     def test_identical_cells_give_unit_ratio(self):
-        summary = [
-            DeviceSummaryRow("pi", 0, latency_mean_ms=2.0, power_mean_w=1.0),
-            DeviceSummaryRow("pi-ncs2", 0, latency_mean_ms=2.0, power_mean_w=1.0),
-        ]
-        claims = ratio_sheet(summary, {}, {}, [])
+        tables = load_paper_tables()
+        source = _source([_averages("pi", 2.0, 1.0), _averages("pi-ncs2", 2.0, 1.0)])
+        claims = evaluate_claims({**source, "claims": tables["claims"]})
         ncs2 = next(c for c in claims if c.label == "average latency reduction: pi-ncs2 vs pi")
         assert ncs2.computed == 1.0
+
+
+class TestRunColumn:
+    def test_known_ratio_computed(self):
+        source = _source([_averages("pi", 4.0, 1.4), _averages("coral-dev", 0.5, 0.5)])
+        claims = evaluate_claims(run=source)
+        coral = next(c for c in claims if c.label == "average latency reduction: coral-dev vs pi")
+        assert coral.run == 8.0
+        assert coral.run_passed is False  # 8.0 against the published 10.0: reported, not forced
+        assert coral.passed is True
+
+    def test_absent_device_unavailable_in_run_column(self):
+        source = _source([_averages("pi", 4.0, 1.4), _averages("coral-dev", 0.5, 0.5)])
+        claims = evaluate_claims(run=source)
+        assert len(claims) == 20  # never dropped
+        ncs2 = next(c for c in claims if c.label == "average latency reduction: pi-ncs2 vs pi")
+        assert ncs2.run is None and ncs2.run_passed is None
+        assert ncs2.computed is not None and ncs2.passed
+        row = ncs2.to_json_dict()
+        assert row["run"] is None and row["run_pass"] is None
+
+    def test_without_run_every_run_verdict_is_unavailable(self):
+        assert all(c.run is None and c.run_passed is None for c in evaluate_claims())
+
+    def test_ours_is_best_stage3_winner(self, table1):
+        def winner(index, accuracy, latency, power, device):
+            return TrialRecord(
+                config=config_from_index(table1, index),
+                stage=3,
+                fitness_kind=FitnessKind.ACCURACY_PER_PDP,
+                fitness_value=accuracy / (latency * power),
+                accuracy_pct=accuracy,
+                device=device,
+                latency_mean_ms=latency,
+                latency_std_ms=0.0,
+                dynamic_power_w=power,
+            )
+
+        winners = {
+            "pi": winner(0, 99.0, 4.0, 1.4, "pi"),
+            "coral-dev": winner(1, 97.0, 0.5, 0.5, "coral-dev"),
+            "pi-tpu": winner(2, 99.0, 1.7, 0.8, "pi-tpu"),
+        }
+        tables = load_paper_tables()
+        source = run_source(tables, [], {}, winners)
+        ours = next(e for e in source["table4"] if e["model"] == "ours")
+        assert ours == {"model": "ours", "accuracy_pct": 97.0, "latency_ms": 0.5, "power_w": 0.5}
+        assert [e["model"] for e in source["table4"]] == ["[18]", "[19]", "ours"]
+        assert [e["device"] for e in source["table3"]["accuracy_per_pdp"]] == list(winners)
+        claims = {c.label: c for c in evaluate_claims(tables, source)}
+        assert claims["comparison latency: ours vs [18]"].run == 6.95 / 0.5
+        assert claims["comparison accuracy/PDP: ours vs [18]"].run == (97.0 / 0.25) / (
+            97.46 / (0.50 * 6.95)
+        )
+
+    def test_summary_rows_feed_table2(self):
+        rows = [
+            DeviceSummaryRow("pi", 3, 98.0, 0.1, 4.0, 0.2, 1.4, 0.01),
+            DeviceSummaryRow("pi-tpu", 3, 98.0, 0.1, 2.0, 0.2, None, None),
+        ]
+        source = run_source(load_paper_tables(), rows, {}, {})
+        assert source["table2"][0]["latency_ms"] == {"ave": 4.0, "std": 0.2}
+        assert [e["model"] for e in source["table4"]] == ["[18]", "[19]"]
+        claims = {c.label: c for c in evaluate_claims(run=source)}
+        assert claims["average latency reduction: pi-tpu vs pi"].run == 2.0
+        # pi-tpu has no power measurement, so the power claim is unavailable
+        assert claims["average dynamic power: pi-tpu less than pi-ncs2"].run is None
 
 
 class TestComparisonTable:
@@ -195,7 +302,7 @@ class TestRenderingStability:
         assert float(parsed["power_mean_w"]) == rows[0].power_mean_w
 
     def test_ratios_json_roundtrip(self, tmp_path):
-        claims = ratio_sheet_from_tables()
+        claims = evaluate_claims()
         path = tmp_path / "ratios.json"
         write_ratios_json(claims, path)
         parsed = json.loads(path.read_text())["claims"]
