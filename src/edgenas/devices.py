@@ -160,11 +160,18 @@ def mean_std(samples: list[float]) -> tuple[float, float]:
         raise MeasurementError("no samples")
     if min(samples) == max(samples):
         return samples[0], 0.0  # exact, avoids accumulation noise
-    mean = sum(samples) / n
+    # Plain left-to-right sums: sum() of floats is compensated from Python
+    # 3.12 on, which would make seeded outputs depend on the version.
+    total = 0.0
+    for s in samples:
+        total += s
+    mean = total / n
     if n == 1:
         return mean, 0.0
-    var = sum((s - mean) ** 2 for s in samples) / (n - 1)
-    return mean, math.sqrt(var)
+    total = 0.0
+    for s in samples:
+        total += (s - mean) ** 2
+    return mean, math.sqrt(total / (n - 1))
 
 
 def _require_finite(samples: list[float], label: str) -> None:

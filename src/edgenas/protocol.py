@@ -1,8 +1,9 @@
 """Newline-delimited JSON request/response transport to a child process.
 
 One request in flight per channel; the child must answer in request
-order. Responses are matched by id. A background thread drains the
-child's stdout into a queue so reads can time out without blocking.
+order. Responses are matched by id; a reply to a request that already
+timed out is dropped. A background thread drains the child's stdout into
+a queue so reads can time out without blocking.
 """
 
 from __future__ import annotations
@@ -12,8 +13,13 @@ import queue
 import shlex
 import subprocess
 import threading
+import time
 
 _EOF = object()
+
+# How long close() lets the child exit after its stdin closes before it is
+# killed.
+CLOSE_GRACE_S = 5.0
 
 
 class ProtocolError(RuntimeError):
@@ -43,6 +49,7 @@ class JsonLineChannel:
         )
         self._lines: queue.Queue = queue.Queue()
         self._next_id = 0
+        self._timed_out: set[int] = set()
         self._reader = threading.Thread(target=self._drain, daemon=True)
         self._reader.start()
 
@@ -68,40 +75,51 @@ class JsonLineChannel:
         except (BrokenPipeError, OSError) as exc:
             raise ChannelError(f"write to child failed: {exc}") from exc
 
-        try:
-            line = self._lines.get(timeout=timeout_s if timeout_s is not None else self.timeout_s)
-        except queue.Empty:
-            raise ChannelTimeout(
-                f"no response to request {request_id} within "
-                f"{timeout_s if timeout_s is not None else self.timeout_s}s"
-            ) from None
-        if line is _EOF:
-            raise ChannelError(f"child closed the stream (exit {self._proc.poll()})")
-        try:
-            response = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ProtocolError(f"unparseable response line: {line!r}") from exc
-        if not isinstance(response, dict):
-            raise ProtocolError(f"response is not an object: {line!r}")
-        if response.get("id") != request_id:
+        timeout = timeout_s if timeout_s is not None else self.timeout_s
+        deadline = time.monotonic() + timeout
+        while True:
+            try:
+                line = self._lines.get(timeout=max(deadline - time.monotonic(), 0.0))
+            except queue.Empty:
+                self._timed_out.add(request_id)
+                raise ChannelTimeout(
+                    f"no response to request {request_id} within {timeout}s"
+                ) from None
+            if line is _EOF:
+                raise ChannelError(f"child closed the stream (exit {self._proc.poll()})")
+            try:
+                response = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ProtocolError(f"unparseable response line: {line!r}") from exc
+            if not isinstance(response, dict):
+                raise ProtocolError(f"response is not an object: {line!r}")
+            response_id = response.get("id")
+            if response_id == request_id:
+                return response
+            if isinstance(response_id, int) and response_id in self._timed_out:
+                self._timed_out.discard(response_id)  # late reply to a timed-out request
+                continue
             raise ProtocolError(
-                f"response id {response.get('id')!r} does not match request {request_id}"
+                f"response id {response_id!r} does not match request {request_id}"
             )
-        return response
 
     def close(self) -> None:
-        """Close stdin so the child sees EOF, wait for it to exit (killing
-        it after 5 s), then join the reader and close stdout."""
+        """Close stdin so the child sees EOF, join the reader, which ends
+        when the child's stdout closes at exit, then reap the child. Both
+        share one CLOSE_GRACE_S; a child still running when it runs out is
+        killed. stdout is closed once the reader has ended."""
         try:
             self._proc.stdin.close()
         except OSError:
             pass
+        deadline = time.monotonic() + CLOSE_GRACE_S
+        self._reader.join(timeout=CLOSE_GRACE_S)
         try:
-            self._proc.wait(timeout=5)
+            self._proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
-        self._reader.join(timeout=5)
+            self._reader.join(timeout=CLOSE_GRACE_S)
         if not self._reader.is_alive():
             self._proc.stdout.close()
 

@@ -3,8 +3,15 @@
 
 import json
 import sys
+import time
 
 MODE = sys.argv[1] if len(sys.argv) > 1 else "ok"
+
+if MODE == "grandchild":
+    # a grandchild that inherits stdout and holds it open for 1.5 s
+    import subprocess
+
+    subprocess.Popen([sys.executable, "-c", "import time; time.sleep(1.5)"], stdin=subprocess.DEVNULL)
 
 
 def emit(obj):
@@ -18,12 +25,17 @@ for line in sys.stdin:
         continue
     request = json.loads(line)
     rid = request["id"]
-    if MODE == "ok":
+    if MODE in ("ok", "ignore_eof", "grandchild"):
         emit({"id": rid, "accuracy_pct": 98.98})
     elif MODE == "per_config":
         # deterministic pseudo-accuracy from the configuration contents
         blob = json.dumps(request["config"], sort_keys=True)
         emit({"id": rid, "accuracy_pct": 90.0 + (sum(blob.encode()) % 800) / 100.0})
+    elif MODE == "slow_first":
+        # the first reply comes late, the rest at once
+        if rid == 0:
+            time.sleep(0.5)
+        emit({"id": rid, "accuracy_pct": 98.98})
     elif MODE == "bad_id":
         emit({"id": rid + 1, "accuracy_pct": 98.98})
     elif MODE == "out_of_range":
@@ -37,3 +49,6 @@ for line in sys.stdin:
         continue
     elif MODE == "exit":
         sys.exit(3)
+
+if MODE == "ignore_eof":
+    time.sleep(60)

@@ -23,6 +23,7 @@ from edgenas.devices import (
     fit_profile,
     latency_stats,
     load_profile,
+    mean_std,
     save_profile,
     simulate_dynamic_power,
     simulate_latency,
@@ -121,6 +122,13 @@ class TestPowerModel:
             simulate_dynamic_power(arch, _profile(), 0.0)
 
 
+def sum_left_to_right(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class TestStatistics:
     def test_constant_samples(self):
         assert latency_stats([2.51] * 40) == (pytest.approx(2.51), 0.0)
@@ -133,6 +141,15 @@ class TestStatistics:
     def test_too_few_samples(self):
         with pytest.raises(MeasurementError, match="2 latency samples"):
             latency_stats([1.0])
+
+    def test_mean_std_sums_left_to_right(self):
+        # compensated summation (sum() from Python 3.12 on, math.fsum) rounds
+        # this vector differently from a sequential loop
+        samples = [0.1] * 10 + [0.3]
+        assert math.fsum(samples) != sum_left_to_right(samples)
+        mean = sum_left_to_right(samples) / len(samples)
+        var = sum_left_to_right([(s - mean) ** 2 for s in samples]) / (len(samples) - 1)
+        assert mean_std(samples) == (mean, math.sqrt(var))
 
     def test_power_subtraction(self):
         assert dynamic_power_from_traces([2.00] * 180, [3.41] * 180) == pytest.approx(1.41)
