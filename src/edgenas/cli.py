@@ -226,7 +226,16 @@ def _measurer_factory(seed: int, jitter: JitterSpec, warmup_runs: int):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    """Write a temporary file beside ``path`` and rename it over ``path``,
+    so a write that fails or dies partway leaves the previous file whole."""
+    text = json.dumps(payload, indent=2) + "\n"
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        temporary.write_text(text)
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _out_dir(args) -> Path:

@@ -23,8 +23,8 @@ import numpy as np
 
 from .architecture import ArchitectureDescriptor
 from .evaluators import Precision
-from .protocol import JsonLineChannel, ProtocolError
-from .space import Configuration
+from .protocol import ChannelTimeout, JsonLineChannel, ProtocolError
+from .space import Configuration, seeded_rng
 
 NEGATIVE_POWER_TOLERANCE_W = 0.05
 _MAX_THROUGHPUT = 1e15  # stand-in for "term fitted to zero", keeps models finite
@@ -223,8 +223,8 @@ def simulate_dynamic_power(
 
 
 def _jitter_rng(seed: int, device: str, config: Configuration, salt: int) -> np.random.Generator:
-    return np.random.default_rng(
-        [seed, zlib.crc32(device.encode()), zlib.crc32(config.canonical_json().encode()), salt]
+    return seeded_rng(
+        seed, zlib.crc32(device.encode()), zlib.crc32(config.canonical_json().encode()), salt
     )
 
 
@@ -285,15 +285,24 @@ class ExternalDevice:
         self.channel = channel
         self.timeout_s = timeout_s
 
+    def _request(self, message: dict) -> dict:
+        """The device's reply. A timeout or an error reply fails only this
+        measurement: the channel drops a late reply, so the next request
+        reads its own."""
+        try:
+            response = self.channel.request(message, timeout_s=self.timeout_s)
+        except ChannelTimeout as exc:
+            raise MeasurementError(str(exc)) from exc
+        if "error" in response:
+            raise MeasurementError(f"device reported: {response['error']}")
+        return response
+
     def latency_samples(
         self, config: Configuration, arch: ArchitectureDescriptor, runs: int
     ) -> list[float]:
-        response = self.channel.request(
-            {"cmd": "measure_latency", "config": config.to_json_dict(), "runs": runs},
-            timeout_s=self.timeout_s,
+        response = self._request(
+            {"cmd": "measure_latency", "config": config.to_json_dict(), "runs": runs}
         )
-        if "error" in response:
-            raise MeasurementError(f"device reported: {response['error']}")
         samples = response.get("latency_ms")
         if not isinstance(samples, list):
             raise ProtocolError(f"response missing latency_ms list: {response!r}")
@@ -308,17 +317,14 @@ class ExternalDevice:
         window_s: int,
         sample_hz: int,
     ) -> tuple[list[float], list[float]]:
-        response = self.channel.request(
+        response = self._request(
             {
                 "cmd": "measure_power",
                 "config": config.to_json_dict(),
                 "window_s": window_s,
                 "sample_hz": sample_hz,
-            },
-            timeout_s=self.timeout_s,
+            }
         )
-        if "error" in response:
-            raise MeasurementError(f"device reported: {response['error']}")
         idle, active = response.get("idle_w"), response.get("active_w")
         if not isinstance(idle, list) or not isinstance(active, list):
             raise ProtocolError(f"response missing idle_w/active_w traces: {response!r}")

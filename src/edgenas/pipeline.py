@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -130,18 +131,43 @@ class TrialLog:
     object with an integer ``stage``. ``load`` then builds and checks a
     ``TrialRecord`` for every line. ``index(stage)`` builds records only
     for the lines of that stage, so a line of another stage whose record
-    fields are broken is caught by ``load`` (the report), not here."""
+    fields are broken is caught by ``load`` (the report), not here.
+
+    The log trusts the bytes it wrote or read itself. It keeps the file
+    offset where those bytes end and the set of stages their lines
+    carry: a full read sets both, each ``append`` moves the offset past
+    its line, and opening the append handle on a file of another size
+    forgets both (an empty file is known to hold no stage). ``index``
+    of a stage outside that set returns ``{}`` without opening the file
+    while its size still equals the offset. So each ``TrialLog`` decodes
+    and checks every line at least once: it either wrote the line or
+    read it. Like ``GridMirror``, the log assumes the file only grows: a
+    rewrite in place that keeps the length is not detected while the
+    log is open; a truncated, replaced or appended-to file is."""
 
     def __init__(self, path: str | Path):
         self._handle = None
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
+        self._end: int | None = None  # None: nothing known of the file
+        self._stages: set[int] = set()
 
     def append(self, record: TrialRecord) -> None:
         if self._handle is None:
             self._handle = self.path.open("a")
-        self._handle.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
+            size = os.fstat(self._handle.fileno()).st_size
+            if size == 0:
+                self._end, self._stages = 0, set()
+            elif size != self._end:
+                self._end = None
+        line = json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
+        self._handle.write(line)
         self._handle.flush()
+        if self._end is not None:
+            # json.dumps escapes every non-ASCII character, so the line
+            # has one byte per character.
+            self._end += len(line)
+            self._stages.add(record.stage)
 
     def close(self) -> None:
         if self._handle is not None:
@@ -159,33 +185,45 @@ class TrialLog:
 
     def _records(self, stage: int | None) -> Iterator[TrialRecord]:
         """The records of one stage, or of every stage when ``stage`` is
-        None. A last line with no newline that fails is an append cut
-        short by a crash: it is dropped with a warning and cut from the
-        file, so the next append starts a fresh line. Any other bad line
-        raises ValueError naming path:line."""
+        None; a pass to the end records the offset and stages read. A
+        last line with no newline that fails is an append cut short by a
+        crash: it is dropped with a warning and cut from the file, so the
+        next append starts a fresh line. Any other bad line raises
+        ValueError naming path:line."""
+        self._end = None
         if not self.path.exists():
             return
-        lines = self.path.read_text(errors="replace").split("\n")
+        with self.path.open("rb") as handle:
+            lines = handle.read().decode(errors="replace").split("\n")
+            end = handle.tell()
+        stages: set[int] = set()
         for number, line in enumerate(lines, 1):
             if not line.strip():
                 continue
             try:
-                data = json.loads(line)
-                if not isinstance(data, dict) or type(data.get("stage")) is not int:
+                fields = json.loads(line)
+                if not isinstance(fields, dict) or type(fields.get("stage")) is not int:
                     raise ValueError("not an object with an integer stage")
-                record = TrialRecord.from_json_dict(data) if stage in (None, data["stage"]) else None
+                record = (
+                    TrialRecord.from_json_dict(fields) if stage in (None, fields["stage"]) else None
+                )
             except (ValueError, KeyError, TypeError) as exc:
                 if number < len(lines):
                     raise ValueError(f"{self.path}:{number}: bad trial record: {exc}") from None
                 logger.warning("%s: dropping torn last line %d", self.path, number)
                 with self.path.open("r+b") as handle:
-                    handle.truncate(handle.read().rfind(b"\n") + 1)
-                return
+                    end = handle.read().rfind(b"\n") + 1
+                    handle.truncate(end)
+                break
+            stages.add(fields["stage"])
             if record is not None:
                 yield record
-        if lines[-1].strip():
-            with self.path.open("a") as handle:
-                handle.write("\n")
+        else:
+            if lines[-1].strip():
+                with self.path.open("a") as handle:
+                    handle.write("\n")
+                end += 1
+        self._end, self._stages = end, stages
 
     def load(self) -> list[TrialRecord]:
         """Every record in the log, each one checked."""
@@ -194,6 +232,12 @@ class TrialLog:
     def index(self, stage: int) -> dict[tuple, TrialRecord]:
         """One stage's records by (device, config); later lines win, so a
         resumed stage sees the freshest measurement of each pair."""
+        if self._end is not None and stage not in self._stages:
+            try:
+                if self.path.stat().st_size == self._end:
+                    return {}
+            except FileNotFoundError:
+                pass
         return {(r.device, r.config): r for r in self._records(stage)}
 
 

@@ -174,6 +174,24 @@ class SearchSpace:
     def spec_for(self, name: str) -> ParamSpec:
         return self.params[name]
 
+    # Both tables are built on first read and kept in the instance dict;
+    # neither is a field, so equality is unchanged.
+    @cached_property
+    def _block_sizes(self) -> tuple[tuple[int, tuple[str, ...], int], ...]:
+        """Per block value: (block, non-block active params, sub-space size)."""
+        out = []
+        for block in self.spec_for("block").grid:
+            names = tuple(n for n in self.active_params(block) if n != "block")
+            n = 1
+            for name in names:
+                n *= self.spec_for(name).size
+            out.append((block, names, n))
+        return tuple(out)
+
+    @cached_property
+    def _cardinality(self) -> int:
+        return sum(size for _, _, size in self._block_sizes)
+
     def active_params(self, block: int) -> tuple[str, ...]:
         names = []
         for name in PARAM_ORDER:
@@ -236,15 +254,7 @@ def table1_space(output_classes: int = 7) -> SearchSpace:
 
 def cardinality(space: SearchSpace) -> int:
     """Number of distinct valid configurations (conditional k3/k4 counting)."""
-    total = 0
-    for block in space.spec_for("block").grid:
-        n = 1
-        for name in space.active_params(block):
-            if name == "block":
-                continue
-            n *= space.spec_for(name).size
-        total += n
-    return total
+    return space._cardinality
 
 
 def unconditional_cardinality(space: SearchSpace) -> int:
@@ -290,25 +300,13 @@ def validate(config: Configuration, space: SearchSpace) -> ValidationResult:
     return ValidationResult(not reasons, tuple(reasons))
 
 
-def _block_sizes(space: SearchSpace) -> list[tuple[int, list[str], int]]:
-    """Per block value: (block, non-block active params, sub-space size)."""
-    out = []
-    for block in space.spec_for("block").grid:
-        names = [n for n in space.active_params(block) if n != "block"]
-        n = 1
-        for name in names:
-            n *= space.spec_for(name).size
-        out.append((block, names, n))
-    return out
-
-
 def config_from_index(space: SearchSpace, index: int) -> Configuration:
     """Canonical bijection: blocks ascending, then row-major over the
     active parameter grids in PARAM_ORDER (last parameter fastest)."""
-    if index < 0 or index >= cardinality(space):
-        raise IndexError(f"index {index} out of range [0, {cardinality(space)})")
+    if index < 0 or index >= space._cardinality:
+        raise IndexError(f"index {index} out of range [0, {space._cardinality})")
     rest = index
-    for block, names, size in _block_sizes(space):
+    for block, names, size in space._block_sizes:
         if rest >= size:
             rest -= size
             continue
@@ -327,7 +325,7 @@ def index_of(space: SearchSpace, config: Configuration) -> int:
     if not verdict.valid:
         raise SpaceValidationError("; ".join(verdict.reasons))
     offset = 0
-    for block, names, size in _block_sizes(space):
+    for block, names, size in space._block_sizes:
         if block == config.block:
             index = 0
             for name in names:
@@ -340,7 +338,16 @@ def index_of(space: SearchSpace, config: Configuration) -> int:
 
 def sample_uniform(space: SearchSpace, rng: np.random.Generator) -> Configuration:
     """Uniform draw over the whole space via a uniform index."""
-    return config_from_index(space, int(rng.integers(cardinality(space))))
+    return config_from_index(space, int(rng.integers(space._cardinality)))
+
+
+def seeded_rng(*words: int) -> np.random.Generator:
+    """``np.random.default_rng(list(words))``, the same stream. Words that
+    all fit in 32 bits go in as one uint32 array, which skips
+    SeedSequence's coercion of each int on its own."""
+    if all(0 <= word < 1 << 32 for word in words):
+        return np.random.default_rng(np.array(words, dtype=np.uint32))
+    return np.random.default_rng(list(words))
 
 
 def space_to_json(space: SearchSpace, path: str | Path) -> None:

@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .evaluators import EvaluatorError
-from .space import PARAM_ORDER, Configuration, SearchSpace, sample_uniform
+from .space import PARAM_ORDER, Configuration, SearchSpace, sample_uniform, seeded_rng
 
 SMOOTHING_ALPHA = 1.0
 DEDUP_BUDGET_FACTOR = 3
@@ -244,7 +244,7 @@ def suggest(space: SearchSpace, history: ObservationHistory) -> Configuration:
     was already tried (the finite grid makes plain argmax resuggest its
     peak forever, which would starve the unique-count targets).
     """
-    rng = np.random.default_rng([history.seed, len(history.entries)])
+    rng = seeded_rng(history.seed, len(history.entries))
     if len(history.entries) < history.n_startup:
         return sample_uniform(space, rng)
     mirror = history.mirror(space)

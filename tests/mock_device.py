@@ -5,10 +5,18 @@ import json
 import sys
 
 MODE = sys.argv[1] if len(sys.argv) > 1 else "ok"
+held = []
 
 
 def emit(obj):
-    sys.stdout.write(json.dumps(obj) + "\n")
+    # slow_first holds the reply to request 0 until request 1 has come in,
+    # so that reply is late whatever the timeout; otherwise it acts as ok
+    if MODE == "slow_first" and obj["id"] == 0:
+        held.append(obj)
+        return
+    for reply in held + [obj]:
+        sys.stdout.write(json.dumps(reply) + "\n")
+    held.clear()
     sys.stdout.flush()
 
 

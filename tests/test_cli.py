@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import re
@@ -302,6 +303,24 @@ class TestPipelineCli:
         assert code == 0
         assert json.loads((again / "manifest.json").read_text()) == manifest
         assert (again / "trials.jsonl").read_bytes() == (first / "trials.jsonl").read_bytes()
+
+    def test_failed_write_keeps_previous_stage_file(
+        self, capsys, tmp_path, reduced_space_file, monkeypatch
+    ):
+        run = tmp_path / "run"
+        code, _, _ = self._pipeline(capsys, run, reduced_space_file)
+        assert code == 0
+        before = {path.name: path.read_bytes() for path in run.iterdir()}
+        real_write_text = Path.write_text
+
+        def write_half_then_fail(path, text, *args, **kwargs):
+            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="No space left"):
+            main(["stage2", "--out", str(run)])
+        assert {path.name: path.read_bytes() for path in run.iterdir()} == before
 
     def test_torn_trial_log_resumes(self, capsys, tmp_path, reduced_space_file):
         run = tmp_path / "run"

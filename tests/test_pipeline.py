@@ -1,12 +1,14 @@
 import json
 import math
+import os
 import pathlib
+import sys
 
 import pytest
 
 import edgenas.pipeline as pipeline_module
 from edgenas.architecture import build_architecture
-from edgenas.devices import DeviceMeasurer, MeasurementError, SimulatedDevice
+from edgenas.devices import DeviceMeasurer, ExternalDevice, MeasurementError, SimulatedDevice
 from edgenas.evaluators import SurrogateEvaluator
 from edgenas.pipeline import (
     FitnessKind,
@@ -20,6 +22,7 @@ from edgenas.pipeline import (
     stage2,
     stage3,
 )
+from edgenas.protocol import JsonLineChannel
 from edgenas.space import (
     Configuration,
     SpaceValidationError,
@@ -28,6 +31,7 @@ from edgenas.space import (
     index_of,
 )
 from edgenas.tpe import OptimizerSettings
+from conftest import MOCK_DEVICE
 
 
 class FakeMeasurer:
@@ -625,6 +629,79 @@ class TestTrialLog:
         assert [h.closed for h in append_handles] == [True]
         assert log.load() == [record]
 
+    @pytest.fixture()
+    def reads(self, monkeypatch):
+        """Every path opened other than for append, in order."""
+        paths = []
+        real_open = pathlib.Path.open
+
+        def recording_open(path, mode="r", *args, **kwargs):
+            if mode != "a":
+                paths.append(path)
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "open", recording_open)
+        return paths
+
+    def _stage_record(self, table1, stage, index, device="a"):
+        return TrialRecord(
+            config=config_from_index(table1, index), stage=stage,
+            fitness_kind=FitnessKind.ACCURACY_PER_LATENCY, fitness_value=40.0 + index,
+            accuracy_pct=95.0, device=device, latency_mean_ms=2.0, latency_std_ms=0.0,
+            dynamic_power_w=0.5 if stage == 3 else None,
+        )
+
+    def test_absent_stage_after_own_appends_reads_nothing(self, tmp_path, table1, reads):
+        # stage 2 then stage 3 through one log, as measure-jitter runs them
+        with TrialLog(tmp_path / "trials.jsonl") as log:
+            assert log.index(2) == {}
+            records = [self._stage_record(table1, 2, i) for i in range(3)]
+            for record in records:
+                log.append(record)
+            assert log.index(3) == {} and reads == []
+            assert list(log.index(2).values()) == records
+            assert len(reads) == 1
+            del reads[:]
+            assert log.index(3) == {} and reads == []
+
+    def test_line_appended_by_another_handle_is_found(self, tmp_path, table1):
+        with TrialLog(tmp_path / "trials.jsonl") as log:
+            log.append(self._stage_record(table1, 2, 0))
+            foreign = self._stage_record(table1, 3, 1)
+            with TrialLog(log.path) as other:
+                other.append(foreign)
+            log.append(self._stage_record(table1, 2, 2))
+            assert log.index(3) == {("a", foreign.config): foreign}
+
+    @pytest.mark.parametrize("change", ["truncated", "replaced"])
+    def test_file_changed_under_open_log_is_read_whole(self, tmp_path, table1, change):
+        with TrialLog(tmp_path / "trials.jsonl") as log:
+            for i in range(4):
+                log.append(self._stage_record(table1, 2, i))
+            first = log.path.read_bytes().split(b"\n")[0] + b"\n"
+            torn = first + b"not json\n" + first
+            if change == "truncated":
+                log.path.write_bytes(torn)
+            else:
+                staged = log.path.with_name("staged.jsonl")
+                staged.write_bytes(torn * 3)
+                os.replace(staged, log.path)
+            with pytest.raises(ValueError, match=r"trials\.jsonl:2: bad trial record"):
+                log.index(3)
+
+    def test_log_on_existing_file_reads_it_on_first_index(self, tmp_path, table1, reads):
+        stage3_record = self._stage_record(table1, 3, 1)
+        with TrialLog(tmp_path / "trials.jsonl") as first:
+            first.append(self._stage_record(table1, 2, 0))
+            first.append(stage3_record)
+        with TrialLog(first.path) as log:
+            log.append(self._stage_record(table1, 2, 2))
+            assert log.index(3) == {("a", stage3_record.config): stage3_record}
+            assert len(reads) == 1
+            assert log.index(4) == {} and len(reads) == 1
+        with TrialLog(first.path) as log:
+            assert log.index(4) == {} and len(reads) == 2
+
 
 class TestCompileOnce:
     @pytest.fixture()
@@ -743,6 +820,35 @@ class TestBadMeasurements:
         assert len(excluded) == 3
         assert "non-finite active power sample" in excluded[0]
         assert "non-positive dynamic power 0.0 W" in excluded[2]
+
+    @pytest.mark.parametrize("stage", [2, 3])
+    def test_device_timeout_excludes_only_its_pair(self, tmp_path, table1, caplog, stage):
+        # the exec: device answers request 0 only after request 1 has come
+        # in, past the 0.2-s timeout; the channel drops that late reply
+        configs = [config_from_index(table1, i) for i in range(3)]
+        profiles = {"dev": _zero_delta_profile("dev")}
+        channels = []
+
+        def factory(profile):
+            channels.append(JsonLineChannel([sys.executable, str(MOCK_DEVICE), "slow_first"]))
+            return DeviceMeasurer(ExternalDevice(channels[-1], timeout_s=0.2))
+
+        with TrialLog(tmp_path / "trials.jsonl") as log:
+            try:
+                if stage == 2:
+                    candidates = _candidates([(c, 95.0) for c in configs])
+                    stage2(table1, candidates, profiles, factory, 3, log=log)
+                else:
+                    survivors = {"dev": _stage2_set(table1, [(c, 95.0, 2.0) for c in configs])}
+                    stage3(table1, survivors, profiles, factory, log=log)
+            finally:
+                for channel in channels:
+                    channel.close()
+            assert set(log.index(stage)) == {("dev", c) for c in configs[1:]}
+        excluded = [m for m in caplog.messages if m.startswith(f"stage {stage}: excluding")]
+        assert len(excluded) == 1
+        assert configs[0].canonical_json() in excluded[0]
+        assert "no response to request 0" in excluded[0]
 
 
 def _zero_delta_profile(name):

@@ -12,6 +12,7 @@ from edgenas.space import (
     config_from_index,
     index_of,
     sample_uniform,
+    seeded_rng,
     space_from_json,
     space_to_json,
     table1_space,
@@ -86,6 +87,29 @@ class TestCardinality:
     def test_toy8(self, toy8_space):
         assert cardinality(toy8_space) == 8
         assert len(enumerate_config_tuples(toy8_space)) == 8
+
+    def test_cached_tables_leave_equality(self):
+        filled, fresh = table1_space(), table1_space()
+        assert cardinality(filled) == 4_167_450
+        assert "_cardinality" in vars(filled) and "_block_sizes" in vars(filled)
+        assert "_cardinality" not in vars(fresh)
+        assert filled == fresh
+
+
+class TestSeededRng:
+    @pytest.mark.parametrize(
+        "words",
+        [(0,), (1, 2**32 - 1), (0, 1, 2**32 - 1, 7), (2**32,), (5, 2**64 + 3), (2**32 - 1, 2**32)],
+    )
+    def test_same_streams_as_default_rng_of_the_list(self, words):
+        got, expected = seeded_rng(*words), np.random.default_rng(list(words))
+        assert got.normal(size=5).tolist() == expected.normal(size=5).tolist()
+        assert got.random(5).tolist() == expected.random(5).tolist()
+        assert got.integers(1000, size=5).tolist() == expected.integers(1000, size=5).tolist()
+
+    def test_negative_word_refused(self):
+        with pytest.raises(ValueError):
+            seeded_rng(1, -1)
 
 
 class TestValidate:
