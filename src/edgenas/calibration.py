@@ -10,10 +10,8 @@ published authority of their own; every profile embeds its residuals.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .architecture import build_architecture
-from .devices import DeviceProfile, FitObservation, fit_profile, save_profile
+from .devices import DeviceProfile, FitObservation, fit_profile
 from .evaluators import Precision
 from .reporting import load_paper_tables
 from .space import Configuration, SearchSpace, table1_space
@@ -104,18 +102,3 @@ def fit_device_profile(
         accuracy_delta_pct=accuracy_delta(device, tables),
         idle_w=DEFAULT_IDLE_W,
     )
-
-
-def write_default_profiles(directory: str | Path) -> list[Path]:
-    """Fit and write all six shipped profiles; returns the paths."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    tables = load_paper_tables()
-    space = table1_space()
-    paths = []
-    for device in DEVICE_PRECISIONS:
-        profile = fit_device_profile(device, tables, space)
-        path = directory / f"{device}.json"
-        save_profile(profile, path)
-        paths.append(path)
-    return paths

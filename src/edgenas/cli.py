@@ -15,11 +15,11 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
-from ._data import PROFILES_DIR, TABLE1_SPACE_PATH
+from . import rundir
+from ._data import PROFILES_DIR, TABLE1_SPACE_PATH, read_json
 from .architecture import build_architecture
 from .calibration import fit_device_profile
 from .devices import (
@@ -34,15 +34,7 @@ from .devices import (
     save_profile,
 )
 from .evaluators import EvaluatorError, ExternalEvaluator, Precision, SurrogateEvaluator
-from .pipeline import (
-    PipelineError,
-    RankedSet,
-    TrialLog,
-    TrialRecord,
-    stage1,
-    stage2,
-    stage3,
-)
+from .pipeline import PipelineError, TrialLog, stage1, stage2, stage3
 from .protocol import JsonLineChannel, ProtocolError
 from .reporting import (
     evaluate_claims,
@@ -61,10 +53,8 @@ from .space import (
     SpaceValidationError,
     cardinality,
     config_from_index,
-    config_from_json,
     sample_uniform,
     space_from_json,
-    space_to_json,
     unconditional_cardinality,
     validate,
 )
@@ -174,21 +164,12 @@ def _load_space(path: str):
     return space_from_json(path)
 
 
-def _read_json(path: str | Path, parse: Callable = lambda data: data):
-    """A JSON input file's content, passed through ``parse``; an error in
-    either (bad JSON, a missing key, a wrong type) names the file."""
-    try:
-        return parse(json.loads(Path(path).read_text()))
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
-        raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
-
-
 def _run_config_defaults(path: str) -> dict:
     """Parser defaults from a --config run file, keyed by flag destination,
     so that an explicit flag always wins over the file."""
     if not Path(path).exists():
         raise UsageError(f"run config not found: {path}")
-    data = _read_json(path)
+    data = read_json(path)
     jitter = data.get("jitter", {})
     defaults = {
         key: data[key]
@@ -225,32 +206,6 @@ def _measurer_factory(seed: int, jitter: JitterSpec, warmup_runs: int):
     return factory
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    """Write a temporary file beside ``path`` and rename it over ``path``,
-    so a write that fails or dies partway leaves the previous file whole."""
-    text = json.dumps(payload, indent=2) + "\n"
-    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        temporary.write_text(text)
-        os.replace(temporary, path)
-    except BaseException:
-        temporary.unlink(missing_ok=True)
-        raise
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _manifest(out: Path) -> dict:
-    path = out / "manifest.json"
-    if not path.exists():
-        raise UsageError(f"no manifest.json in {out}; run search or pipeline first")
-    return _read_json(path, lambda data: {**data, "seed": int(data["seed"])})
-
-
 def cmd_space_count(args) -> int:
     space = _load_space(args.space)
     conditional = cardinality(space)
@@ -281,7 +236,7 @@ def cmd_space_sample(args) -> int:
 
 
 def cmd_arch_describe(args) -> int:
-    config = config_from_json(args.config)
+    config = read_json(args.config, Configuration.from_json_dict)
     if args.space:
         verdict = validate(config, _load_space(args.space))
         if not verdict.valid:
@@ -291,9 +246,9 @@ def cmd_arch_describe(args) -> int:
     return 0
 
 
-def _write_manifest(args, out: Path, settings: OptimizerSettings) -> None:
+def _manifest(args, settings: OptimizerSettings) -> dict:
     manifest = {
-        "space_file": "space.json",
+        "space_file": rundir.FILES["space"][0],
         "seed": args.seed,
         "budget": args.budget,
         "keep1": args.keep1,
@@ -313,7 +268,7 @@ def _write_manifest(args, out: Path, settings: OptimizerSettings) -> None:
                 },
             }
         )
-    _write_json(out / "manifest.json", manifest)
+    return manifest
 
 
 def cmd_search(args) -> int:
@@ -321,10 +276,10 @@ def cmd_search(args) -> int:
     settings = OptimizerSettings.from_dict({**args.optimizer_settings, "seed": args.seed})
     evaluator = _make_evaluator(args.evaluator, space, args.evaluator_timeout)
     try:
-        out = _out_dir(args)
-        space_to_json(space, out / "space.json")
-        _write_manifest(args, out, settings)
-        with TrialLog(out / "trials.jsonl") as log:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        rundir.write(args.out, "space", space)
+        rundir.write(args.out, "manifest", _manifest(args, settings))
+        with TrialLog(rundir.path(args.out, "trials")) as log:
             ranked = stage1(
                 space,
                 evaluator,
@@ -337,16 +292,15 @@ def cmd_search(args) -> int:
     finally:
         if isinstance(evaluator, ExternalEvaluator):
             evaluator.close()
-    _write_json(out / "stage1.json", ranked.to_json_dict())
+    rundir.write(args.out, "stage1", ranked)
     best = ranked.records[0]
     print(f"stage 1 kept {len(ranked.records)} configurations; best accuracy {best.accuracy_pct:.4f}")
     return 0
 
 
 def _measurement_inputs(args):
-    out = _out_dir(args)
-    manifest = _manifest(out)
-    space = space_from_json(out / "space.json")
+    manifest = rundir.read(args.out, "manifest")
+    space = rundir.read(args.out, "space")
     devices_dir = args.devices or manifest.get("devices_dir") or str(PROFILES_DIR)
     profiles = dict(sorted(load_profiles(devices_dir).items()))
     jitter = JitterSpec(
@@ -355,43 +309,34 @@ def _measurement_inputs(args):
     )
     factory = _measurer_factory(manifest["seed"], jitter, manifest.get("warmup_runs", 0))
     timestamps = manifest.get("timestamps", True) and not args.no_timestamps
-    return out, manifest, space, devices_dir, profiles, factory, timestamps
+    return args.out, manifest, space, devices_dir, profiles, factory, timestamps
 
 
 def cmd_stage2(args) -> int:
     out, manifest, space, _, profiles, factory, timestamps = _measurement_inputs(args)
-    stage1_path = out / "stage1.json"
-    if not stage1_path.exists():
-        raise UsageError(f"no stage1.json in {out}")
-    candidates = _read_json(stage1_path, RankedSet.from_json_dict)
+    candidates = rundir.read(out, "stage1")
     keep2 = args.keep2 if args.keep2 is not None else manifest.get("keep2", 10)
-    with TrialLog(out / "trials.jsonl") as log:
+    with TrialLog(rundir.path(out, "trials")) as log:
         ranked = stage2(space, candidates, profiles, factory, keep2, log=log, timestamps=timestamps)
-    _write_json(out / "stage2.json", {d: r.to_json_dict() for d, r in ranked.items()})
+    rundir.write(out, "stage2", ranked)
     for device, rset in ranked.items():
         top = rset.records[0]
         print(f"{device}: top accuracy/latency {top.fitness_value:.3f} ({top.latency_mean_ms:.3f} ms)")
     return 0
 
 
-def _per_device(data: dict) -> dict[str, RankedSet]:
-    return {d: RankedSet.from_json_dict(r) for d, r in data.items()}
-
-
 def cmd_stage3(args) -> int:
     out, _, space, devices_dir, profiles, factory, timestamps = _measurement_inputs(args)
-    stage2_path = out / "stage2.json"
-    if not stage2_path.exists():
-        raise UsageError(f"no stage2.json in {out}")
-    per_device = _read_json(stage2_path, _per_device)
+    per_device = rundir.read(out, "stage2")
     unprofiled = [d for d in per_device if d not in profiles]
     if unprofiled:
         raise PipelineError(
-            f"{stage2_path} names devices with no profile in {devices_dir}: {', '.join(unprofiled)}"
+            f"{rundir.path(out, 'stage2')} names devices with no profile in {devices_dir}: "
+            f"{', '.join(unprofiled)}"
         )
-    with TrialLog(out / "trials.jsonl") as log:
+    with TrialLog(rundir.path(out, "trials")) as log:
         winners = stage3(space, per_device, profiles, factory, log=log, timestamps=timestamps)
-    _write_json(out / "stage3.json", {d: r.to_json_dict() for d, r in winners.items()})
+    rundir.write(out, "stage3", winners)
     for device, record in winners.items():
         print(
             f"{device}: winner accuracy/PDP {record.fitness_value:.3f} "
@@ -412,20 +357,13 @@ def cmd_pipeline(args) -> int:
 
 def cmd_report(args) -> int:
     out = Path(args.out)
-    trials_path = out / "trials.jsonl"
-    stage2_path = out / "stage2.json"
-    stage3_path = out / "stage3.json"
-    for path in (trials_path, stage2_path, stage3_path):
-        if not path.exists():
-            raise UsageError(f"missing {path.name} in {out}; run the pipeline first")
-    records = TrialLog(trials_path).load()
-    per_device = _read_json(stage2_path, _per_device)
-    winners = _read_json(
-        stage3_path, lambda data: {d: TrialRecord.from_json_dict(r) for d, r in data.items()}
-    )
-    for path, data in ((stage2_path, per_device), (stage3_path, winners)):
+    # The stage files first: a missing or bad one fails before the log is parsed.
+    per_device = rundir.read(out, "stage2")
+    winners = rundir.read(out, "stage3")
+    for key, data in (("stage2", per_device), ("stage3", winners)):
         if not data:
-            raise UsageError(f"{path}: empty per-device map")
+            raise UsageError(f"{rundir.path(out, key)}: empty per-device map")
+    records = rundir.read(out, "trials")
 
     measured = [r for r in records if r.stage >= 2]
     by_device: dict[str, list] = {}
@@ -460,7 +398,7 @@ def cmd_fit_profile(args) -> int:
     if args.observations:
         if not args.precision:
             raise UsageError("--precision is required with --observations")
-        data = _read_json(args.observations)
+        data = read_json(args.observations)
         observations = [
             FitObservation(
                 arch=build_architecture(Configuration.from_json_dict(entry["config"])),

@@ -13,7 +13,6 @@ traces over 180 s windows reduced to mean(active) - mean(idle).
 
 from __future__ import annotations
 
-import json
 import math
 import zlib
 from dataclasses import dataclass, replace
@@ -21,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._data import read_json, write_json
 from .architecture import ArchitectureDescriptor
 from .evaluators import Precision
 from .protocol import ChannelTimeout, JsonLineChannel, ProtocolError
@@ -114,11 +114,11 @@ class DeviceProfile:
 
 
 def save_profile(profile: DeviceProfile, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(profile.to_json_dict(), indent=2) + "\n")
+    write_json(path, profile.to_json_dict())
 
 
 def load_profile(path: str | Path) -> DeviceProfile:
-    return DeviceProfile.from_json_dict(json.loads(Path(path).read_text()))
+    return read_json(path, DeviceProfile.from_json_dict)
 
 
 def load_profiles(directory: str | Path) -> dict[str, DeviceProfile]:
@@ -138,19 +138,11 @@ class MeasurementProtocol:
     power_window_s: int = 180
     power_sample_hz: int = 1
 
-    @property
-    def power_samples(self) -> int:
-        return self.power_window_s * self.power_sample_hz
-
 
 @dataclass(frozen=True)
 class JitterSpec:
     latency_sigma_ms: float = 0.0
     power_sigma_w: float = 0.0
-
-    @property
-    def enabled(self) -> bool:
-        return self.latency_sigma_ms > 0 or self.power_sigma_w > 0
 
 
 def mean_std(samples: list[float]) -> tuple[float, float]:

@@ -22,7 +22,7 @@ import logging
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
-from ._data import PAPER_TABLES_PATH
+from ._data import PAPER_TABLES_PATH, write_json
 from .devices import mean_std
 from .pipeline import FitnessKind, TrialRecord, fitness
 
@@ -325,13 +325,11 @@ def write_best_models_csv(
 
 
 def write_ratios_json(claims: list[Claim], path: str | Path) -> None:
-    payload = {"claims": [c.to_json_dict() for c in claims]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(path, {"claims": [c.to_json_dict() for c in claims]})
 
 
 def write_pareto_json(front: list[TrialRecord], path: str | Path) -> None:
-    payload = {"records": [r.to_json_dict() for r in front]}
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    write_json(path, {"records": [r.to_json_dict() for r in front]})
 
 
 def _fmt(value, digits: int = 2) -> str:

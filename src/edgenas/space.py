@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ._data import write_json
+
 PARAM_ORDER = ("block", "k1", "k2", "k3", "k4", "fc1", "do1", "fc2", "do2")
 DROPOUT_PARAMS = ("do1", "do2")
 
@@ -70,7 +72,9 @@ class ParamSpec:
         if (self.hi - self.lo) % self.step != 0:
             raise SpaceValidationError(f"grid misaligned: {_display(self.name)}")
 
-    @property
+    # Built on first read and kept in the instance dict; not a field, so
+    # equality and hashing are unchanged.
+    @cached_property
     def grid(self) -> tuple[int, ...]:
         return tuple(range(self.lo, self.hi + 1, self.step))
 
@@ -112,23 +116,9 @@ class Configuration:
     output_classes: int = 7
 
     @property
-    def do1_prob(self) -> float:
-        return self.do1 / 100.0
-
-    @property
-    def do2_prob(self) -> float:
-        return self.do2 / 100.0
-
-    @property
     def kernels(self) -> tuple[int, ...]:
         ks = [self.k1, self.k2, self.k3, self.k4]
         return tuple(k for k in ks[: self.block] if k is not None)
-
-    def get(self, name: str) -> int | None:
-        return getattr(self, name)
-
-    def present_params(self) -> tuple[str, ...]:
-        return tuple(n for n in PARAM_ORDER if getattr(self, n) is not None)
 
     def to_json_dict(self) -> dict:
         out: dict = {}
@@ -351,7 +341,7 @@ def seeded_rng(*words: int) -> np.random.Generator:
 
 
 def space_to_json(space: SearchSpace, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(space.to_json_dict(), indent=2) + "\n")
+    write_json(path, space.to_json_dict())
 
 
 def space_from_json(path: str | Path) -> SearchSpace:
@@ -379,11 +369,3 @@ def space_from_dict(data: dict) -> SearchSpace:
             spec = ParamSpec(name, int(entry["lo"]), int(entry["hi"]), int(entry["step"]))
         specs.append(spec)
     return build_space(specs, output_classes=int(data.get("output_classes", 7)))
-
-
-def config_from_json(path: str | Path) -> Configuration:
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SpaceValidationError(f"unparseable configuration file {path}: {exc}") from exc
-    return Configuration.from_json_dict(data)

@@ -307,10 +307,22 @@ class TestPipelineCli:
     def test_failed_write_keeps_previous_stage_file(
         self, capsys, tmp_path, reduced_space_file, monkeypatch
     ):
-        run = tmp_path / "run"
+        run, profiles = tmp_path / "run", tmp_path / "profiles"
+        commands = (
+            ["stage2", "--out", str(run)],
+            ["report", "--out", str(run)],
+            ["fit-profile", "--device", "pi", "--out", str(profiles)],
+        )
         code, _, _ = self._pipeline(capsys, run, reduced_space_file)
         assert code == 0
-        before = {path.name: path.read_bytes() for path in run.iterdir()}
+        for argv in commands[1:]:
+            assert main(argv) == 0
+        capsys.readouterr()
+
+        def files():
+            return {path: path.read_bytes() for d in (run, profiles) for path in d.iterdir()}
+
+        before = files()
         real_write_text = Path.write_text
 
         def write_half_then_fail(path, text, *args, **kwargs):
@@ -318,9 +330,10 @@ class TestPipelineCli:
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-        with pytest.raises(OSError, match="No space left"):
-            main(["stage2", "--out", str(run)])
-        assert {path.name: path.read_bytes() for path in run.iterdir()} == before
+        for argv in commands:
+            with pytest.raises(OSError, match="No space left"):
+                main(argv)
+            assert files() == before, argv
 
     def test_torn_trial_log_resumes(self, capsys, tmp_path, reduced_space_file):
         run = tmp_path / "run"
@@ -553,10 +566,33 @@ class TestReportCli:
         pareto = json.loads((out_dir / "pareto.json").read_text())
         assert pareto["records"]
 
-    def test_report_requires_finished_run(self, capsys, tmp_path):
-        code, _, err = _run(capsys, "report", "--out", str(tmp_path))
-        assert code == 1
-        assert "missing" in err
+    def test_report_requires_finished_run(self, capsys, tmp_path, reduced_space_file):
+        empty, started, finished = tmp_path / "empty", tmp_path / "started", tmp_path / "finished"
+        empty.mkdir()
+        started.mkdir()
+        (started / "manifest.json").write_text(json.dumps({"seed": 1}))
+        (started / "space.json").write_bytes(reduced_space_file.read_bytes())
+        cases = (
+            (empty, "stage2", "manifest.json", "search"),
+            (empty, "stage3", "manifest.json", "search"),
+            (empty, "report", "stage2.json", "stage2"),
+            (started, "stage2", "stage1.json", "search"),
+            (started, "stage3", "stage2.json", "stage2"),
+            (started, "report", "stage2.json", "stage2"),
+            (finished, "report", "stage3.json", "stage3"),
+            (finished, "report", "trials.jsonl", "search"),
+        )
+        code, _, _ = TestPipelineCli()._pipeline(capsys, finished, reduced_space_file)
+        assert code == 0
+        for run, command, name, writer in cases:
+            if run == finished:
+                whole = (run / name).read_bytes()
+                (run / name).unlink()
+            code, _, err = _run(capsys, command, "--out", str(run))
+            assert code == 1, (run, command)
+            assert f"error: missing {name} in {run}; run {writer} or pipeline first" in err, err
+            if run == finished:
+                (run / name).write_bytes(whole)
 
 
 class TestProfileCli:
@@ -566,6 +602,28 @@ class TestProfileCli:
         lines = out.strip().splitlines()
         assert len(lines) == 6
         assert any(line.startswith("coral-dev:") for line in lines)
+
+    def test_corrupt_device_profile_is_named(self, capsys, tmp_path, reduced_space_file):
+        from edgenas._data import PROFILES_DIR
+
+        shipped = (PROFILES_DIR / "pi.json").read_text()
+        no_latency_model = json.loads(shipped)
+        del no_latency_model["latency_model"]
+        cases = (("missing-key", json.dumps(no_latency_model, indent=2)), ("truncated", shipped[:10]))
+        for case, text in cases:
+            devices, run = tmp_path / case, tmp_path / f"run-{case}"
+            devices.mkdir()
+            (devices / "pi.json").write_text(text)
+            for argv in (
+                ["devices", "list", "--devices", str(devices)],
+                ["pipeline", "--space", str(reduced_space_file), "--budget", "120",
+                 "--keep1", "15", "--keep2", "5", "--devices", str(devices), "--out", str(run)],
+            ):
+                code, _, err = _run(capsys, *argv)
+                assert code == 1, (case, argv[0])
+                assert f"error: {devices / 'pi.json'}: " in err, err
+                assert "Traceback" not in err
+            assert not run.exists()
 
     def test_fit_profile_from_fixture(self, capsys, tmp_path):
         code, out, _ = _run(capsys, "fit-profile", "--device", "coral-dev", "--out", str(tmp_path))

@@ -1,0 +1,30 @@
+import pytest
+
+from edgenas import rundir
+from edgenas.cli import main
+from edgenas.pipeline import TrialLog
+from edgenas.space import space_to_json
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory, reduced_space):
+    root = tmp_path_factory.mktemp("rundir")
+    space_to_json(reduced_space, root / "reduced_space.json")
+    argv = ["pipeline", "--space", str(root / "reduced_space.json"), "--budget", "120"]
+    argv += ["--keep1", "15", "--keep2", "5", "--seed", "1", "--no-timestamps"]
+    assert main(argv + ["--out", str(root / "run")]) == 0
+    return root / "run"
+
+
+@pytest.mark.parametrize("key", list(rundir.FILES))
+def test_write_then_read_gives_equal_objects(finished_run, tmp_path, key):
+    value = rundir.read(finished_run, key)
+    assert value
+    if key == "trials":
+        with TrialLog(rundir.path(tmp_path, key)) as log:
+            for record in value:
+                log.append(record)
+    else:
+        rundir.write(tmp_path, key, value)
+    assert rundir.read(tmp_path, key) == value
+    assert rundir.path(tmp_path, key).read_bytes() == rundir.path(finished_run, key).read_bytes()

@@ -95,6 +95,11 @@ class TestCardinality:
         assert "_cardinality" not in vars(fresh)
         assert filled == fresh
 
+        read, unread = ParamSpec("k1", 6, 16, 2), ParamSpec("k1", 6, 16, 2)
+        assert read.grid == (6, 8, 10, 12, 14, 16) and read.grid is read.grid
+        assert "grid" in vars(read) and "grid" not in vars(unread)
+        assert read == unread and hash(read) == hash(unread)
+
 
 class TestSeededRng:
     @pytest.mark.parametrize(
