@@ -1,4 +1,5 @@
-"""Locations of packaged data files, and the package's one JSON reader and writer."""
+"""Locations of packaged data files, the package's one JSON reader and its
+one file writer."""
 
 import json
 import os
@@ -20,15 +21,19 @@ def read_json(path: str | Path, parse: Callable = lambda data: data):
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
-def write_json(path: str | Path, payload) -> None:
+def write_text(path: str | Path, text: str) -> None:
     """Write a temporary file beside ``path`` and rename it over ``path``,
-    so a write that fails or dies partway leaves the previous file whole."""
+    so a write that fails or dies partway leaves the previous file whole.
+    Line endings are written as given."""
     path = Path(path)
-    text = json.dumps(payload, indent=2) + "\n"
     temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        temporary.write_text(text)
+        temporary.write_text(text, newline="")
         os.replace(temporary, path)
     except BaseException:
         temporary.unlink(missing_ok=True)
         raise
+
+
+def write_json(path: str | Path, payload) -> None:
+    write_text(path, json.dumps(payload, indent=2) + "\n")

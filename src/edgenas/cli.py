@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rundir
-from ._data import PROFILES_DIR, TABLE1_SPACE_PATH, read_json
+from ._data import PROFILES_DIR, TABLE1_SPACE_PATH, read_json, write_text
 from .architecture import build_architecture
 from .calibration import fit_device_profile
 from .devices import (
@@ -127,13 +127,13 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("stage2", help="latency measurement over a finished stage 1")
     p.add_argument("--out", required=True)
-    p.add_argument("--devices", default=None)
-    p.add_argument("--keep2", type=int, default=None)
+    p.add_argument("--devices")
+    p.add_argument("--keep2", type=int)
     p.add_argument("--no-timestamps", action="store_true")
 
     p = sub.add_parser("stage3", help="power measurement over a finished stage 2")
     p.add_argument("--out", required=True)
-    p.add_argument("--devices", default=None)
+    p.add_argument("--devices")
     p.add_argument("--no-timestamps", action="store_true")
 
     p = sub.add_parser("pipeline", help="run all three stages")
@@ -164,28 +164,6 @@ def _load_space(path: str):
     return space_from_json(path)
 
 
-def _run_config_defaults(path: str) -> dict:
-    """Parser defaults from a --config run file, keyed by flag destination,
-    so that an explicit flag always wins over the file."""
-    if not Path(path).exists():
-        raise UsageError(f"run config not found: {path}")
-    data = read_json(path)
-    jitter = data.get("jitter", {})
-    defaults = {
-        key: data[key]
-        for key in ("space", "evaluator", "budget", "keep1", "keep2", "seed", "warmup_runs")
-        if key in data
-    }
-    if "devices_dir" in data:
-        defaults["devices"] = data["devices_dir"]
-    if "latency_sigma_ms" in jitter:
-        defaults["latency_jitter"] = float(jitter["latency_sigma_ms"])
-    if "power_sigma_w" in jitter:
-        defaults["power_jitter"] = float(jitter["power_sigma_w"])
-    defaults["optimizer_settings"] = data.get("optimizer", {})
-    return defaults
-
-
 def _make_evaluator(selector: str, space, timeout_s: float):
     if selector == "surrogate":
         return SurrogateEvaluator(space)
@@ -195,15 +173,6 @@ def _make_evaluator(selector: str, space, timeout_s: float):
             raise UsageError("empty command in exec: evaluator selector")
         return ExternalEvaluator(JsonLineChannel(command, timeout_s=timeout_s))
     raise UsageError(f'unknown evaluator {selector!r} (use surrogate or exec:"CMD")')
-
-
-def _measurer_factory(seed: int, jitter: JitterSpec, warmup_runs: int):
-    protocol = MeasurementProtocol(warmup_runs=warmup_runs)
-
-    def factory(profile):
-        return DeviceMeasurer(SimulatedDevice(profile, jitter, seed=seed), protocol)
-
-    return factory
 
 
 def cmd_space_count(args) -> int:
@@ -246,31 +215,6 @@ def cmd_arch_describe(args) -> int:
     return 0
 
 
-def _manifest(args, settings: OptimizerSettings) -> dict:
-    manifest = {
-        "space_file": rundir.FILES["space"][0],
-        "seed": args.seed,
-        "budget": args.budget,
-        "keep1": args.keep1,
-        "evaluator": args.evaluator,
-        "optimizer": asdict(settings),
-        "timestamps": not args.no_timestamps,
-    }
-    if hasattr(args, "devices"):
-        manifest.update(
-            {
-                "keep2": args.keep2,
-                "devices_dir": str(args.devices),
-                "warmup_runs": args.warmup_runs,
-                "jitter": {
-                    "latency_sigma_ms": args.latency_jitter,
-                    "power_sigma_w": args.power_jitter,
-                },
-            }
-        )
-    return manifest
-
-
 def cmd_search(args) -> int:
     space = _load_space(args.space)
     settings = OptimizerSettings.from_dict({**args.optimizer_settings, "seed": args.seed})
@@ -278,7 +222,8 @@ def cmd_search(args) -> int:
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         rundir.write(args.out, "space", space)
-        rundir.write(args.out, "manifest", _manifest(args, settings))
+        values = {**vars(args), "optimizer_settings": asdict(settings)}
+        rundir.write(args.out, "manifest", rundir.manifest(values))
         with TrialLog(rundir.path(args.out, "trials")) as log:
             ranked = stage1(
                 space,
@@ -299,26 +244,26 @@ def cmd_search(args) -> int:
 
 
 def _measurement_inputs(args):
-    manifest = rundir.read(args.out, "manifest")
+    """The run's space, its device profiles by name and a measurer factory."""
+    protocol = MeasurementProtocol(warmup_runs=args.warmup_runs)
+    jitter = JitterSpec(args.latency_jitter, args.power_jitter)
+
+    def factory(profile):
+        return DeviceMeasurer(SimulatedDevice(profile, jitter, seed=args.seed), protocol)
+
     space = rundir.read(args.out, "space")
-    devices_dir = args.devices or manifest.get("devices_dir") or str(PROFILES_DIR)
-    profiles = dict(sorted(load_profiles(devices_dir).items()))
-    jitter = JitterSpec(
-        latency_sigma_ms=manifest.get("jitter", {}).get("latency_sigma_ms", 0.0),
-        power_sigma_w=manifest.get("jitter", {}).get("power_sigma_w", 0.0),
-    )
-    factory = _measurer_factory(manifest["seed"], jitter, manifest.get("warmup_runs", 0))
-    timestamps = manifest.get("timestamps", True) and not args.no_timestamps
-    return args.out, manifest, space, devices_dir, profiles, factory, timestamps
+    return space, dict(sorted(load_profiles(args.devices).items())), factory
 
 
 def cmd_stage2(args) -> int:
-    out, manifest, space, _, profiles, factory, timestamps = _measurement_inputs(args)
-    candidates = rundir.read(out, "stage1")
-    keep2 = args.keep2 if args.keep2 is not None else manifest.get("keep2", 10)
-    with TrialLog(rundir.path(out, "trials")) as log:
-        ranked = stage2(space, candidates, profiles, factory, keep2, log=log, timestamps=timestamps)
-    rundir.write(out, "stage2", ranked)
+    space, profiles, factory = _measurement_inputs(args)
+    candidates = rundir.read(args.out, "stage1")
+    with TrialLog(rundir.path(args.out, "trials")) as log:
+        ranked = stage2(
+            space, candidates, profiles, factory, args.keep2, log=log,
+            timestamps=not args.no_timestamps,
+        )
+    rundir.write(args.out, "stage2", ranked)
     for device, rset in ranked.items():
         top = rset.records[0]
         print(f"{device}: top accuracy/latency {top.fitness_value:.3f} ({top.latency_mean_ms:.3f} ms)")
@@ -326,17 +271,19 @@ def cmd_stage2(args) -> int:
 
 
 def cmd_stage3(args) -> int:
-    out, _, space, devices_dir, profiles, factory, timestamps = _measurement_inputs(args)
-    per_device = rundir.read(out, "stage2")
+    space, profiles, factory = _measurement_inputs(args)
+    per_device = rundir.read(args.out, "stage2")
     unprofiled = [d for d in per_device if d not in profiles]
     if unprofiled:
         raise PipelineError(
-            f"{rundir.path(out, 'stage2')} names devices with no profile in {devices_dir}: "
-            f"{', '.join(unprofiled)}"
+            f"{rundir.path(args.out, 'stage2')} names devices with no profile in "
+            f"{args.devices}: {', '.join(unprofiled)}"
         )
-    with TrialLog(rundir.path(out, "trials")) as log:
-        winners = stage3(space, per_device, profiles, factory, log=log, timestamps=timestamps)
-    rundir.write(out, "stage3", winners)
+    with TrialLog(rundir.path(args.out, "trials")) as log:
+        winners = stage3(
+            space, per_device, profiles, factory, log=log, timestamps=not args.no_timestamps
+        )
+    rundir.write(args.out, "stage3", winners)
     for device, record in winners.items():
         print(
             f"{device}: winner accuracy/PDP {record.fitness_value:.3f} "
@@ -381,7 +328,7 @@ def cmd_report(args) -> int:
     write_ratios_json(claims, out / "ratios.json")
     write_pareto_json(front, out / "pareto.json")
     markdown = render_markdown(tables, summary, best_latency, winners, claims)
-    (out / "report.md").write_text(markdown)
+    write_text(out / "report.md", markdown)
 
     if args.format == "md":
         print(markdown)
@@ -398,16 +345,18 @@ def cmd_fit_profile(args) -> int:
     if args.observations:
         if not args.precision:
             raise UsageError("--precision is required with --observations")
-        data = read_json(args.observations)
-        observations = [
-            FitObservation(
-                arch=build_architecture(Configuration.from_json_dict(entry["config"])),
-                latency_ms=float(entry["latency_ms"]),
-                dynamic_power_w=entry.get("dynamic_power_w"),
-                label=entry.get("label", ""),
-            )
-            for entry in data
-        ]
+        observations = read_json(
+            args.observations,
+            lambda data: [
+                FitObservation(
+                    arch=build_architecture(Configuration.from_json_dict(entry["config"])),
+                    latency_ms=float(entry["latency_ms"]),
+                    dynamic_power_w=entry.get("dynamic_power_w"),
+                    label=entry.get("label", ""),
+                )
+                for entry in data
+            ],
+        )
         profile = fit_profile(
             observations,
             precision=Precision(args.precision),
@@ -462,13 +411,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # A run's settings become parser defaults, and parsing again lets
+        # every explicit flag override them: for search and pipeline those
+        # of a --config file; for stage2 and stage3 the run's manifest over
+        # the pipeline's defaults.
+        defaults = None
         if args.command in ("search", "pipeline") and args.config:
-            # A --config file supplies defaults; parsing again lets every
-            # explicit flag override them.
-            defaults = _run_config_defaults(args.config)
-            parser.commands[args.command].set_defaults(
-                **{k: v for k, v in defaults.items() if hasattr(args, k)}
-            )
+            base = Path(args.config).parent
+            defaults = read_json(args.config, lambda data: rundir.settings(data, base))
+            defaults = {k: v for k, v in defaults.items() if hasattr(args, k)}
+        elif args.command in ("stage2", "stage3"):
+            pipeline = parser.commands["pipeline"]
+            defaults = {dest: pipeline.get_default(dest) for _, dest, _ in rundir.SETTINGS}
+            defaults.update(rundir.settings(rundir.read(args.out, "manifest"), args.out))
+        if defaults is not None:
+            parser.commands[args.command].set_defaults(**defaults)
             args = parser.parse_args(argv)
         sub = getattr(args, "space_command", None) or getattr(args, "arch_command", None) or getattr(
             args, "devices_command", None

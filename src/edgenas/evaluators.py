@@ -62,18 +62,11 @@ class AccuracyResult:
 class SurrogateEvaluator:
     """Pure stand-in for real training; deterministic in (config, precision, seed)."""
 
-    def __init__(
-        self,
-        space: SearchSpace,
-        seed: int = DEFAULT_SURROGATE_SEED,
-        deltas: dict[Precision, float] | None = None,
-        depth_reward: float = DEPTH_REWARD,
-    ):
+    deltas = DEFAULT_PRECISION_DELTAS
+
+    def __init__(self, space: SearchSpace):
         self.space = space
-        self.seed = seed
-        self.deltas = dict(DEFAULT_PRECISION_DELTAS if deltas is None else deltas)
-        self.depth_reward = depth_reward
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(DEFAULT_SURROGATE_SEED)
         self._coeffs: dict[str, tuple[float, float, float]] = {}
         for name in PARAM_ORDER:
             self._coeffs[name] = (
@@ -93,7 +86,7 @@ class SurrogateEvaluator:
         verdict = validate(config, self.space)
         if not verdict.valid:
             raise SpaceValidationError("; ".join(verdict.reasons))
-        s = self.depth_reward * (config.block - 2) / 2.0
+        s = DEPTH_REWARD * (config.block - 2) / 2.0
         for name in self.space.active_params(config.block):
             amplitude, cycles, phase = self._coeffs[name]
             x = self._grid_position(name, getattr(config, name))
@@ -102,15 +95,11 @@ class SurrogateEvaluator:
         return ACCURACY_FLOOR_PCT + (ACCURACY_CEILING_PCT - ACCURACY_FLOOR_PCT) * logistic
 
     def evaluate(
-        self,
-        config: Configuration,
-        precision: Precision = Precision.FP32,
-        delta: float | None = None,
+        self, config: Configuration, precision: Precision = Precision.FP32
     ) -> AccuracyResult:
-        if delta is None:
-            delta = self.deltas[precision]
         accuracy = min(
-            max(self.base_accuracy(config) - delta, ACCURACY_FLOOR_PCT), ACCURACY_CEILING_PCT
+            max(self.base_accuracy(config) - self.deltas[precision], ACCURACY_FLOOR_PCT),
+            ACCURACY_CEILING_PCT,
         )
         return AccuracyResult(accuracy, "surrogate", config, precision)
 

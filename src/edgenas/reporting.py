@@ -17,12 +17,13 @@ discrepancy note instead of a forced pass.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
-from ._data import PAPER_TABLES_PATH, write_json
+from ._data import PAPER_TABLES_PATH, write_json, write_text
 from .devices import mean_std
 from .pipeline import FitnessKind, TrialRecord, fitness
 
@@ -278,50 +279,36 @@ def pareto_front(records: list[TrialRecord]) -> list[TrialRecord]:
 # emissions
 
 
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    write_text(path, buffer.getvalue())
+
+
 def write_summary_csv(rows: list[DeviceSummaryRow], path: str | Path) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "device", "n_models", "accuracy_mean_pct", "accuracy_std_pct",
-                "latency_mean_ms", "latency_std_ms", "power_mean_w", "power_std_w",
-            ]
-        )
-        writer.writerows(astuple(row) for row in rows)
+    header = [
+        "device", "n_models", "accuracy_mean_pct", "accuracy_std_pct",
+        "latency_mean_ms", "latency_std_ms", "power_mean_w", "power_std_w",
+    ]
+    _write_csv(path, header, (astuple(row) for row in rows))
 
 
 def write_best_models_csv(
     best_latency: dict[str, TrialRecord], winners: dict[str, TrialRecord], path: str | Path
 ) -> None:
-    with Path(path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "device",
-                "fitness_kind",
-                "fitness_value",
-                "accuracy_pct",
-                "latency_mean_ms",
-                "latency_std_ms",
-                "dynamic_power_w",
-                "config",
-            ]
-        )
-        for group in (best_latency, winners):
-            for device in sorted(group):
-                record = group[device]
-                writer.writerow(
-                    [
-                        device,
-                        record.fitness_kind.value,
-                        record.fitness_value,
-                        record.accuracy_pct,
-                        record.latency_mean_ms,
-                        record.latency_std_ms,
-                        record.dynamic_power_w,
-                        record.config.canonical_json(),
-                    ]
-                )
+    header = [
+        "device", "fitness_kind", "fitness_value", "accuracy_pct",
+        "latency_mean_ms", "latency_std_ms", "dynamic_power_w", "config",
+    ]
+    rows = (
+        [device, r.fitness_kind.value, r.fitness_value, r.accuracy_pct, r.latency_mean_ms,
+         r.latency_std_ms, r.dynamic_power_w, r.config.canonical_json()]
+        for group in (best_latency, winners)
+        for device, r in sorted(group.items())
+    )
+    _write_csv(path, header, rows)
 
 
 def write_ratios_json(claims: list[Claim], path: str | Path) -> None:

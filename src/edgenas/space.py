@@ -16,24 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from ._data import write_json
+from ._data import TABLE1_SPACE_PATH, write_json
 
 PARAM_ORDER = ("block", "k1", "k2", "k3", "k4", "fc1", "do1", "fc2", "do2")
 DROPOUT_PARAMS = ("do1", "do2")
-
-# Published grid: Block 2-4, K1 6-16/2, K2 24-32/4, K3 36-48/4, K4 52-64/4,
-# FC1 100-120/5, FC2 80-100/5, DO1/DO2 0.10-0.30/0.01 (as hundredths).
-TABLE1_GRID = {
-    "block": (2, 4, 1),
-    "k1": (6, 16, 2),
-    "k2": (24, 32, 4),
-    "k3": (36, 48, 4),
-    "k4": (52, 64, 4),
-    "fc1": (100, 120, 5),
-    "do1": (10, 30, 1),
-    "fc2": (80, 100, 5),
-    "do2": (10, 30, 1),
-}
 
 
 class SpaceValidationError(ValueError):
@@ -236,10 +222,11 @@ def build_space(spec_table: list[ParamSpec], output_classes: int = 7) -> SearchS
     return SearchSpace(params=by_name, output_classes=output_classes)
 
 
-def table1_space(output_classes: int = 7) -> SearchSpace:
-    """The published grid, as shipped in data/table1_space.json."""
-    specs = [ParamSpec(name, lo, hi, step) for name, (lo, hi, step) in TABLE1_GRID.items()]
-    return build_space(specs, output_classes=output_classes)
+def table1_space() -> SearchSpace:
+    """The published grid (Block 2-4, K1 6-16/2, K2 24-32/4, K3 36-48/4,
+    K4 52-64/4, FC1 100-120/5, FC2 80-100/5, DO1/DO2 0.10-0.30/0.01), as
+    shipped in data/table1_space.json."""
+    return space_from_json(TABLE1_SPACE_PATH)
 
 
 def cardinality(space: SearchSpace) -> int:

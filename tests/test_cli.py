@@ -276,6 +276,21 @@ class TestPipelineCli:
         assert manifest["seed"] == 7
         assert manifest["jitter"] == {"latency_sigma_ms": 0.0, "power_sigma_w": 0.05}
 
+    def test_manifest_reruns_its_run(self, capsys, tmp_path, reduced_space_file):
+        run, again = tmp_path / "run", tmp_path / "again"
+        code, _, _ = _run(
+            capsys, "pipeline", "--space", str(reduced_space_file), "--budget", "60",
+            "--keep1", "10", "--keep2", "3", "--seed", "3", "--latency-jitter", "0.02",
+            "--power-jitter", "0.05", "--warmup-runs", "2", "--no-timestamps", "--out", str(run),
+        )
+        assert code == 0
+        argv = ["pipeline", "--config", str(run / "manifest.json"), "--out", str(again)]
+        code, _, _ = _run(capsys, *argv)
+        assert code == 0
+        for name in ("manifest.json", "space.json", "trials.jsonl", "stage1.json", "stage2.json",
+                     "stage3.json"):
+            assert (again / name).read_bytes() == (run / name).read_bytes(), name
+
     def test_unknown_optimizer_settings_refused(self, capsys, tmp_path, reduced_space_file):
         run_config = tmp_path / "run.json"
         run_config.write_text(json.dumps({"optimizer": {"gama": 0.5, "n_candidate": 4}}))
@@ -288,6 +303,20 @@ class TestPipelineCli:
         assert code == 1
         assert "unknown optimizer settings: gama, n_candidate" in err
         assert not (out / "manifest.json").exists()
+
+        # A wrongly typed setting is refused naming the file, for search too.
+        for data, kind in (
+            ({"budget": "40"}, "budget must be int, not str"),
+            ({"seed": True}, "seed must be int, not bool"),
+            ({"timestamps": 0}, "timestamps must be bool, not int"),
+            ({"jitter": {"power_sigma_w": "0.1"}}, "jitter.power_sigma_w must be float, not str"),
+            ({"jitter": [0.1]}, "jitter must be dict, not list"),
+        ):
+            run_config.write_text(json.dumps(data))
+            code, _, err = _run(capsys, *argv, "--config", str(run_config), "--out", str(out))
+            assert code == 1, data
+            assert f"error: {run_config}: TypeError: {kind}" in err, err
+            assert not out.exists()
 
         # A run's own manifest, optimizer section included, loads as a run config.
         first, again = tmp_path / "first", tmp_path / "again"
@@ -325,15 +354,28 @@ class TestPipelineCli:
         before = files()
         real_write_text = Path.write_text
 
-        def write_half_then_fail(path, text, *args, **kwargs):
-            real_write_text(path, text[: len(text) // 2], *args, **kwargs)
-            raise OSError(errno.ENOSPC, "No space left on device")
+        # Each command's writes fail in turn: the first n succeed and the
+        # next one writes half and fails. With n = writes, all succeed.
+        for argv, writes in zip(commands, (1, 5, 1)):
+            for n in range(writes + 1):
+                calls = []
 
-        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
-        for argv in commands:
-            with pytest.raises(OSError, match="No space left"):
-                main(argv)
-            assert files() == before, argv
+                def write_half_then_fail(path, text, *args, **kwargs):
+                    calls.append(path)
+                    if len(calls) <= n:
+                        return real_write_text(path, text, *args, **kwargs)
+                    real_write_text(path, text[: len(text) // 2], *args, **kwargs)
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+                monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+                if n < writes:
+                    with pytest.raises(OSError, match="No space left"):
+                        main(argv)
+                else:
+                    assert main(argv) == 0
+                    assert len(calls) == writes, argv
+                assert files() == before, (argv, n)
+        capsys.readouterr()
 
     def test_torn_trial_log_resumes(self, capsys, tmp_path, reduced_space_file):
         run = tmp_path / "run"
@@ -462,6 +504,9 @@ class TestPipelineCli:
         cases = (
             ("manifest.json", "[]", "stage2", "TypeError"),
             ("manifest.json", "{}", "stage3", "KeyError: 'seed'"),
+            ("manifest.json", '{"seed": 1, "jitter": []}', "stage2", "TypeError: jitter"),
+            ("manifest.json", '{"seed": 1, "keep2": "5"}', "stage2", "TypeError: keep2"),
+            ("manifest.json", '{"seed": 1, "warmup_runs": 1.5}', "stage3", "TypeError: warmup_runs"),
             ("stage1.json", "[1]", "stage2", "TypeError"),
             ("stage2.json", '{"pi": {}}', "stage3", "KeyError: 'fitness'"),
             ("stage2.json", "[]", "report", "AttributeError"),
@@ -476,6 +521,7 @@ class TestPipelineCli:
             code, _, err = _run(capsys, command, "--out", str(run))
             assert code == 1, (name, command)
             assert f"error: {path}: {kind}" in err, err
+            assert "Traceback" not in err
             path.write_bytes(whole)
 
 
@@ -632,6 +678,22 @@ class TestProfileCli:
 
         profile = load_profile(tmp_path / "coral-dev.json")
         assert profile.fit_residuals
+
+    def test_bad_observations_are_named(self, capsys, tmp_path):
+        path = tmp_path / "observations.json"
+        cases = (
+            ('[{"latency_ms": 1.0}]', "KeyError: 'config'"),
+            ('{"latency_ms": 1.0}', "TypeError"),
+            ('[{"config": {"block": 2, "k1": 6}, "latency_ms": 1.0}]', "SpaceValidationError"),
+            ("[{", "JSONDecodeError"),
+        )
+        for text, kind in cases:
+            path.write_text(text)
+            argv = ["fit-profile", "--device", "x", "--out", str(tmp_path / "out")]
+            code, _, err = _run(capsys, *argv, "--observations", str(path), "--precision", "fp32")
+            assert code == 1, text
+            assert f"error: {path}: {kind}" in err, err
+            assert "Traceback" not in err
 
     def test_fit_profile_unknown_device(self, capsys, tmp_path):
         code, _, err = _run(capsys, "fit-profile", "--device", "toaster", "--out", str(tmp_path))

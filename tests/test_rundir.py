@@ -28,3 +28,19 @@ def test_write_then_read_gives_equal_objects(finished_run, tmp_path, key):
         rundir.write(tmp_path, key, value)
     assert rundir.read(tmp_path, key) == value
     assert rundir.path(tmp_path, key).read_bytes() == rundir.path(finished_run, key).read_bytes()
+
+
+def test_settings_read_what_the_manifest_writer_writes(tmp_path):
+    values = {
+        "space": "reduced.json", "seed": 3, "budget": 60, "keep1": 10, "evaluator": "surrogate",
+        "optimizer_settings": {"gamma": 0.5}, "no_timestamps": True, "keep2": 4,
+        "devices": "profiles", "warmup_runs": 2, "latency_jitter": 0.02, "power_jitter": 0.0,
+    }
+    data = rundir.manifest({**values, "out": "run", "command": "pipeline"})
+    assert list(data) == [
+        "space_file", "seed", "budget", "keep1", "evaluator", "optimizer", "timestamps",
+        "keep2", "devices_dir", "warmup_runs", "jitter",
+    ]
+    assert data["space_file"] == "space.json" and data["timestamps"] is False
+    assert data["jitter"] == {"latency_sigma_ms": 0.02, "power_sigma_w": 0.0}
+    assert rundir.settings(data, tmp_path) == {**values, "space": str(tmp_path / "space.json")}
