@@ -9,6 +9,7 @@ nondeterminism in outputs and --no-timestamps removes them.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -215,7 +216,14 @@ def cmd_arch_describe(args) -> int:
     return 0
 
 
-def cmd_search(args) -> int:
+def _trial_log(args, log: TrialLog | None):
+    """The run's trial log: the caller's, left open, or one of its own."""
+    if log is not None:
+        return contextlib.nullcontext(log)
+    return TrialLog(rundir.path(args.out, "trials"))
+
+
+def cmd_search(args, log: TrialLog | None = None) -> int:
     space = _load_space(args.space)
     settings = OptimizerSettings.from_dict({**args.optimizer_settings, "seed": args.seed})
     evaluator = _make_evaluator(args.evaluator, space, args.evaluator_timeout)
@@ -224,7 +232,7 @@ def cmd_search(args) -> int:
         rundir.write(args.out, "space", space)
         values = {**vars(args), "optimizer_settings": asdict(settings)}
         rundir.write(args.out, "manifest", rundir.manifest(values))
-        with TrialLog(rundir.path(args.out, "trials")) as log:
+        with _trial_log(args, log) as log:
             ranked = stage1(
                 space,
                 evaluator,
@@ -255,10 +263,10 @@ def _measurement_inputs(args):
     return space, dict(sorted(load_profiles(args.devices).items())), factory
 
 
-def cmd_stage2(args) -> int:
+def cmd_stage2(args, log: TrialLog | None = None) -> int:
     space, profiles, factory = _measurement_inputs(args)
     candidates = rundir.read(args.out, "stage1")
-    with TrialLog(rundir.path(args.out, "trials")) as log:
+    with _trial_log(args, log) as log:
         ranked = stage2(
             space, candidates, profiles, factory, args.keep2, log=log,
             timestamps=not args.no_timestamps,
@@ -270,7 +278,7 @@ def cmd_stage2(args) -> int:
     return 0
 
 
-def cmd_stage3(args) -> int:
+def cmd_stage3(args, log: TrialLog | None = None) -> int:
     space, profiles, factory = _measurement_inputs(args)
     per_device = rundir.read(args.out, "stage2")
     unprofiled = [d for d in per_device if d not in profiles]
@@ -279,7 +287,7 @@ def cmd_stage3(args) -> int:
             f"{rundir.path(args.out, 'stage2')} names devices with no profile in "
             f"{args.devices}: {', '.join(unprofiled)}"
         )
-    with TrialLog(rundir.path(args.out, "trials")) as log:
+    with _trial_log(args, log) as log:
         winners = stage3(
             space, per_device, profiles, factory, log=log, timestamps=not args.no_timestamps
         )
@@ -297,8 +305,12 @@ def cmd_pipeline(args) -> int:
     # Fail-fast preflight: the profiles parse before any stage runs (the
     # space and the evaluator are checked by search before it writes).
     load_profiles(args.devices)
-    for command in (cmd_search, cmd_stage2, cmd_stage3):
-        command(args)
+    # One log for the three stages: it knows what it wrote, so stages 2
+    # and 3 of a fresh run do not read back the file stage 1 wrote. It
+    # writes nothing before its first append, after search's checks.
+    with TrialLog(rundir.path(args.out, "trials")) as log:
+        for command in (cmd_search, cmd_stage2, cmd_stage3):
+            command(args, log)
     return 0
 
 

@@ -11,16 +11,16 @@ expensive stage by stage, so the cheap metric always prunes first.
 from __future__ import annotations
 
 import itertools
+import json
 import logging
 import math
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator
-
-import json
 
 from .architecture import ArchitectureDescriptor, build_architecture
 from .devices import DeviceMeasurer, DeviceProfile, MeasurementError
@@ -65,6 +65,22 @@ def _now_rfc3339() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
+def _json_scalar(value) -> str:
+    """``json.dumps(value)`` for a string, a number or None: the encoder
+    writes a finite float (numpy's float64 too) with ``float.__repr__``
+    and an int with ``int.__repr__``; a bool or a non-finite float is
+    left to ``json.dumps``."""
+    if value is None:
+        return "null"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    return json.dumps(value)
+
+
 @dataclass(frozen=True)
 class TrialRecord:
     config: Configuration
@@ -98,6 +114,24 @@ class TrialRecord:
             "ts": self.ts,
         }
 
+    def log_line(self) -> str:
+        """``json.dumps(self.to_json_dict(), sort_keys=True)``, built from
+        a key-sorted template. The config's cached canonical JSON holds
+        only identifier keys and integers, so widening its separators
+        gives the bytes ``json.dumps`` would write for it."""
+        config = self.config.canonical_json().replace(",", ", ").replace(":", ": ")
+        return (
+            f'{{"accuracy_pct": {_json_scalar(self.accuracy_pct)}, "config": {config}, '
+            f'"device": {_json_scalar(self.device)}, '
+            f'"dynamic_power_w": {_json_scalar(self.dynamic_power_w)}, '
+            f'"fitness": {{"kind": {_json_scalar(self.fitness_kind.value)}, '
+            f'"value": {_json_scalar(self.fitness_value)}}}, '
+            f'"latency_mean_ms": {_json_scalar(self.latency_mean_ms)}, '
+            f'"latency_std_ms": {_json_scalar(self.latency_std_ms)}, '
+            f'"seed": {_json_scalar(self.seed)}, "stage": {_json_scalar(self.stage)}, '
+            f'"ts": {_json_scalar(self.ts)}}}'
+        )
+
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrialRecord":
         return cls(
@@ -118,10 +152,12 @@ class TrialRecord:
 class TrialLog:
     """Append-only JSONL persistence, one record per line.
 
-    The first ``append`` opens the file in append mode and keeps the
-    handle for the ones after it. Each record is flushed as soon as it is
-    written, so it reaches the OS at once and any other reader of the
-    file (``load``, another process, a resumed run) sees whole records.
+    The first ``append`` creates the file's directory, opens the file in
+    append mode and keeps the handle for the ones after it; making a log
+    writes nothing. Each line is ``TrialRecord.log_line()``, flushed as
+    soon as it is written, so it reaches the OS at once and any other
+    reader of the file (``load``, another process, a resumed run) sees
+    whole records.
     ``close`` releases the handle and may be called again; an ``append``
     after it opens the file anew. Leaving a ``with`` block closes the
     log, and ``__del__`` closes a handle still open when the log is
@@ -141,31 +177,34 @@ class TrialLog:
     of a stage outside that set returns ``{}`` without opening the file
     while its size still equals the offset. So each ``TrialLog`` decodes
     and checks every line at least once: it either wrote the line or
-    read it. Like ``GridMirror``, the log assumes the file only grows: a
-    rewrite in place that keeps the length is not detected while the
-    log is open; a truncated, replaced or appended-to file is."""
+    read it. ``edgenas pipeline`` shares one log across its three
+    stages, so on a fresh run stages 2 and 3 find no line of their own
+    stage without reading the file stage 1 wrote. Like ``GridMirror``,
+    the log assumes the file only grows: a rewrite in place that keeps
+    the length is not detected while the log is open; a truncated,
+    replaced or appended-to file is."""
 
     def __init__(self, path: str | Path):
         self._handle = None
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         self._end: int | None = None  # None: nothing known of the file
         self._stages: set[int] = set()
 
     def append(self, record: TrialRecord) -> None:
         if self._handle is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = self.path.open("a")
             size = os.fstat(self._handle.fileno()).st_size
             if size == 0:
                 self._end, self._stages = 0, set()
             elif size != self._end:
                 self._end = None
-        line = json.dumps(record.to_json_dict(), sort_keys=True) + "\n"
+        line = record.log_line() + "\n"
         self._handle.write(line)
         self._handle.flush()
         if self._end is not None:
-            # json.dumps escapes every non-ASCII character, so the line
-            # has one byte per character.
+            # log_line escapes every non-ASCII character, so the line has
+            # one byte per character.
             self._end += len(line)
             self._stages.add(record.stage)
 

@@ -40,8 +40,17 @@ def _typed(value, kind: type, key: str):
 def settings(data, base) -> dict:
     """The run settings in a manifest or --config file's ``data``, keyed by
     flag destination; ``base`` is the file's directory. A wrong type is a
-    TypeError naming the key."""
+    TypeError naming the key, and keys that are no setting are a
+    ValueError naming them."""
     _typed(data, dict, "run settings")
+    keys = {key for key, _, _ in SETTINGS}
+    groups = {key.rpartition(".")[0] for key in keys} - {""}
+    unknown = [key for key in data if key not in keys | groups]
+    for group in groups:
+        if isinstance(data.get(group), dict):  # a wrong type is refused below
+            unknown += [f"{group}.{name}" for name in data[group] if f"{group}.{name}" not in keys]
+    if unknown:
+        raise ValueError(f"unknown run settings: {', '.join(unknown)}")
     values = {}
     for key, dest, kind in SETTINGS:
         group, _, name = key.rpartition(".")

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._data import TABLE1_SPACE_PATH, write_json
+from ._data import TABLE1_SPACE_PATH, read_json, write_json
 
 PARAM_ORDER = ("block", "k1", "k2", "k3", "k4", "fc1", "do1", "fc2", "do2")
 DROPOUT_PARAMS = ("do1", "do2")
@@ -332,11 +332,12 @@ def space_to_json(space: SearchSpace, path: str | Path) -> None:
 
 
 def space_from_json(path: str | Path) -> SearchSpace:
+    """The space in a JSON file. Bad JSON, a missing key, a wrong type or
+    an invalid grid is a SpaceValidationError naming the file."""
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise SpaceValidationError(f"unparseable space file {path}: {exc}") from exc
-    return space_from_dict(data)
+        return read_json(path, space_from_dict)
+    except ValueError as exc:
+        raise SpaceValidationError(f"unparseable space file {exc}") from None
 
 
 def space_from_dict(data: dict) -> SearchSpace:

@@ -26,7 +26,11 @@ Each categorical draw is the first index of ``cdf`` above ``u``, with
 ``cdf = w.cumsum(); cdf /= cdf[-1]`` and ``u`` one double of
 ``rng.random`` (``bisect_right``, which is ``cdf.searchsorted(u,
 side="right")``). That is the arithmetic ``Generator.choice(k, p=w)``
-does for one draw, so the seeded histories are those of ``choice``. The
+does for one draw, so the seeded histories are those of ``choice``. All
+nine CDFs come from one pass over the padded weight rows: each row's
+running sum divided by its sum over the parameter's own values. The
+padding's weights are positive, so its entries are >= 1.0 and no draw
+``u < 1`` lands past a parameter's last value. The
 doubles of a suggestion come from one ``rng.random`` call, consumed in
 order: the stream is the same, since nothing else draws from that
 suggestion's generator.
@@ -255,11 +259,9 @@ def suggest(space: SearchSpace, history: ObservationHistory) -> Configuration:
     good_weights = density_weights(good_counts, mirror.sizes)
     bad_weights = density_weights(bad_counts, mirror.sizes)
     ratios = (good_weights / bad_weights).tolist()
-    cdfs = []
-    for weights, size in zip(good_weights, mirror.sizes):
-        cdf = weights[:size].cumsum()
-        cdf /= cdf[-1]
-        cdfs.append(cdf.tolist())
+    cdfs = good_weights.cumsum(axis=1)
+    cdfs /= cdfs[np.arange(len(mirror.sizes)), mirror.sizes - 1][:, None]
+    cdfs = cdfs.tolist()
 
     # Each candidate draws its block, then one value per active parameter,
     # taking the doubles of one rng.random call in order.

@@ -10,6 +10,8 @@ import pytest
 
 import edgenas
 from edgenas.cli import main
+from edgenas.devices import DeviceMeasurer
+from edgenas.pipeline import TrialLog
 from edgenas.space import space_to_json
 from conftest import MOCK_EVALUATOR
 
@@ -69,6 +71,13 @@ class TestSpaceCommands:
         code, _, err = _run(capsys, "space", "count", "--space", "/nonexistent.json")
         assert code == 1
         assert "not found" in err
+
+    def test_space_file_missing_key_is_named(self, capsys, tmp_path):
+        path = tmp_path / "space.json"
+        path.write_text('{"block": {"lo": 2}}')
+        code, _, err = _run(capsys, "space", "count", "--space", str(path))
+        assert code == 1
+        assert f"{path}: KeyError: 'hi'" in err
 
 
 class TestArchDescribe:
@@ -161,6 +170,35 @@ class TestPipelineCli:
         stage2 = json.loads((tmp_path / "run" / "stage2.json").read_text())
         assert all(RankedSet.from_json_dict(r).records for r in stage2.values())
         assert TrialLog(tmp_path / "run" / "trials.jsonl").load()
+
+    def test_pipeline_reads_its_log_only_on_a_rerun(
+        self, capsys, tmp_path, reduced_space_file, monkeypatch
+    ):
+        reads, records = [], TrialLog._records
+
+        def spy(log, stage):
+            reads.append(stage)
+            return records(log, stage)
+
+        monkeypatch.setattr(TrialLog, "_records", spy)
+        run = tmp_path / "run"
+        code, _, _ = self._pipeline(capsys, run, reduced_space_file)
+        assert code == 0
+        assert reads == []  # stages 2 and 3 know from the shared log that it holds none of theirs
+
+        # A rerun into the finished run serves every stage-2 and stage-3 pair
+        # from the log: nothing is measured and only stage 1 appends.
+        measured = []
+        monkeypatch.setattr(DeviceMeasurer, "latency", lambda *_: measured.append("latency"))
+        monkeypatch.setattr(DeviceMeasurer, "power", lambda *_: measured.append("power"))
+        files = {name: (run / name).read_bytes() for name in ("stage2.json", "stage3.json")}
+        log = (run / "trials.jsonl").read_bytes()
+        code, _, _ = self._pipeline(capsys, run, reduced_space_file)
+        assert code == 0
+        assert reads == [2, 3] and measured == []
+        assert {name: (run / name).read_bytes() for name in files} == files
+        appended = (run / "trials.jsonl").read_bytes()[len(log) :].decode().splitlines()
+        assert appended and {json.loads(line)["stage"] for line in appended} == {1}
 
     def test_preflight_failure_leaves_no_outputs(self, capsys, tmp_path):
         out_dir = tmp_path / "never"
@@ -303,6 +341,17 @@ class TestPipelineCli:
         assert code == 1
         assert "unknown optimizer settings: gama, n_candidate" in err
         assert not (out / "manifest.json").exists()
+
+        # So are misspelt run settings, at the top level and under jitter.
+        for data, names in (
+            ({"kep1": 5, "budgett": 40, "seed": 3}, "kep1, budgett"),
+            ({"jitter": {"latency_sigma": 0.1, "power_sigma_w": 0.0}}, "jitter.latency_sigma"),
+        ):
+            run_config.write_text(json.dumps(data))
+            code, _, err = _run(capsys, *argv, "--config", str(run_config), "--out", str(out))
+            assert code == 1, data
+            assert f"error: {run_config}: ValueError: unknown run settings: {names}" in err, err
+            assert not out.exists()
 
         # A wrongly typed setting is refused naming the file, for search too.
         for data, kind in (
@@ -507,6 +556,7 @@ class TestPipelineCli:
             ("manifest.json", '{"seed": 1, "jitter": []}', "stage2", "TypeError: jitter"),
             ("manifest.json", '{"seed": 1, "keep2": "5"}', "stage2", "TypeError: keep2"),
             ("manifest.json", '{"seed": 1, "warmup_runs": 1.5}', "stage3", "TypeError: warmup_runs"),
+            ("manifest.json", '{"seed": 1, "kep2": 5}', "stage2", "ValueError: unknown run settings: kep2"),
             ("stage1.json", "[1]", "stage2", "TypeError"),
             ("stage2.json", '{"pi": {}}', "stage3", "KeyError: 'fitness'"),
             ("stage2.json", "[]", "report", "AttributeError"),

@@ -4,6 +4,7 @@ import os
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 import edgenas.pipeline as pipeline_module
@@ -464,6 +465,46 @@ class TestTrialLog:
         assert line["dynamic_power_w"] is None
         assert log.load() == [record]
 
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            Configuration(block=2, k1=6, k2=24, fc1=100, do1=20, fc2=80, do2=10),
+            Configuration(block=3, k1=8, k2=28, k3=40, fc1=150, do1=15, fc2=95, do2=30),
+            Configuration(
+                block=4, k1=16, k2=32, k3=44, k4=60, fc1=200, do1=10, fc2=300, do2=25,
+                output_classes=10,
+            ),
+        ],
+        ids=lambda config: f"block{config.block}",
+    )
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {},
+            {"stage": 2, "fitness_kind": FitnessKind.ACCURACY_PER_LATENCY, "device": "pi",
+             "latency_mean_ms": 2.5, "latency_std_ms": 0.0, "seed": 7,
+             "ts": "2024-01-01T00:00:00+00:00"},
+            {"stage": 3, "fitness_kind": FitnessKind.ACCURACY_PER_PDP, "device": "pi",
+             "latency_mean_ms": 1e-7, "latency_std_ms": 1e22, "dynamic_power_w": 0.535,
+             "fitness_value": math.inf, "seed": -1},
+            {"fitness_value": math.nan, "accuracy_pct": -math.inf, "latency_std_ms": -0.0},
+            {"accuracy_pct": np.float64(97.123456789), "latency_mean_ms": np.float64(0.1)},
+            {"device": "jetson-gr\u00f6\u00dfe-\u6d3e", "ts": 'a "quote", a \\ and a\ttab'},
+        ],
+        ids=["none", "stage2", "stage3-inf", "nan", "float64", "non-ascii"],
+    )
+    def test_log_line_is_sorted_json_dumps(self, tmp_path, config, fields):
+        record = TrialRecord(
+            **{"config": config, "stage": 1, "fitness_kind": FitnessKind.ACCURACY,
+               "fitness_value": 97.0, "accuracy_pct": 97.0, **fields}
+        )
+        line = json.dumps(record.to_json_dict(), sort_keys=True)
+        assert record.log_line() == line
+        with TrialLog(tmp_path / "trials.jsonl") as log:
+            log.append(record)
+            # flushed at once: another reader sees the whole line
+            assert log.path.read_bytes() == (line + "\n").encode("ascii")
 
     def _three_records(self, tmp_path, table1):
         log = TrialLog(tmp_path / "trials.jsonl")

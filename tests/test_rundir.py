@@ -44,3 +44,11 @@ def test_settings_read_what_the_manifest_writer_writes(tmp_path):
     assert data["space_file"] == "space.json" and data["timestamps"] is False
     assert data["jitter"] == {"latency_sigma_ms": 0.02, "power_sigma_w": 0.0}
     assert rundir.settings(data, tmp_path) == {**values, "space": str(tmp_path / "space.json")}
+
+
+def test_settings_load_the_manifests_search_and_pipeline_write(finished_run, tmp_path):
+    argv = ["search", "--space", str(finished_run / "space.json"), "--budget", "40"]
+    assert main(argv + ["--keep1", "10", "--out", str(tmp_path)]) == 0
+    for run in (finished_run, tmp_path):
+        data = rundir.read(run, "manifest")
+        assert rundir.manifest(rundir.settings(data, run)) == data

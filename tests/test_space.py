@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -241,4 +242,18 @@ class TestSerialization:
         path = tmp_path / "bad.json"
         path.write_text("{nope")
         with pytest.raises(SpaceValidationError, match="unparseable"):
+            space_from_json(path)
+
+    @pytest.mark.parametrize(
+        "content, reason",
+        [
+            ({"block": {"lo": 2}}, "KeyError: 'hi'"),
+            ({"block": 3}, "TypeError"),
+            ({"block": {"lo": "two", "hi": 4, "step": 1}}, "ValueError"),
+        ],
+    )
+    def test_space_file_with_missing_key_or_wrong_type_is_named(self, tmp_path, content, reason):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(SpaceValidationError, match=re.escape(f"{path}: {reason}")):
             space_from_json(path)
