@@ -273,16 +273,15 @@ class ExternalDevice:
         -> {"id": N, "idle_w": [...], "active_w": [...]}
     """
 
-    def __init__(self, channel: JsonLineChannel, timeout_s: float | None = None):
+    def __init__(self, channel: JsonLineChannel):
         self.channel = channel
-        self.timeout_s = timeout_s
 
     def _request(self, message: dict) -> dict:
         """The device's reply. A timeout or an error reply fails only this
         measurement: the channel drops a late reply, so the next request
         reads its own."""
         try:
-            response = self.channel.request(message, timeout_s=self.timeout_s)
+            response = self.channel.request(message)
         except ChannelTimeout as exc:
             raise MeasurementError(str(exc)) from exc
         if "error" in response:

@@ -179,10 +179,10 @@ class TrialLog:
     and checks every line at least once: it either wrote the line or
     read it. ``edgenas pipeline`` shares one log across its three
     stages, so on a fresh run stages 2 and 3 find no line of their own
-    stage without reading the file stage 1 wrote. Like ``GridMirror``,
-    the log assumes the file only grows: a rewrite in place that keeps
-    the length is not detected while the log is open; a truncated,
-    replaced or appended-to file is."""
+    stage without reading the file stage 1 wrote. The log assumes the
+    file only grows: a rewrite in place that keeps the length is not
+    detected while the log is open; a truncated, replaced or
+    appended-to file is."""
 
     def __init__(self, path: str | Path):
         self._handle = None
@@ -341,16 +341,14 @@ def stage1(
     def evaluate(config: Configuration) -> float:
         return evaluator.evaluate(config).accuracy_pct
 
-    history = run_optimization(
-        space, evaluate, budget=budget, seed=settings.seed, settings=settings, unique_target=keep
-    )
+    history = run_optimization(space, evaluate, budget, settings, unique_target=keep)
     unique: dict[Configuration, float] = {}
     for entry in history.succeeded():
         unique.setdefault(entry.config, -entry.loss)
     if len(unique) < keep:
         raise PipelineError(
             f"stage 1 needs {keep} unique successful trials, got {len(unique)} "
-            f"after extending to {len(history.entries)} evaluations"
+            f"after extending to {len(history)} evaluations"
         )
     records = [
         TrialRecord(
@@ -369,7 +367,7 @@ def stage1(
             log.append(record)
     logger.info(
         "stage 1: %d evaluations, %d unique, best %.4f",
-        len(history.entries),
+        len(history),
         len(unique),
         best_accuracy(history),
     )

@@ -59,9 +59,9 @@ class JsonLineChannel:
             self._lines.put(line)
         self._lines.put(_EOF)
 
-    def request(self, payload: dict, timeout_s: float | None = None) -> dict:
+    def request(self, payload: dict) -> dict:
         """Send one request (an id is assigned here) and return the matching
-        response object."""
+        response object, waiting at most ``timeout_s``."""
         request_id = self._next_id
         self._next_id += 1
         message = dict(payload)
@@ -75,15 +75,14 @@ class JsonLineChannel:
         except (BrokenPipeError, OSError) as exc:
             raise ChannelError(f"write to child failed: {exc}") from exc
 
-        timeout = timeout_s if timeout_s is not None else self.timeout_s
-        deadline = time.monotonic() + timeout
+        deadline = time.monotonic() + self.timeout_s
         while True:
             try:
                 line = self._lines.get(timeout=max(deadline - time.monotonic(), 0.0))
             except queue.Empty:
                 self._timed_out.add(request_id)
                 raise ChannelTimeout(
-                    f"no response to request {request_id} within {timeout}s"
+                    f"no response to request {request_id} within {self.timeout_s}s"
                 ) from None
             if line is _EOF:
                 raise ChannelError(f"child closed the stream (exit {self._proc.poll()})")

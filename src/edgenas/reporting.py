@@ -224,20 +224,16 @@ def run_source(
 
 def comparison_table(entries: list[tuple[str, float, float, float]]) -> list[dict]:
     """Appends accuracy/(power*latency) per (label, accuracy, latency, power) row."""
-    rows = []
-    for label, accuracy, latency, power in entries:
-        if latency <= 0 or power <= 0:
-            raise ValueError(f"row {label!r}: latency and power must be positive")
-        rows.append(
-            {
-                "model": label,
-                "accuracy_pct": accuracy,
-                "latency_ms": latency,
-                "power_w": power,
-                "accuracy_per_pdp": accuracy / (power * latency),
-            }
-        )
-    return rows
+    return [
+        {
+            "model": label,
+            "accuracy_pct": accuracy,
+            "latency_ms": latency,
+            "power_w": power,
+            "accuracy_per_pdp": fitness(accuracy, latency, power, FitnessKind.ACCURACY_PER_PDP),
+        }
+        for label, accuracy, latency, power in entries
+    ]
 
 
 def pareto_front(records: list[TrialRecord]) -> list[TrialRecord]:

@@ -8,19 +8,18 @@ parameters), and the candidate maximizing the good/bad likelihood ratio
 is suggested.
 
 Every suggestion derives its RNG from (seed, len(history)), so the
-suggest step is a pure function of the seed and the observations: the
-first n_startup suggestions are exactly the seeded uniform sequence, and
-re-asking with the same history returns the same configuration.
+suggest step is a pure function of the settings and the observations:
+the first n_startup suggestions are exactly the seeded uniform sequence,
+and re-asking with the same history returns the same configuration.
 
-The history keeps its entries mirrored (GridMirror): a preallocated
-(n x 9) int array of grid positions, -1 where a parameter is inactive,
-the set of rows tried, the successes sorted by (loss, index), and the
-per-parameter position counts of all successes and of the good side.
-Each suggestion extends the mirror by the entries added since the last
-one, each a bisect insertion and a count update, and moves the good/bad
-boundary to ceil(gamma*n) one entry at a time, so its cost does not grow
-with the history; the mirror is rebuilt when the entry list is replaced
-or rewritten.
+A history is fed only through ``record``, which adds each entry to the
+history's GridMirror as it is appended: a preallocated (n x 9) int array
+of grid positions, -1 where a parameter is inactive, the set of rows
+tried, the successes sorted by (loss, index), and the per-parameter
+position counts of all successes and of the good side. Each entry costs
+a bisect insertion and a count update, and each suggestion moves the
+good/bad boundary to ceil(gamma*n) one entry at a time, so its cost does
+not grow with the history.
 
 Each categorical draw is the first index of ``cdf`` above ``u``, with
 ``cdf = w.cumsum(); cdf /= cdf[-1]`` and ``u`` one double of
@@ -40,7 +39,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -80,56 +79,48 @@ class Observation:
     failed: bool = False
 
 
-@dataclass
 class ObservationHistory:
-    """The trials so far, in evaluation order.
+    """The trials so far on ``space``, in evaluation order, and the
+    settings that suggestions for it are drawn under.
 
-    ``entries`` is append-only: add to it with ``record`` and never
-    rewrite an earlier entry in place. ``suggest`` reads the entries
-    through a ``GridMirror`` that adds only the new ones, so an earlier
-    entry rewritten in place goes undetected and the old one is still
-    used. Replacing or shortening the list is detected.
+    ``record`` is the only way to add a trial: it appends the entry and
+    adds it to ``mirror``, the history's ``GridMirror``, so the mirror
+    always holds every entry. ``entries`` is a read-only copy.
+    ``settings`` may be replaced between suggestions.
     """
 
-    seed: int = 42
-    n_startup: int = 20
-    gamma: float = 0.25
-    n_candidates: int = 24
-    entries: list[Observation] = field(default_factory=list)
-    _mirror: "GridMirror | None" = field(default=None, init=False, repr=False, compare=False)
+    def __init__(self, space: SearchSpace, settings: OptimizerSettings = OptimizerSettings()):
+        self.space = space
+        self.settings = settings
+        self.mirror = GridMirror(space)
+        self._entries: list[Observation] = []
 
-    @classmethod
-    def from_settings(cls, settings: OptimizerSettings) -> "ObservationHistory":
-        return cls(
-            seed=settings.seed,
-            n_startup=settings.n_startup,
-            gamma=settings.gamma,
-            n_candidates=settings.n_candidates,
-        )
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def entries(self) -> tuple[Observation, ...]:
+        return tuple(self._entries)
 
     def record(self, config: Configuration, loss: float | None, failed: bool = False) -> None:
         if not failed and (loss is None or not math.isfinite(loss)):
             raise ValueError(f"non-finite loss {loss!r} for a successful trial")
-        self.entries.append(Observation(config, loss, failed))
+        entry = Observation(config, loss, failed)
+        self.mirror.add(entry)
+        self._entries.append(entry)
 
     def succeeded(self) -> list[Observation]:
-        return [e for e in self.entries if not e.failed]
+        return [e for e in self._entries if not e.failed]
 
     def unique_success_count(self) -> int:
         return len({e.config for e in self.succeeded()})
-
-    def mirror(self, space: SearchSpace) -> "GridMirror":
-        """The array mirror of the entries on ``space``, brought up to date."""
-        if self._mirror is None or self._mirror.space != space:
-            self._mirror = GridMirror(space)
-        self._mirror.sync(self.entries)
-        return self._mirror
 
 
 class GridMirror:
     """The entries of a history over one space: a row of grid positions
     per entry (-1 where the parameter is inactive), the set of rows tried,
-    and the TPE split of the successes.
+    and the TPE split of the successes. The history's ``record`` passes
+    each entry to ``add`` as it is appended; nothing else changes it.
 
     ``order`` holds the successes as (loss, entry index), sorted: the
     stable-argsort order of their losses. Its first ``n_good`` entries are
@@ -149,12 +140,7 @@ class GridMirror:
             for block in self.specs[0].grid
         ]
         self._columns = np.arange(len(PARAM_ORDER))
-        self.reset(None)
-
-    def reset(self, entries: list[Observation] | None) -> None:
-        self._entries = entries
         self.n = 0
-        self._last: Observation | None = None
         self._positions = np.empty((64, len(PARAM_ORDER)), dtype=np.int64)
         self.seen: set[tuple[int, ...]] = set()
         self.order: list[tuple[float, int]] = []
@@ -166,45 +152,30 @@ class GridMirror:
         """Add entry ``index``'s grid positions to ``counts``, ``step`` times."""
         counts[self._columns, self._positions[index] + 1] += step
 
-    def sync(self, entries: list[Observation]) -> None:
-        """Add the entries appended since the last sync; start over when
-        the list was replaced, got shorter, or its last mirrored entry
-        changed. ``entries`` must be append-only: an earlier entry
-        rewritten in place is not detected (checking every entry would
-        cost O(n) per call again), and the mirror keeps the old one."""
-        if (
-            entries is not self._entries
-            or len(entries) < self.n
-            or (self.n and entries[self.n - 1] is not self._last)
-        ):
-            self.reset(entries)
-        if len(entries) > len(self._positions):
-            capacity = max(2 * len(self._positions), len(entries))
-            self._positions = np.resize(self._positions, (capacity, len(PARAM_ORDER)))
-        for i in range(self.n, len(entries)):
-            entry = entries[i]
-            if not entry.failed and (entry.loss is None or not math.isfinite(entry.loss)):
-                self.reset(None)  # this call's earlier entries are counted, but not in self.n
-                raise ValueError(f"entry {i}: non-finite loss {entry.loss!r} for a success")
-            row = tuple(
-                -1 if (value := getattr(entry.config, spec.name)) is None else spec.position(value)
-                for spec in self.specs
-            )
-            self._positions[i] = row
-            if not entry.failed:
-                # Ties rank the earlier entry first, as a stable sort does.
-                rank = bisect.bisect(self.order, (entry.loss, i))
-                self.order.insert(rank, (entry.loss, i))
-                self._count(self.all_counts, i, 1)
-                if rank < self.n_good:
-                    self._count(self.good_counts, i, 1)
-                    self._count(self.good_counts, self.order[self.n_good][1], -1)
-            # A candidate carries the space's output_classes, so it never
-            # equals an entry with other ones.
-            if entry.config.output_classes == self.space.output_classes:
-                self.seen.add(row)
-        self.n = len(entries)
-        self._last = entries[-1] if entries else None
+    def add(self, entry: Observation) -> None:
+        """Mirror the history's next entry. An off-grid value raises
+        before anything is changed."""
+        row = tuple(
+            -1 if (value := getattr(entry.config, spec.name)) is None else spec.position(value)
+            for spec in self.specs
+        )
+        i = self.n
+        if i == len(self._positions):
+            self._positions = np.resize(self._positions, (2 * i, len(PARAM_ORDER)))
+        self._positions[i] = row
+        self.n = i + 1
+        if not entry.failed:
+            # Ties rank the earlier entry first, as a stable sort does.
+            rank = bisect.bisect(self.order, (entry.loss, i))
+            self.order.insert(rank, (entry.loss, i))
+            self._count(self.all_counts, i, 1)
+            if rank < self.n_good:
+                self._count(self.good_counts, i, 1)
+                self._count(self.good_counts, self.order[self.n_good][1], -1)
+        # A candidate carries the space's output_classes, so it never
+        # equals an entry with other ones.
+        if entry.config.output_classes == self.space.output_classes:
+            self.seen.add(row)
 
     @property
     def positions(self) -> np.ndarray:
@@ -240,22 +211,20 @@ def density_weights(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return (counts + SMOOTHING_ALPHA) / denominators[:, None]
 
 
-def suggest(space: SearchSpace, history: ObservationHistory) -> Configuration:
-    """Next configuration to try; pure in (history.seed, history.entries).
+def suggest(history: ObservationHistory) -> Configuration:
+    """Next configuration to try; pure in the history's settings and entries.
 
     Among the drawn candidates, a not-yet-evaluated one with the best
     ratio wins; the overall argmax is only returned when every candidate
     was already tried (the finite grid makes plain argmax resuggest its
     peak forever, which would starve the unique-count targets).
     """
-    rng = seeded_rng(history.seed, len(history.entries))
-    if len(history.entries) < history.n_startup:
-        return sample_uniform(space, rng)
-    mirror = history.mirror(space)
-    if not mirror.order:
+    space, settings, mirror = history.space, history.settings, history.mirror
+    rng = seeded_rng(settings.seed, len(history))
+    if len(history) < settings.n_startup or not mirror.order:
         return sample_uniform(space, rng)
 
-    good_counts, bad_counts = mirror.split(history.gamma)
+    good_counts, bad_counts = mirror.split(settings.gamma)
     good_weights = density_weights(good_counts, mirror.sizes)
     bad_weights = density_weights(bad_counts, mirror.sizes)
     ratios = (good_weights / bad_weights).tolist()
@@ -265,10 +234,10 @@ def suggest(space: SearchSpace, history: ObservationHistory) -> Configuration:
 
     # Each candidate draws its block, then one value per active parameter,
     # taking the doubles of one rng.random call in order.
-    draws = iter(rng.random(history.n_candidates * len(PARAM_ORDER)).tolist())
+    draws = iter(rng.random(settings.n_candidates * len(PARAM_ORDER)).tolist())
     best_score = best_unseen_score = -math.inf
     best = best_unseen = None
-    for _ in range(history.n_candidates):
+    for _ in range(settings.n_candidates):
         block = bisect.bisect_right(cdfs[0], next(draws))
         row = [-1] * len(PARAM_ORDER)
         row[0] = block
@@ -293,8 +262,7 @@ def run_optimization(
     space: SearchSpace,
     evaluate: Callable[[Configuration], float],
     budget: int,
-    seed: int,
-    settings: OptimizerSettings | None = None,
+    settings: OptimizerSettings = OptimizerSettings(),
     unique_target: int | None = None,
 ) -> ObservationHistory:
     """Suggest/evaluate/record loop returning the full history.
@@ -307,13 +275,12 @@ def run_optimization(
     """
     if budget < 1:
         raise ValueError(f"budget {budget} must be >= 1")
-    base = replace(settings or OptimizerSettings(), seed=seed)
-    history = ObservationHistory.from_settings(base)
+    history = ObservationHistory(space, settings)
     cache: dict[Configuration, tuple[float | None, bool]] = {}
     limit = budget
     max_limit = budget * DEDUP_BUDGET_FACTOR if unique_target is not None else budget
-    while len(history.entries) < limit:
-        config = suggest(space, history)
+    while len(history) < limit:
+        config = suggest(history)
         if config in cache:
             loss, failed = cache[config]
         else:
@@ -324,7 +291,7 @@ def run_optimization(
             cache[config] = (loss, failed)
         history.record(config, loss, failed=failed)
         if (
-            len(history.entries) == limit
+            len(history) == limit
             and unique_target is not None
             and history.unique_success_count() < unique_target
             and limit < max_limit
@@ -338,7 +305,8 @@ def random_search(
 ) -> ObservationHistory:
     """Uniform-sampling baseline: the optimizer with its startup phase
     covering the whole budget."""
-    return run_optimization(space, evaluate, budget, seed, OptimizerSettings(n_startup=budget + 1))
+    settings = OptimizerSettings(n_startup=budget + 1, seed=seed)
+    return run_optimization(space, evaluate, budget, settings)
 
 
 def best_accuracy(history: ObservationHistory) -> float:

@@ -6,6 +6,7 @@ import sys
 import time
 
 MODE = sys.argv[1] if len(sys.argv) > 1 else "ok"
+held = []
 
 if MODE == "grandchild":
     # a grandchild that inherits stdout and holds it open for 1.5 s
@@ -15,7 +16,14 @@ if MODE == "grandchild":
 
 
 def emit(obj):
-    sys.stdout.write(json.dumps(obj) + "\n")
+    # slow_first holds the reply to request 0 until request 1 has come in,
+    # so that reply is late whatever the timeout; otherwise it acts as ok
+    if MODE == "slow_first" and obj["id"] == 0:
+        held.append(obj)
+        return
+    for reply in held + [obj]:
+        sys.stdout.write(json.dumps(reply) + "\n")
+    held.clear()
     sys.stdout.flush()
 
 
@@ -25,17 +33,12 @@ for line in sys.stdin:
         continue
     request = json.loads(line)
     rid = request["id"]
-    if MODE in ("ok", "ignore_eof", "grandchild"):
+    if MODE in ("ok", "ignore_eof", "grandchild", "slow_first"):
         emit({"id": rid, "accuracy_pct": 98.98})
     elif MODE == "per_config":
         # deterministic pseudo-accuracy from the configuration contents
         blob = json.dumps(request["config"], sort_keys=True)
         emit({"id": rid, "accuracy_pct": 90.0 + (sum(blob.encode()) % 800) / 100.0})
-    elif MODE == "slow_first":
-        # the first reply comes late, the rest at once
-        if rid == 0:
-            time.sleep(0.5)
-        emit({"id": rid, "accuracy_pct": 98.98})
     elif MODE == "bad_id":
         emit({"id": rid + 1, "accuracy_pct": 98.98})
     elif MODE == "out_of_range":

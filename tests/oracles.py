@@ -103,7 +103,7 @@ def tpe_split_history(history):
     entries = history.succeeded()
     if not entries:
         raise ValueError("empty history")
-    n_good = math.ceil(history.gamma * len(entries))
+    n_good = math.ceil(history.settings.gamma * len(entries))
     order = sorted(range(len(entries)), key=lambda i: (entries[i].loss, i))
     good_idx = set(order[:n_good])
     good = [entries[i] for i in range(len(entries)) if i in good_idx]
@@ -147,8 +147,9 @@ def tpe_param_values(entries, name):
 
 def tpe_suggest(space, history):
     """What edgenas.tpe.suggest must return for this history."""
-    rng = np.random.default_rng([history.seed, len(history.entries)])
-    if len(history.entries) < history.n_startup or not history.succeeded():
+    settings = history.settings
+    rng = np.random.default_rng([settings.seed, len(history.entries)])
+    if len(history.entries) < settings.n_startup or not history.succeeded():
         return sample_uniform(space, rng)
 
     good, bad = tpe_split_history(history)
@@ -166,7 +167,7 @@ def tpe_suggest(space, history):
     best_config = None
     best_unseen_score = -math.inf
     best_unseen = None
-    for _ in range(history.n_candidates):
+    for _ in range(settings.n_candidates):
         grid, good_w, bad_w = densities["block"]
         pos = int(rng.choice(len(grid), p=good_w))
         values = {"block": grid[pos]}

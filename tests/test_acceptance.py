@@ -139,7 +139,9 @@ def test_criterion_06_tpe_superiority(table1):
     evaluate = lambda c: evaluator.evaluate(c).accuracy_pct
     tpe_best, random_best, wins = [], [], 0
     for seed in range(20):
-        tpe_value = best_accuracy(run_optimization(table1, evaluate, 200, seed))
+        tpe_value = best_accuracy(
+            run_optimization(table1, evaluate, 200, OptimizerSettings(seed=seed))
+        )
         random_value = best_accuracy(random_search(table1, evaluate, 200, seed))
         tpe_best.append(tpe_value)
         random_best.append(random_value)

@@ -134,12 +134,14 @@ class TestExternalEvaluator:
                 ExternalEvaluator(channel).evaluate(pi_best)
 
     def test_late_reply_is_dropped(self, pi_best):
-        # the first reply arrives 0.5 s after the request, past its 0.2-s
-        # timeout; the next request must skip it and read its own reply
-        with _channel("slow_first") as channel:
+        # the evaluator answers request 0 only after request 1 has come in,
+        # past the channel's 0.2-s timeout; the next request must skip that
+        # late reply and read its own
+        with _channel("slow_first", timeout_s=0.2) as channel:
+            evaluator = ExternalEvaluator(channel)
             with pytest.raises(EvaluatorError, match="no response to request 0"):
-                ExternalEvaluator(channel, timeout_s=0.2).evaluate(pi_best)
-            assert ExternalEvaluator(channel).evaluate(pi_best).accuracy_pct == 98.98
+                evaluator.evaluate(pi_best)
+            assert evaluator.evaluate(pi_best).accuracy_pct == 98.98
 
     def test_process_exit(self, pi_best):
         with _channel("exit") as channel:

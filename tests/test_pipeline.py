@@ -865,14 +865,16 @@ class TestBadMeasurements:
     @pytest.mark.parametrize("stage", [2, 3])
     def test_device_timeout_excludes_only_its_pair(self, tmp_path, table1, caplog, stage):
         # the exec: device answers request 0 only after request 1 has come
-        # in, past the 0.2-s timeout; the channel drops that late reply
+        # in, past the channel's 0.2-s timeout; the channel drops that late
+        # reply
         configs = [config_from_index(table1, i) for i in range(3)]
         profiles = {"dev": _zero_delta_profile("dev")}
         channels = []
 
         def factory(profile):
-            channels.append(JsonLineChannel([sys.executable, str(MOCK_DEVICE), "slow_first"]))
-            return DeviceMeasurer(ExternalDevice(channels[-1], timeout_s=0.2))
+            argv = [sys.executable, str(MOCK_DEVICE), "slow_first"]
+            channels.append(JsonLineChannel(argv, timeout_s=0.2))
+            return DeviceMeasurer(ExternalDevice(channels[-1]))
 
         with TrialLog(tmp_path / "trials.jsonl") as log:
             try:

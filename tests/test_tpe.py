@@ -14,7 +14,6 @@ from edgenas.space import (
     validate,
 )
 from edgenas.tpe import (
-    Observation,
     ObservationHistory,
     OptimizerSettings,
     best_accuracy,
@@ -25,17 +24,17 @@ from edgenas.tpe import (
 )
 
 
-def _history(entries, **kwargs):
-    history = ObservationHistory(**kwargs)
+def _history(space, entries, **settings):
+    history = ObservationHistory(space, OptimizerSettings(**settings))
     for config, loss in entries:
         history.record(config, loss)
     return history
 
 
-def _split(history, space):
+def _split(history):
     """The good and bad successful entries, as suggest splits them."""
-    mirror = history.mirror(space)
-    mirror.split(history.gamma)
+    mirror = history.mirror
+    mirror.split(history.settings.gamma)
     good = sorted(i for _, i in mirror.order[: mirror.n_good])
     bad = sorted(i for _, i in mirror.order[mirror.n_good :])
     return [history.entries[i] for i in good], [history.entries[i] for i in bad]
@@ -55,39 +54,39 @@ def _uniform_configs(space, n, seed=0):
 class TestSplit:
     def test_quarter_of_twenty(self, table1):
         configs = _uniform_configs(table1, 20)
-        history = _history([(c, -90.0 - i) for i, c in enumerate(configs)], gamma=0.25)
-        good, bad = _split(history, table1)
+        history = _history(table1, [(c, -90.0 - i) for i, c in enumerate(configs)], gamma=0.25)
+        good, bad = _split(history)
         assert len(good) == 5 and len(bad) == 15
         assert {e.config for e in good} | {e.config for e in bad} == set(configs)
 
     def test_ceil_on_small_history(self, table1):
         configs = _uniform_configs(table1, 3)
-        history = _history([(c, -90.0 - i) for i, c in enumerate(configs)], gamma=0.25)
-        good, bad = _split(history, table1)
+        history = _history(table1, [(c, -90.0 - i) for i, c in enumerate(configs)], gamma=0.25)
+        good, bad = _split(history)
         assert len(good) == 1
 
     def test_good_side_has_lowest_losses(self, table1):
         configs = _uniform_configs(table1, 12)
         losses = [-95.0, -99.0, -91.0, -97.0, -90.0, -96.0, -98.0, -92.0, -93.0, -94.0, -89.0, -88.0]
-        history = _history(list(zip(configs, losses)), gamma=0.25)
-        good, _ = _split(history, table1)
+        history = _history(table1, list(zip(configs, losses)), gamma=0.25)
+        good, _ = _split(history)
         assert sorted(e.loss for e in good) == [-99.0, -98.0, -97.0]
 
     def test_tie_goes_to_earlier_entry(self, table1):
         configs = _uniform_configs(table1, 4)
-        history = _history([(c, -90.0) for c in configs], gamma=0.25)
-        good, _ = _split(history, table1)
+        history = _history(table1, [(c, -90.0) for c in configs], gamma=0.25)
+        good, _ = _split(history)
         assert good[0].config == configs[0]
 
     def test_empty_history_errors(self, table1):
         with pytest.raises(ValueError, match="empty history"):
-            _split(ObservationHistory(), table1)
+            _split(ObservationHistory(table1))
 
     def test_failed_entries_excluded(self, table1):
         configs = _uniform_configs(table1, 4)
-        history = _history([(c, -90.0 - i) for i, c in enumerate(configs[:3])])
+        history = _history(table1, [(c, -90.0 - i) for i, c in enumerate(configs[:3])])
         history.record(configs[3], None, failed=True)
-        good, bad = _split(history, table1)
+        good, bad = _split(history)
         assert all(not e.failed for e in good + bad)
         assert len(good) + len(bad) == 3
 
@@ -114,31 +113,31 @@ class TestDensities:
         # block positions 0, 2, 0; k3 inactive, position 1 (k3=40), inactive
         shallow = Configuration(block=2, k1=6, k2=24, fc1=100, do1=10, fc2=80, do2=10)
         deep = Configuration(block=4, k1=6, k2=24, k3=40, k4=52, fc1=100, do1=10, fc2=80, do2=10)
-        history = _history([(shallow, -95.0), (deep, -99.0), (shallow, -90.0)])
-        good, bad = history.mirror(table1).split(history.gamma)
+        history = _history(table1, [(shallow, -95.0), (deep, -99.0), (shallow, -90.0)])
+        good, bad = history.mirror.split(history.settings.gamma)
         rows = (good + bad)[[PARAM_ORDER.index("block"), PARAM_ORDER.index("k3")], :3]
         assert rows.tolist() == [[2, 0, 1], [0, 1, 0]]
 
 
 class TestSuggest:
     def test_deterministic_per_history(self, table1):
-        history = ObservationHistory(seed=7)
-        assert suggest(table1, history) == suggest(table1, history)
+        history = ObservationHistory(table1, OptimizerSettings(seed=7))
+        assert suggest(history) == suggest(history)
 
     def test_startup_reproduces_uniform_sequence(self, table1):
         settings = OptimizerSettings(seed=42)
-        history = ObservationHistory.from_settings(settings)
+        history = ObservationHistory(table1, settings)
         for k in range(settings.n_startup):
             expected = sample_uniform(table1, np.random.default_rng([42, k]))
-            got = suggest(table1, history)
+            got = suggest(history)
             assert got == expected
             history.record(got, -90.0)
 
     def test_all_suggestions_validate(self, table1):
-        history = ObservationHistory(seed=3, n_startup=5)
+        history = ObservationHistory(table1, OptimizerSettings(seed=3, n_startup=5))
         evaluator = SurrogateEvaluator(table1)
         for _ in range(40):
-            config = suggest(table1, history)
+            config = suggest(history)
             assert validate(config, table1).valid
             history.record(config, -evaluator.evaluate(config).accuracy_pct)
 
@@ -153,10 +152,11 @@ class TestSuggest:
             entries.append((config, -99.0 - i))
         spread = _uniform_configs(table1, 15, seed=1)
         entries += [(c, -90.0) for c in spread]
+        history = _history(table1, entries, n_startup=20)
         hits = 0
         for seed in range(1000):
-            history = _history(entries, seed=seed, n_startup=20)
-            if suggest(table1, history).block == 2:
+            history.settings = replace(history.settings, seed=seed)
+            if suggest(history).block == 2:
                 hits += 1
         assert hits / 1000 > 1 / 3
 
@@ -164,18 +164,20 @@ class TestSuggest:
         # history with a single deep entry: k3 density from block>=3 only
         shallow = Configuration(block=2, k1=6, k2=24, fc1=100, do1=10, fc2=80, do2=10)
         deep = Configuration(block=3, k1=6, k2=24, k3=48, fc1=100, do1=10, fc2=80, do2=10)
-        history = _history([(shallow, -95.0), (deep, -99.0)])
-        mirror = history.mirror(table1)
-        column = mirror.positions[:, PARAM_ORDER.index("k3")]
+        history = _history(table1, [(shallow, -95.0), (deep, -99.0)])
+        column = history.mirror.positions[:, PARAM_ORDER.index("k3")]
         k3_grid = table1.spec_for("k3").grid
         assert [k3_grid[p] for p in column if p >= 0] == [48]
 
 
-def _assert_mirror_rebuilt(history, space):
+def _assert_mirror_rebuilt(history):
     """The incrementally kept mirror equals one built from scratch."""
-    kept = history._mirror
-    fresh = ObservationHistory(entries=list(history.entries)).mirror(space)
-    fresh.split(history.gamma)
+    kept = history.mirror
+    replay = ObservationHistory(history.space, history.settings)
+    for entry in history.entries:
+        replay.record(entry.config, entry.loss, entry.failed)
+    fresh = replay.mirror
+    fresh.split(history.settings.gamma)
     assert kept.n == fresh.n
     assert np.array_equal(kept.positions, fresh.positions)
     assert kept.seen == fresh.seen
@@ -185,13 +187,14 @@ def _assert_mirror_rebuilt(history, space):
     assert np.array_equal(kept.good_counts, fresh.good_counts)
 
 
-def _assert_split_from_scratch(history, space):
+def _assert_split_from_scratch(history):
     """The mirror's counts equal those of the reference split, rebuilt
     from every successful entry."""
-    mirror = history._mirror
-    succeeded = [i for i, e in enumerate(history.entries) if not e.failed]
-    losses = np.array([history.entries[i].loss for i in succeeded])
-    good, _ = split_losses(losses, history.gamma)
+    mirror = history.mirror
+    entries = history.entries
+    succeeded = [i for i, e in enumerate(entries) if not e.failed]
+    losses = np.array([entries[i].loss for i in succeeded])
+    good, _ = split_losses(losses, history.settings.gamma)
     rows = mirror.positions[succeeded]
     assert mirror.n_good == len(good)
     assert np.array_equal(mirror.good_counts[:, 1:], position_counts(rows[good], mirror.width))
@@ -200,26 +203,24 @@ def _assert_split_from_scratch(history, space):
 
 class TestReferenceEquivalence:
     """suggest against the list-based reference TPE in tests/oracles.py,
-    at every step of a run with failed trials, tied losses, entries
-    appended straight to ``entries``, an entry list rewritten in place,
-    cut short and replaced, and a gamma raised and lowered mid-run."""
+    at every step of a run with failed trials, tied losses, entries the
+    optimizer did not suggest, and a gamma raised and lowered mid-run."""
 
     @pytest.mark.parametrize("space_name", ["table1", "reduced_space", "toy8_space"])
     def test_matches_reference_every_step(self, space_name, request):
         space = request.getfixturevalue(space_name)
         evaluator = SurrogateEvaluator(space)
-        history = ObservationHistory(seed=5, n_startup=6)
+        history = ObservationHistory(space, OptimizerSettings(seed=5, n_startup=6))
         rng = np.random.default_rng(11)
         for step in range(160):
             # The good/bad boundary moves up, then down, across tied losses.
-            history.gamma = {40: 0.6, 100: 0.1}.get(step, history.gamma)
-            config = suggest(space, history)
+            if step in (40, 100):
+                history.settings = replace(history.settings, gamma={40: 0.6, 100: 0.1}[step])
+            config = suggest(history)
             assert config == tpe_suggest(space, history), step
-            if len(history.entries) >= history.n_startup:
-                _assert_mirror_rebuilt(history, space)
-                _assert_split_from_scratch(history, space)
-            if step == 60:  # same length, another last entry
-                history.entries[-1] = Observation(history.entries[0].config, -99.0)
+            if len(history) >= history.settings.n_startup:
+                _assert_mirror_rebuilt(history)
+                _assert_split_from_scratch(history)
             if config.k1 == 8:
                 history.record(config, None, failed=True)
             else:
@@ -227,18 +228,14 @@ class TestReferenceEquivalence:
                 history.record(config, -round(2 * evaluator.evaluate(config).accuracy_pct) / 2)
             if step % 7 == 3:
                 index = int(rng.integers(cardinality(space)))
-                history.entries.append(Observation(config_from_index(space, index), -97.0))
-            if step == 90:  # shorter
-                del history.entries[-4:]
-            if step == 120:  # a new list of the same length and last entry
-                history.entries = [history.entries[-1]] + history.entries[1:]
+                history.record(config_from_index(space, index), -97.0)
         assert any(e.failed for e in history.entries)
         if space_name != "toy8_space":
             assert any(e.config.block >= 3 for e in history.entries)
             assert any(e.config.block == 2 for e in history.entries)
 
     def test_entries_with_other_output_classes_count_as_unseen(self, toy8_space):
-        history = ObservationHistory(n_startup=1)
+        history = ObservationHistory(toy8_space, OptimizerSettings(n_startup=1))
         for index in range(cardinality(toy8_space)):
             config = config_from_index(toy8_space, index)
             if index % 2:
@@ -246,48 +243,57 @@ class TestReferenceEquivalence:
             else:
                 history.record(config, -99.0)
         for seed in range(20):
-            history.seed = seed
-            assert suggest(toy8_space, history) == tpe_suggest(toy8_space, history), seed
+            history.settings = replace(history.settings, seed=seed)
+            assert suggest(history) == tpe_suggest(toy8_space, history), seed
 
     @pytest.mark.parametrize("loss", [None, float("nan"), float("inf")])
     def test_success_without_finite_loss_is_refused(self, table1, loss):
-        configs = _uniform_configs(table1, 8)
-        history = _history([(c, -90.0 - i) for i, c in enumerate(configs[:6])], n_startup=2)
-        suggest(table1, history)
-        history.entries.append(Observation(configs[6], loss))
-        history.entries.append(Observation(configs[7], -95.0))
-        message = rf"entry 6: non-finite loss {loss!r} for a success"
-        for _ in range(2):  # still refused when asked again
-            with pytest.raises(ValueError, match=message):
-                suggest(table1, history)
-        history.entries[6] = Observation(configs[6], -93.0)
-        assert suggest(table1, history) == tpe_suggest(table1, history)
-        _assert_mirror_rebuilt(history, table1)
+        configs = _uniform_configs(table1, 7)
+        history = _history(table1, [(c, -90.0 - i) for i, c in enumerate(configs[:6])], n_startup=2)
+        before = suggest(history)
+        with pytest.raises(ValueError, match=rf"non-finite loss {loss!r} for a successful trial"):
+            history.record(configs[6], loss)
+        assert len(history) == history.mirror.n == 6
+        _assert_mirror_rebuilt(history)
+        assert suggest(history) == before == tpe_suggest(table1, history)
 
     def test_history_without_success_draws_uniformly(self, table1):
-        history = ObservationHistory(seed=3, n_startup=2)
+        history = ObservationHistory(table1, OptimizerSettings(seed=3, n_startup=2))
         for config in _uniform_configs(table1, 4):
             history.record(config, None, failed=True)
-        assert suggest(table1, history) == tpe_suggest(table1, history)
+        assert suggest(history) == tpe_suggest(table1, history)
+
+
+def _failing_k1_6(space):
+    """A surrogate evaluate that fails every config with k1=6."""
+    evaluator = SurrogateEvaluator(space)
+
+    def evaluate(config):
+        if config.k1 == 6:
+            raise EvaluatorError("synthetic failure")
+        return evaluator.evaluate(config).accuracy_pct
+
+    return evaluate
 
 
 class TestRunOptimization:
     def test_budget_one(self, table1):
         evaluator = SurrogateEvaluator(table1)
         history = run_optimization(
-            table1, lambda c: evaluator.evaluate(c).accuracy_pct, budget=1, seed=9
+            table1, lambda c: evaluator.evaluate(c).accuracy_pct, 1, OptimizerSettings(seed=9)
         )
-        assert len(history.entries) == 1
+        assert len(history) == 1
 
     def test_bad_budget(self, table1):
         with pytest.raises(ValueError):
-            run_optimization(table1, lambda c: 90.0, budget=0, seed=9)
+            run_optimization(table1, lambda c: 90.0, budget=0)
 
     def test_reproducible_histories(self, reduced_space):
         evaluator = SurrogateEvaluator(reduced_space)
         evaluate = lambda c: evaluator.evaluate(c).accuracy_pct
-        a = run_optimization(reduced_space, evaluate, budget=120, seed=4)
-        b = run_optimization(reduced_space, evaluate, budget=120, seed=4)
+        settings = OptimizerSettings(seed=4)
+        a = run_optimization(reduced_space, evaluate, 120, settings)
+        b = run_optimization(reduced_space, evaluate, 120, settings)
         assert a.entries == b.entries
 
     def test_duplicates_reuse_cached_loss(self, toy8_space):
@@ -297,8 +303,8 @@ class TestRunOptimization:
             calls.append(config)
             return 90.0 + len(calls)
 
-        history = run_optimization(toy8_space, evaluate, budget=60, seed=2)
-        assert len(history.entries) == 60
+        history = run_optimization(toy8_space, evaluate, 60, OptimizerSettings(seed=2))
+        assert len(history) == 60
         assert len(calls) == len(set(calls))  # never re-evaluated
         by_config = {}
         for entry in history.entries:
@@ -306,26 +312,33 @@ class TestRunOptimization:
         assert all(len(losses) == 1 for losses in by_config.values())
 
     def test_failed_trials_recorded_not_fatal(self, reduced_space):
-        evaluator = SurrogateEvaluator(reduced_space)
-
-        def evaluate(config):
-            if config.k1 == 6:
-                raise EvaluatorError("synthetic failure")
-            return evaluator.evaluate(config).accuracy_pct
-
-        history = run_optimization(reduced_space, evaluate, budget=80, seed=6)
-        assert len(history.entries) == 80
+        history = run_optimization(
+            reduced_space, _failing_k1_6(reduced_space), 80, OptimizerSettings(seed=6)
+        )
+        assert len(history) == 80
         assert any(e.failed for e in history.entries)
         assert all(e.loss is None for e in history.entries if e.failed)
         assert best_accuracy(history) > 0
+
+    def test_replayed_prefix_suggests_the_next_entry(self, reduced_space):
+        # What resuming stage 1 relies on: recording a finished run's first
+        # k entries into a fresh history leads to the run's entry k.
+        settings = OptimizerSettings(seed=6)
+        entries = run_optimization(reduced_space, _failing_k1_6(reduced_space), 80, settings).entries
+        assert any(e.failed for e in entries[: settings.n_startup])
+        for k in (0, 7, settings.n_startup, 41, 79):
+            replay = ObservationHistory(reduced_space, settings)
+            for entry in entries[:k]:
+                replay.record(entry.config, entry.loss, entry.failed)
+            assert suggest(replay) == entries[k].config, k
 
     def test_unique_target_extends_budget(self, reduced_space):
         evaluator = SurrogateEvaluator(reduced_space)
         evaluate = lambda c: evaluator.evaluate(c).accuracy_pct
         history = run_optimization(
-            reduced_space, evaluate, budget=30, seed=8, unique_target=50
+            reduced_space, evaluate, 30, OptimizerSettings(seed=8), unique_target=50
         )
-        assert 30 < len(history.entries) <= 90
+        assert 30 < len(history) <= 90
         assert history.unique_success_count() >= 50
 
     def test_full_space_unique_yield_at_budget_2000(self, table1):
@@ -334,7 +347,6 @@ class TestRunOptimization:
             table1,
             lambda c: evaluator.evaluate(c).accuracy_pct,
             budget=2000,
-            seed=42,
             unique_target=1000,
         )
         assert history.unique_success_count() >= 1000
@@ -346,7 +358,9 @@ class TestSuperiority:
         evaluate = lambda c: evaluator.evaluate(c).accuracy_pct
         tpe_best, random_best, wins = [], [], 0
         for seed in range(20):
-            tpe_value = best_accuracy(run_optimization(table1, evaluate, 200, seed))
+            tpe_value = best_accuracy(
+                run_optimization(table1, evaluate, 200, OptimizerSettings(seed=seed))
+            )
             random_value = best_accuracy(random_search(table1, evaluate, 200, seed))
             tpe_best.append(tpe_value)
             random_best.append(random_value)
