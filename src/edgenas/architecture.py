@@ -51,9 +51,6 @@ class ArchitectureDescriptor:
     def layers(self) -> tuple[LayerDescriptor, ...]:
         return _layer_walk(self.config, self.input_shape)
 
-    def kind_sequence(self) -> tuple[str, ...]:
-        return tuple(l.kind for l in self.layers)
-
     def to_json_dict(self) -> dict:
         return {
             "config": self.config.to_json_dict(),

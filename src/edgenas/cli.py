@@ -40,12 +40,10 @@ from .protocol import JsonLineChannel, ProtocolError
 from .reporting import (
     evaluate_claims,
     load_paper_tables,
-    pareto_front,
     render_markdown,
     run_source,
     summary_table,
     write_best_models_csv,
-    write_pareto_json,
     write_ratios_json,
     write_summary_csv,
 )
@@ -189,6 +187,8 @@ def cmd_space_count(args) -> int:
 
 
 def cmd_space_enumerate(args) -> int:
+    if args.offset < 0 or (args.limit is not None and args.limit < 0):
+        raise UsageError("--offset and --limit must be >= 0")
     space = _load_space(args.space)
     total = cardinality(space)
     stop = total if args.limit is None else min(total, args.offset + args.limit)
@@ -332,13 +332,10 @@ def cmd_report(args) -> int:
     best_latency = {device: rset.records[0] for device, rset in per_device.items()}
     tables = load_paper_tables()
     claims = evaluate_claims(tables, run_source(tables, summary, best_latency, winners))
-    stage3_records = [r for r in records if r.stage == 3]
-    front = pareto_front(stage3_records)
 
     write_summary_csv(summary, out / "summary.csv")
     write_best_models_csv(best_latency, winners, out / "best_models.csv")
     write_ratios_json(claims, out / "ratios.json")
-    write_pareto_json(front, out / "pareto.json")
     markdown = render_markdown(tables, summary, best_latency, winners, claims)
     write_text(out / "report.md", markdown)
 
@@ -439,6 +436,11 @@ def main(argv: list[str] | None = None) -> int:
         if defaults is not None:
             parser.commands[args.command].set_defaults(**defaults)
             args = parser.parse_args(argv)
+        # Once the run's settings are final and before anything is written.
+        for dest in ("budget", "keep1", "keep2"):
+            value = getattr(args, dest, 1)
+            if value < 1:
+                raise UsageError(f"{dest} must be >= 1, got {value}")
         sub = getattr(args, "space_command", None) or getattr(args, "arch_command", None) or getattr(
             args, "devices_command", None
         )

@@ -95,11 +95,6 @@ class TrialRecord:
     seed: int | None = None
     ts: str | None = None
 
-    def recomputed_fitness(self) -> float:
-        return fitness(
-            self.accuracy_pct, self.latency_mean_ms, self.dynamic_power_w, self.fitness_kind
-        )
-
     def to_json_dict(self) -> dict:
         return {
             "stage": self.stage,

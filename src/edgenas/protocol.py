@@ -3,7 +3,9 @@
 One request in flight per channel; the child must answer in request
 order. Responses are matched by id; a reply to a request that already
 timed out is dropped. A background thread drains the child's stdout into
-a queue so reads can time out without blocking.
+a queue of byte lines so reads can time out without blocking; the
+requesting thread decodes each line, so a reply that is not UTF-8 JSON
+is a ProtocolError for that request and never stops the reader.
 """
 
 from __future__ import annotations
@@ -44,8 +46,6 @@ class JsonLineChannel:
             stdin=subprocess.PIPE,
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
-            text=True,
-            bufsize=1,
         )
         self._lines: queue.Queue = queue.Queue()
         self._next_id = 0
@@ -70,7 +70,7 @@ class JsonLineChannel:
             raise ChannelError(f"child exited with code {self._proc.returncode}")
         try:
             assert self._proc.stdin is not None
-            self._proc.stdin.write(json.dumps(message) + "\n")
+            self._proc.stdin.write(json.dumps(message).encode() + b"\n")
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise ChannelError(f"write to child failed: {exc}") from exc
@@ -87,11 +87,12 @@ class JsonLineChannel:
             if line is _EOF:
                 raise ChannelError(f"child closed the stream (exit {self._proc.poll()})")
             try:
-                response = json.loads(line)
-            except json.JSONDecodeError as exc:
+                text = line.decode("utf-8")
+                response = json.loads(text)
+            except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ProtocolError(f"unparseable response line: {line!r}") from exc
             if not isinstance(response, dict):
-                raise ProtocolError(f"response is not an object: {line!r}")
+                raise ProtocolError(f"response is not an object: {text!r}")
             response_id = response.get("id")
             if response_id == request_id:
                 return response

@@ -1,6 +1,7 @@
 """Report generation: per-device summary statistics, best-model tables,
-the paper's claim catalog evaluated on the paper and on a run,
-prior-model comparison, and Pareto fronts.
+the paper's claim catalog evaluated on the paper and on a run, and the
+prior-model comparison. `edgenas report` writes them as summary.csv,
+best_models.csv, ratios.json and report.md.
 
 The published reference cells and the claim catalog ship as data
 (data/paper_tables.json). One evaluator, `evaluate_claims`, resolves each
@@ -236,41 +237,6 @@ def comparison_table(entries: list[tuple[str, float, float, float]]) -> list[dic
     ]
 
 
-def pareto_front(records: list[TrialRecord]) -> list[TrialRecord]:
-    """Non-dominated set under (accuracy up, latency down, power down).
-
-    Domination requires at least one strict inequality, so duplicates
-    survive together. Records must carry all three metrics.
-    """
-    for record in records:
-        if record.latency_mean_ms is None or record.dynamic_power_w is None:
-            raise ValueError("pareto_front requires latency and power on every record")
-
-    def dominates(a: TrialRecord, b: TrialRecord) -> bool:
-        ge = (
-            a.accuracy_pct >= b.accuracy_pct
-            and a.latency_mean_ms <= b.latency_mean_ms
-            and a.dynamic_power_w <= b.dynamic_power_w
-        )
-        strict = (
-            a.accuracy_pct > b.accuracy_pct
-            or a.latency_mean_ms < b.latency_mean_ms
-            or a.dynamic_power_w < b.dynamic_power_w
-        )
-        return ge and strict
-
-    ordered = sorted(
-        records, key=lambda r: (-r.accuracy_pct, r.latency_mean_ms, r.dynamic_power_w)
-    )
-    front: list[TrialRecord] = []
-    for record in ordered:
-        # Any dominator sorts earlier and is itself undominated by
-        # transitivity, so checking accepted members is sufficient.
-        if not any(dominates(kept, record) for kept in front):
-            front.append(record)
-    return front
-
-
 # ---------------------------------------------------------------------------
 # emissions
 
@@ -309,10 +275,6 @@ def write_best_models_csv(
 
 def write_ratios_json(claims: list[Claim], path: str | Path) -> None:
     write_json(path, {"claims": [c.to_json_dict() for c in claims]})
-
-
-def write_pareto_json(front: list[TrialRecord], path: str | Path) -> None:
-    write_json(path, {"records": [r.to_json_dict() for r in front]})
 
 
 def _fmt(value, digits: int = 2) -> str:

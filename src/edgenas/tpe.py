@@ -63,6 +63,8 @@ class OptimizerSettings:
             raise ValueError(f"gamma {self.gamma} outside (0, 1)")
         if self.n_startup < 1 or self.n_candidates < 1:
             raise ValueError("n_startup and n_candidates must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be >= 0")
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerSettings":

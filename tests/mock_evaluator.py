@@ -48,6 +48,9 @@ for line in sys.stdin:
     elif MODE == "garbage":
         sys.stdout.write("this is not json\n")
         sys.stdout.flush()
+    elif MODE == "not_utf8":
+        sys.stdout.buffer.write(b'{"id": %d, "accuracy_pct": 98.98, "note": "\xff"}\n' % rid)
+        sys.stdout.flush()
     elif MODE == "silent":
         continue
     elif MODE == "exit":

@@ -1,8 +1,8 @@
 """Independent oracles, written before and apart from the library code.
 
 These deliberately re-derive results with different structure (explicit
-feature-map walks, itertools enumeration, all-pairs domination) so they
-stay meaningful as a second route.
+feature-map walks, itertools enumeration) so they stay meaningful as a
+second route.
 """
 
 import itertools
@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from edgenas import devices
+from edgenas.pipeline import fitness
 from edgenas.space import Configuration, sample_uniform
 
 
@@ -38,6 +39,18 @@ def layer_walk_counts(block, kernels, fc1, fc2, output_classes=7, side=48):
         macs += units * width
         units = width
     return params, macs
+
+
+def kind_sequence(arch):
+    """The layer kinds of an ArchitectureDescriptor, in order."""
+    return tuple(layer.kind for layer in arch.layers)
+
+
+def recomputed_fitness(record):
+    """A TrialRecord's fitness, recomputed from its own metrics."""
+    return fitness(
+        record.accuracy_pct, record.latency_mean_ms, record.dynamic_power_w, record.fitness_kind
+    )
 
 
 def enumerate_config_tuples(space):
@@ -73,22 +86,6 @@ def conv_subspace_count(space):
 def fc_subspace_count(space):
     grids = {name: list(space.spec_for(name).grid) for name in space.params}
     return len(grids["fc1"]) * len(grids["do1"]) * len(grids["fc2"]) * len(grids["do2"])
-
-
-def pareto_oracle(points):
-    """All-pairs domination over (accuracy, latency, power) triples;
-    returns the indices of non-dominated points."""
-
-    def dominates(a, b):
-        ge = a[0] >= b[0] and a[1] <= b[1] and a[2] <= b[2]
-        strict = a[0] > b[0] or a[1] < b[1] or a[2] < b[2]
-        return ge and strict
-
-    front = []
-    for i, candidate in enumerate(points):
-        if not any(dominates(other, candidate) for j, other in enumerate(points) if j != i):
-            front.append(i)
-    return front
 
 
 # Reference TPE: the list-based implementation the incremental

@@ -18,7 +18,7 @@ from edgenas.devices import DeviceMeasurer, ExternalDevice, MeasurementError
 from edgenas.evaluators import Precision, SurrogateEvaluator
 from edgenas.pipeline import FitnessKind, RankedSet, TrialRecord, fitness, rank_records, stage1
 from edgenas.protocol import JsonLineChannel
-from edgenas.reporting import evaluate_claims, pareto_front
+from edgenas.reporting import evaluate_claims
 from edgenas.space import (
     Configuration,
     cardinality,
@@ -28,7 +28,7 @@ from edgenas.space import (
 )
 from edgenas.tpe import OptimizerSettings, best_accuracy, random_search, run_optimization
 from conftest import MOCK_DEVICE
-from oracles import conv_subspace_count, fc_subspace_count, layer_walk_counts, pareto_oracle
+from oracles import conv_subspace_count, fc_subspace_count, layer_walk_counts
 
 
 def _ok(n, message):
@@ -272,32 +272,6 @@ def test_criterion_09_measurement_protocol(pi_best):
         with pytest.raises(MeasurementError, match="negative dynamic power"):
             measure(ExternalDevice(negative_channel))
     _ok(9, "NDJSON device protocol: stats match hand arithmetic; bad responses rejected")
-
-
-def test_criterion_10_pareto_oracle(table1):
-    rng = np.random.default_rng(1010)
-    triples = [
-        (float(rng.uniform(88, 100)), float(rng.uniform(0.3, 5.0)), float(rng.uniform(0.3, 3.0)))
-        for _ in range(200)
-    ]
-    config = config_from_index(table1, 0)
-    records = [
-        TrialRecord(
-            config=config,
-            stage=3,
-            fitness_kind=FitnessKind.ACCURACY_PER_PDP,
-            fitness_value=a / (p * l),
-            accuracy_pct=a,
-            latency_mean_ms=l,
-            dynamic_power_w=p,
-        )
-        for a, l, p in triples
-    ]
-    front = pareto_front(records)
-    expected = {triples[i] for i in pareto_oracle(triples)}
-    got = {(r.accuracy_pct, r.latency_mean_ms, r.dynamic_power_w) for r in front}
-    assert got == expected and len(front) == len(expected)
-    _ok(10, f"pareto front of 200 random records matches the O(n^2) oracle ({len(front)} members)")
 
 
 def test_criterion_11_surrogate_contract(table1):

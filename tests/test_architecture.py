@@ -12,7 +12,7 @@ from edgenas.space import (
     config_from_index,
     validate,
 )
-from oracles import layer_walk_counts
+from oracles import kind_sequence, layer_walk_counts
 
 GRAMMAR = re.compile(
     r"^(conv3x3 relu conv3x3 relu maxpool2x2 ){2,4}"
@@ -137,7 +137,7 @@ def test_grammar_sequence(table1):
     rng = np.random.default_rng(23)
     for index in rng.integers(cardinality(table1), size=50):
         arch = build_architecture(config_from_index(table1, int(index)))
-        assert GRAMMAR.match(" ".join(arch.kind_sequence()))
+        assert GRAMMAR.match(" ".join(kind_sequence(arch)))
 
 
 def test_zero_param_layers(pi_best):

@@ -1,5 +1,6 @@
 import statistics
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -127,6 +128,17 @@ class TestExternalEvaluator:
         with _channel("garbage") as channel:
             with pytest.raises(ProtocolError, match="this is not json"):
                 ExternalEvaluator(channel).evaluate(pi_best)
+
+    def test_non_utf8_response_fails_at_once(self, pi_best):
+        # the reply arrives, so it must fail as unparseable now, not as a
+        # timeout after the reader thread has died on it
+        with _channel("not_utf8", timeout_s=10.0) as channel:
+            evaluator = ExternalEvaluator(channel)
+            for _ in range(2):
+                started = time.monotonic()
+                with pytest.raises(ProtocolError, match="unparseable response line"):
+                    evaluator.evaluate(pi_best)
+                assert time.monotonic() - started < 2.0
 
     def test_timeout(self, pi_best):
         with _channel("silent", timeout_s=0.3) as channel:

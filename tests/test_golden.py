@@ -60,7 +60,6 @@ GOLDEN = {
 REPORT_GOLDEN = {
     "summary.csv": "d5a96461662c537b716a7af849a5d8fdc7eb56e1410a39e5bcc8b821aa5799f8",
     "best_models.csv": "99d4395cfbef0c091816723b6b7cfef5edcaadcc61844232ed86bdf1d6da66c7",
-    "pareto.json": "2e85a71d36f3d4cfcb9696023cb151459a50265d77d14c1da441bb33eb11d294",
     "ratios.json": "950d6adf28ae5dceb76b116c02fd0875816b2f40d6847ccb301a1902ef7efbae",
     "report.md": "10a156fde4ce44dde1d4cc5c57e8963f841fdd99200997d5080d9a7070c636ea",
 }

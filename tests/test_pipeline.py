@@ -33,6 +33,7 @@ from edgenas.space import (
 )
 from edgenas.tpe import OptimizerSettings
 from conftest import MOCK_DEVICE
+from oracles import recomputed_fitness
 
 
 class FakeMeasurer:
@@ -386,7 +387,7 @@ class TestEndToEnd:
             assert winners[device].config in {r.config for r in ranked.records}
 
         for record in log_a.load():
-            assert record.recomputed_fitness() == pytest.approx(
+            assert recomputed_fitness(record) == pytest.approx(
                 record.fitness_value, rel=1e-9
             )
 

@@ -11,14 +11,12 @@ from edgenas.reporting import (
     comparison_table,
     evaluate_claims,
     load_paper_tables,
-    pareto_front,
     run_source,
     summary_table,
     write_ratios_json,
     write_summary_csv,
 )
 from edgenas.space import config_from_index
-from oracles import pareto_oracle
 
 
 def _record(config, accuracy, latency=None, power=None, device="dev", stage=2):
@@ -244,46 +242,6 @@ class TestComparisonTable:
     def test_non_positive_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             comparison_table([("bad", 90.0, 0.0, 1.0)])
-
-
-class TestParetoFront:
-    def _records(self, table1, triples):
-        config = config_from_index(table1, 0)
-        return [
-            _record(config, acc, lat, power, stage=3) for acc, lat, power in triples
-        ]
-
-    def test_strict_domination(self, table1):
-        records = self._records(table1, [(99, 1, 1), (98, 2, 2)])
-        front = pareto_front(records)
-        assert len(front) == 1 and front[0].accuracy_pct == 99
-
-    def test_cyclic_tradeoff_keeps_all(self, table1):
-        records = self._records(table1, [(99, 3, 3), (98, 2, 2), (97, 1, 1)])
-        assert len(pareto_front(records)) == 3
-
-    def test_duplicates_both_retained(self, table1):
-        records = self._records(table1, [(99, 1, 1), (99, 1, 1)])
-        assert len(pareto_front(records)) == 2
-
-    def test_missing_metric_rejected(self, table1):
-        record = _record(config_from_index(table1, 0), 99.0, 1.0)  # no power
-        with pytest.raises(ValueError, match="latency and power"):
-            pareto_front([record])
-
-    def test_matches_pairwise_oracle_on_200_random(self, table1):
-        rng = np.random.default_rng(2024)
-        triples = [
-            (float(rng.uniform(88, 100)), float(rng.uniform(0.3, 5.0)), float(rng.uniform(0.3, 3.0)))
-            for _ in range(200)
-        ]
-        records = self._records(table1, triples)
-        front = pareto_front(records)
-        expected = {triples[i] for i in pareto_oracle(triples)}
-        got = {(r.accuracy_pct, r.latency_mean_ms, r.dynamic_power_w) for r in front}
-        assert got == expected
-        # no front member dominated; every non-member dominated by a member
-        assert len(front) == len(pareto_oracle(triples))
 
 
 class TestRenderingStability:
