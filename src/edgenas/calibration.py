@@ -25,10 +25,6 @@ DEVICE_PRECISIONS = {
     "coral-dev": Precision.INT8,
 }
 
-# Not identifiable from dynamic power (it cancels in the trace
-# subtraction); nominal baseline for synthesized traces only.
-DEFAULT_IDLE_W = 2.0
-
 
 def reference_config(space: SearchSpace) -> Configuration:
     """Mid-grid stand-in for the (unpublished) average searched model."""
@@ -53,22 +49,14 @@ def calibration_observations(
     # Observation labels are the fixture's own cite strings, so every
     # shipped residual names the exact cell it was fit against.
     observations = []
-    for row in tables["table3"]["accuracy_per_latency"]:
+    table3 = tables["table3"]
+    for row in table3["accuracy_per_latency"] + table3["accuracy_per_pdp"]:
         if row["device"] == device:
             observations.append(
                 FitObservation(
                     arch=build_architecture(Configuration.from_json_dict(row["config"])),
                     latency_ms=row["latency_ms"],
-                    label=row["cite"],
-                )
-            )
-    for row in tables["table3"]["accuracy_per_pdp"]:
-        if row["device"] == device:
-            observations.append(
-                FitObservation(
-                    arch=build_architecture(Configuration.from_json_dict(row["config"])),
-                    latency_ms=row["latency_ms"],
-                    dynamic_power_w=row["power_w"],
+                    dynamic_power_w=row.get("power_w"),
                     label=row["cite"],
                 )
             )
@@ -100,5 +88,4 @@ def fit_device_profile(
         precision=DEVICE_PRECISIONS[device],
         name=device,
         accuracy_delta_pct=accuracy_delta(device, tables),
-        idle_w=DEFAULT_IDLE_W,
     )

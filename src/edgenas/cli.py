@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -349,8 +350,6 @@ def cmd_report(args) -> int:
 
 
 def cmd_fit_profile(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.observations:
         if not args.precision:
             raise UsageError("--precision is required with --observations")
@@ -374,12 +373,10 @@ def cmd_fit_profile(args) -> int:
         )
     else:
         profile = fit_device_profile(args.device)
-    path = out / f"{args.device}.json"
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    path = Path(args.out, f"{args.device}.json")
     save_profile(profile, path)
-    residuals = profile.fit_residuals or {}
-    worst = max(
-        (abs(v) for v in residuals.get("latency_ms", {}).values()), default=0.0
-    )
+    worst = max(abs(v) for v in profile.fit_residuals["latency_ms"].values())
     print(f"wrote {path} (max |latency residual| {worst:.4f} ms)")
     return 0
 
@@ -437,10 +434,17 @@ def main(argv: list[str] | None = None) -> int:
             parser.commands[args.command].set_defaults(**defaults)
             args = parser.parse_args(argv)
         # Once the run's settings are final and before anything is written.
-        for dest in ("budget", "keep1", "keep2"):
-            value = getattr(args, dest, 1)
-            if value < 1:
-                raise UsageError(f"{dest} must be >= 1, got {value}")
+        for dest, op, least in (
+            ("budget", ">=", 1), ("keep1", ">=", 1), ("keep2", ">=", 1), ("warmup_runs", ">=", 0),
+            ("latency_jitter", ">=", 0), ("power_jitter", ">=", 0), ("evaluator_timeout", ">", 0),
+        ):
+            value = getattr(args, dest, None)
+            if value is None:
+                continue
+            if not math.isfinite(value):
+                raise UsageError(f"{dest} must be finite, got {value}")
+            if value < least or (op == ">" and value == least):
+                raise UsageError(f"{dest} must be {op} {least}, got {value}")
         sub = getattr(args, "space_command", None) or getattr(args, "arch_command", None) or getattr(
             args, "devices_command", None
         )

@@ -4,7 +4,9 @@ Latency is a two-throughput roofline: a fixed overhead, conv and FC MAC
 terms with separate throughputs, and a per-weighted-layer term (depth is
 a first-order latency factor on these accelerators). Dynamic power is
 affine in the achieved kMAC/ms rate. Profiles are calibration artifacts:
-every shipped profile embeds the residuals of the fit that produced it.
+both models are fitted by non-negative least squares, solved with the
+active-set method of Lawson and Hanson, and every shipped profile embeds
+the residuals of the fit that produced it.
 
 Measurement statistics follow the reference protocols: 40 timed runs per
 model reduced to mean and sample standard deviation, and 1 Hz power
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +30,9 @@ from .space import Configuration, seeded_rng
 
 NEGATIVE_POWER_TOLERANCE_W = 0.05
 _MAX_THROUGHPUT = 1e15  # stand-in for "term fitted to zero", keeps models finite
+# Not identifiable from dynamic power (it cancels in the trace
+# subtraction); the nominal baseline of synthesized traces.
+IDLE_W = 2.0
 
 
 class MeasurementError(RuntimeError):
@@ -81,24 +86,10 @@ class DeviceProfile:
             raise ValueError("accuracy_delta_pct must be finite and >= 0")
 
     def to_json_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "precision": self.precision.value,
-            "latency_model": {
-                "fixed_ms": self.latency_model.fixed_ms,
-                "conv_macs_per_ms": self.latency_model.conv_macs_per_ms,
-                "fc_macs_per_ms": self.latency_model.fc_macs_per_ms,
-                "per_layer_ms": self.latency_model.per_layer_ms,
-            },
-            "power_model": {
-                "idle_w": self.power_model.idle_w,
-                "alpha_w": self.power_model.alpha_w,
-                "beta_w_per_kmacs_per_ms": self.power_model.beta_w_per_kmacs_per_ms,
-            },
-            "accuracy_delta_pct": self.accuracy_delta_pct,
-        }
-        if self.fit_residuals is not None:
-            out["fit_residuals"] = self.fit_residuals
+        out = asdict(self)
+        out["precision"] = self.precision.value
+        if self.fit_residuals is None:
+            del out["fit_residuals"]
         return out
 
     @classmethod
@@ -359,15 +350,43 @@ class FitObservation:
     label: str = ""
 
 
-def _scaled_nnls(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    # Imported here: scipy takes most of the package's import time and
-    # only profile fitting needs it.
-    from scipy.optimize import nnls
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """argmin |a x - b| subject to x >= 0, by the active-set method of
+    Lawson and Hanson (Solving Least Squares Problems, 1974, ch. 23)."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise FitError("non-finite value in the fit's design or target")
+    m, n = a.shape
+    tol = 10 * max(m, n) * np.finfo(float).eps
+    norm_a = np.linalg.norm(a)
+    x = np.zeros(n)
+    free = np.zeros(n, dtype=bool)
+    for _ in range(3 * n):
+        # The rate at which raising each coefficient would lower the
+        # residual, and that rate's rounding error: below it, a column adds nothing.
+        gain = a.T @ (b - a @ x)
+        noise = tol * norm_a * (np.linalg.norm(b) + norm_a * np.linalg.norm(x))
+        if free.all() or not (gain[~free] > noise).any():
+            return x
+        free[np.argmax(np.where(free, -np.inf, gain))] = True
+        while True:
+            z = np.zeros(n)
+            z[free] = np.linalg.lstsq(a[:, free], b, rcond=None)[0]
+            if (z[free] > 0).all():
+                break
+            # Step from x toward z until the first free coefficient reaches 0, and bind it.
+            bound = np.flatnonzero(free & (z <= 0))
+            steps = x[bound] / (x[bound] - z[bound])
+            x += steps.min() * (z - x)
+            free[bound[np.argmin(steps)]] = False
+            free &= x > tol
+        x = z
+    raise FitError(f"non-negative least squares did not converge in {3 * n} steps")
 
+
+def _scaled_nnls(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     scales = np.max(np.abs(design), axis=0)
     scales[scales == 0] = 1.0
-    coeffs, _ = nnls(design / scales, target)
-    return coeffs / scales
+    return _nnls(design / scales, target) / scales
 
 
 def fit_profile(
@@ -375,15 +394,12 @@ def fit_profile(
     precision: Precision,
     name: str,
     accuracy_delta_pct: float = 0.0,
-    idle_w: float = 2.0,
 ) -> DeviceProfile:
     """Non-negative least-squares calibration of both cost models.
 
     Latency regresses on (1, conv MACs, fc MACs, weighted layers); power
     regresses on (1, kMAC/ms at the observed latency) over the
-    observations that carry power. idle_w is not identifiable from
-    dynamic power and is taken as given (it cancels in the trace
-    subtraction).
+    observations that carry power. The idle power is IDLE_W.
     """
     if len(observations) < 2:
         raise FitError(f"need >= 2 observations, got {len(observations)}")
@@ -398,12 +414,13 @@ def fit_profile(
         ]
     )
     target = np.array([obs.latency_ms for obs in observations])
-    fixed, inv_conv, inv_fc, per_layer = _scaled_nnls(design, target)
+    fixed, *inverse_throughputs, per_layer = _scaled_nnls(design, target)
+    conv, fc = (
+        float(1.0 / inverse) if inverse > 1.0 / _MAX_THROUGHPUT else _MAX_THROUGHPUT
+        for inverse in inverse_throughputs
+    )
     latency_model = LatencyModel(
-        fixed_ms=float(fixed),
-        conv_macs_per_ms=float(1.0 / inv_conv) if inv_conv > 1.0 / _MAX_THROUGHPUT else _MAX_THROUGHPUT,
-        fc_macs_per_ms=float(1.0 / inv_fc) if inv_fc > 1.0 / _MAX_THROUGHPUT else _MAX_THROUGHPUT,
-        per_layer_ms=float(per_layer),
+        fixed_ms=float(fixed), conv_macs_per_ms=conv, fc_macs_per_ms=fc, per_layer_ms=float(per_layer)
     )
 
     powered = [obs for obs in observations if obs.dynamic_power_w is not None]
@@ -412,10 +429,10 @@ def fit_profile(
     power_design = np.array(
         [[1.0, obs.arch.total_macs / obs.latency_ms / 1000.0] for obs in powered]
     )
-    power_target = np.array([obs.dynamic_power_w for obs in powered])
+    power_target = np.array([obs.dynamic_power_w for obs in powered], dtype=float)
     alpha, beta = _scaled_nnls(power_design, power_target)
     power_model = PowerModel(
-        idle_w=idle_w, alpha_w=float(alpha), beta_w_per_kmacs_per_ms=float(beta)
+        idle_w=IDLE_W, alpha_w=float(alpha), beta_w_per_kmacs_per_ms=float(beta)
     )
 
     def _label(i: int, obs: FitObservation) -> str:

@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
-from ._data import PAPER_TABLES_PATH, write_json, write_text
+from ._data import PAPER_TABLES_PATH, read_json, write_json, write_text
 from .devices import mean_std
 from .pipeline import FitnessKind, TrialRecord, fitness
 
@@ -33,8 +32,8 @@ logger = logging.getLogger(__name__)
 RATIO_TOLERANCE = 0.05
 
 
-def load_paper_tables(path: str | Path | None = None) -> dict:
-    return json.loads(Path(path or PAPER_TABLES_PATH).read_text())
+def load_paper_tables() -> dict:
+    return read_json(PAPER_TABLES_PATH)
 
 
 @dataclass(frozen=True)

@@ -212,3 +212,37 @@ def simulated_power_traces(device, config, arch, window_s, sample_hz):
         [max(idle + float(x), 0.0) for x in idle_noise],
         [max(active + float(x), 0.0) for x in active_noise],
     )
+
+
+def nnls_oracle(a, b, tol=1e-9):
+    """(x, residual, unique) for argmin |a x - b| over x >= 0, by brute force.
+
+    The optimal set {x >= 0 : a x = a x*} has a vertex whose columns are
+    independent, and least squares on those columns alone gives it. So
+    the least residual among the non-negative least-squares solutions of
+    every column subset is the optimum. x* is unique when every subset
+    that reaches it gives the same x and no direction d >= 0, d != 0, has
+    a d = 0 (along which x* could move at no cost).
+    """
+    m, n = a.shape
+    subsets = [list(s) for k in range(1, n + 1) for s in itertools.combinations(range(n), k)]
+
+    def solve(matrix, rhs, columns):
+        x = np.zeros(n)
+        x[columns] = np.linalg.lstsq(matrix[:, columns], rhs, rcond=None)[0]
+        return x
+
+    feasible = [np.zeros(n)] + [x for x in (solve(a, b, s) for s in subsets) if (x >= 0).all()]
+    residuals = [np.linalg.norm(a @ x - b) for x in feasible]
+    best = min(residuals)
+    optima = [x for x, r in zip(feasible, residuals) if r <= best + tol]
+    # A free direction is a point of {d >= 0, a d = 0, sum(d) = 1}; if there
+    # is one, there is one on independent columns, as above.
+    rows = np.vstack([a, np.ones(n)])
+    rhs = np.append(np.zeros(m), 1.0)
+    free_direction = any(
+        np.linalg.norm(rows @ d - rhs) <= tol and (d >= -tol).all()
+        for d in (solve(rows, rhs, s) for s in subsets)
+    )
+    unique = not free_direction and all(np.allclose(x, optima[0], atol=1e-7) for x in optima)
+    return optima[0], best, unique

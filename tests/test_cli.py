@@ -29,14 +29,63 @@ def _run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is loaded only by fit-profile, not by every command.
+# Run in a fresh interpreter where a meta-path finder refuses scipy: fits
+# every shipped device and one observations file, so no path of the
+# profile fit imports scipy.
+_WITHOUT_SCIPY = """
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"{name} is refused")
+
+
+sys.meta_path.insert(0, RefuseScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise AssertionError("scipy was not refused")
+
+from edgenas.calibration import DEVICE_PRECISIONS
+from edgenas.cli import main
+
+out, observations = sys.argv[1:]
+for device in sorted(DEVICE_PRECISIONS):
+    assert main(["fit-profile", "--device", device, "--out", out]) == 0, device
+argv = ["fit-profile", "--device", "custom", "--out", out, "--observations", observations]
+assert main([*argv, "--precision", "fp16"]) == 0
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    from edgenas.calibration import calibration_observations
+    from edgenas.reporting import load_paper_tables
+    from edgenas.space import table1_space
+
+    observations = tmp_path / "observations.json"
+    rows = [
+        {
+            "config": obs.arch.config.to_json_dict(),
+            "latency_ms": obs.latency_ms,
+            "dynamic_power_w": obs.dynamic_power_w,
+            "label": obs.label,
+        }
+        for obs in calibration_observations("pi-ncs2", load_paper_tables(), table1_space())
+    ]
+    observations.write_text(json.dumps(rows))
+    out = tmp_path / "profiles"
     env = {**os.environ, "PYTHONPATH": str(Path(edgenas.__file__).parents[1])}
-    probe = "import sys, edgenas.cli; print('scipy' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", _WITHOUT_SCIPY, str(out), str(observations)],
+        env=env, capture_output=True, text=True,
     )
-    assert result.stdout.strip() == "False"
+    assert result.returncode == 0, result.stderr
+    names = sorted(path.name for path in out.iterdir())
+    assert len(names) == 7 and "custom.json" in names, names
 
 
 class TestSpaceCommands:
@@ -148,6 +197,14 @@ class TestUsageErrors:
             ("search", "--budget", "0", "budget must be >= 1"),
             ("search", "--keep1", "0", "keep1 must be >= 1"),
             ("pipeline", "--keep2", "0", "keep2 must be >= 1"),
+            ("pipeline", "--warmup-runs", "-1", "warmup_runs must be >= 0"),
+            ("pipeline", "--latency-jitter", "-0.5", "latency_jitter must be >= 0"),
+            ("pipeline", "--power-jitter", "-0.5", "power_jitter must be >= 0"),
+            ("pipeline", "--latency-jitter", "nan", "latency_jitter must be finite"),
+            ("pipeline", "--power-jitter", "inf", "power_jitter must be finite"),
+            ("search", "--evaluator-timeout", "0", "evaluator_timeout must be > 0"),
+            ("pipeline", "--evaluator-timeout", "-1", "evaluator_timeout must be > 0"),
+            ("search", "--evaluator-timeout", "nan", "evaluator_timeout must be finite"),
         ],
     )
     def test_bad_run_number_writes_nothing(
@@ -164,12 +221,17 @@ class TestUsageErrors:
 
     def test_bad_run_number_from_config_writes_nothing(self, capsys, tmp_path, reduced_space_file):
         run_config = tmp_path / "run.json"
-        run_config.write_text(json.dumps({"space": str(reduced_space_file), "budget": 0}))
         out_dir = tmp_path / "run"
-        code, _, err = _run(capsys, "search", "--config", str(run_config), "--out", str(out_dir))
-        assert code == 1
-        assert "budget must be >= 1" in err
-        assert not out_dir.exists()
+        cases = (
+            ("search", {"budget": 0}, "budget must be >= 1"),
+            ("pipeline", {"budget": 40, "jitter": {"power_sigma_w": -0.5}}, "power_jitter must be >= 0"),
+        )
+        for command, settings, message in cases:
+            run_config.write_text(json.dumps({"space": str(reduced_space_file), **settings}))
+            code, _, err = _run(capsys, command, "--config", str(run_config), "--out", str(out_dir))
+            assert code == 1
+            assert message in err
+            assert not out_dir.exists()
 
 class TestPipelineCli:
     def _pipeline(self, capsys, out_dir, space_file, seed="1"):
@@ -700,6 +762,20 @@ class TestReportCli:
         assert len(ratios["claims"]) == 20
         assert all(claim["pass"] for claim in ratios["claims"])
 
+    def test_corrupt_paper_tables_are_named(self, capsys, tmp_path, reduced_space_file, monkeypatch):
+        import edgenas.reporting
+
+        run = tmp_path / "run"
+        code, _, _ = TestPipelineCli()._pipeline(capsys, run, reduced_space_file)
+        assert code == 0
+        bad = tmp_path / "paper_tables.json"
+        bad.write_text('{"table2": [')
+        monkeypatch.setattr(edgenas.reporting, "PAPER_TABLES_PATH", bad)
+        code, _, err = _run(capsys, "report", "--out", str(run))
+        assert code == 1
+        assert f"error: {bad}: JSONDecodeError" in err, err
+        assert not (run / "report.md").exists()
+
     def test_report_requires_finished_run(self, capsys, tmp_path, reduced_space_file):
         empty, started, finished = tmp_path / "empty", tmp_path / "started", tmp_path / "finished"
         empty.mkdir()
@@ -784,5 +860,15 @@ class TestProfileCli:
             assert "Traceback" not in err
 
     def test_fit_profile_unknown_device(self, capsys, tmp_path):
-        code, _, err = _run(capsys, "fit-profile", "--device", "toaster", "--out", str(tmp_path))
-        assert code == 1
+        out_dir = tmp_path / "profiles"
+        observations = tmp_path / "observations.json"
+        observations.write_text("[]")
+        cases = (
+            (["--device", "toaster"], "unknown device 'toaster'"),
+            (["--device", "x", "--observations", str(observations)], "--precision is required"),
+        )
+        for argv, message in cases:
+            code, _, err = _run(capsys, "fit-profile", *argv, "--out", str(out_dir))
+            assert code == 1
+            assert message in err
+            assert not out_dir.exists()
