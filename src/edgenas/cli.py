@@ -224,13 +224,27 @@ def _trial_log(args, log: TrialLog | None):
     return TrialLog(rundir.path(args.out, "trials"))
 
 
-def cmd_search(args, log: TrialLog | None = None) -> int:
+def _write(args, key: str, value, handoff: dict | None) -> None:
+    """Write a run file and, inside a pipeline, hand its value on."""
+    rundir.write(args.out, key, value)
+    if handoff is not None:
+        handoff[key] = value
+
+
+def _read(args, key: str, handoff: dict | None):
+    """A run file's value: as this pipeline wrote it, else parsed from the file."""
+    if handoff is not None and key in handoff:
+        return handoff[key]
+    return rundir.read(args.out, key)
+
+
+def cmd_search(args, log: TrialLog | None = None, handoff: dict | None = None) -> int:
     space = _load_space(args.space)
     settings = OptimizerSettings.from_dict({**args.optimizer_settings, "seed": args.seed})
     evaluator = _make_evaluator(args.evaluator, space, args.evaluator_timeout)
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        rundir.write(args.out, "space", space)
+        _write(args, "space", space, handoff)
         values = {**vars(args), "optimizer_settings": asdict(settings)}
         rundir.write(args.out, "manifest", rundir.manifest(values))
         with _trial_log(args, log) as log:
@@ -246,13 +260,13 @@ def cmd_search(args, log: TrialLog | None = None) -> int:
     finally:
         if isinstance(evaluator, ExternalEvaluator):
             evaluator.close()
-    rundir.write(args.out, "stage1", ranked)
+    _write(args, "stage1", ranked, handoff)
     best = ranked.records[0]
     print(f"stage 1 kept {len(ranked.records)} configurations; best accuracy {best.accuracy_pct:.4f}")
     return 0
 
 
-def _measurement_inputs(args):
+def _measurement_inputs(args, handoff: dict | None):
     """The run's space, its device profiles by name and a measurer factory."""
     protocol = MeasurementProtocol(warmup_runs=args.warmup_runs)
     jitter = JitterSpec(args.latency_jitter, args.power_jitter)
@@ -260,28 +274,28 @@ def _measurement_inputs(args):
     def factory(profile):
         return DeviceMeasurer(SimulatedDevice(profile, jitter, seed=args.seed), protocol)
 
-    space = rundir.read(args.out, "space")
+    space = _read(args, "space", handoff)
     return space, dict(sorted(load_profiles(args.devices).items())), factory
 
 
-def cmd_stage2(args, log: TrialLog | None = None) -> int:
-    space, profiles, factory = _measurement_inputs(args)
-    candidates = rundir.read(args.out, "stage1")
+def cmd_stage2(args, log: TrialLog | None = None, handoff: dict | None = None) -> int:
+    space, profiles, factory = _measurement_inputs(args, handoff)
+    candidates = _read(args, "stage1", handoff)
     with _trial_log(args, log) as log:
         ranked = stage2(
             space, candidates, profiles, factory, args.keep2, log=log,
             timestamps=not args.no_timestamps,
         )
-    rundir.write(args.out, "stage2", ranked)
+    _write(args, "stage2", ranked, handoff)
     for device, rset in ranked.items():
         top = rset.records[0]
         print(f"{device}: top accuracy/latency {top.fitness_value:.3f} ({top.latency_mean_ms:.3f} ms)")
     return 0
 
 
-def cmd_stage3(args, log: TrialLog | None = None) -> int:
-    space, profiles, factory = _measurement_inputs(args)
-    per_device = rundir.read(args.out, "stage2")
+def cmd_stage3(args, log: TrialLog | None = None, handoff: dict | None = None) -> int:
+    space, profiles, factory = _measurement_inputs(args, handoff)
+    per_device = _read(args, "stage2", handoff)
     unprofiled = [d for d in per_device if d not in profiles]
     if unprofiled:
         raise PipelineError(
@@ -292,7 +306,7 @@ def cmd_stage3(args, log: TrialLog | None = None) -> int:
         winners = stage3(
             space, per_device, profiles, factory, log=log, timestamps=not args.no_timestamps
         )
-    rundir.write(args.out, "stage3", winners)
+    _write(args, "stage3", winners, handoff)
     for device, record in winners.items():
         print(
             f"{device}: winner accuracy/PDP {record.fitness_value:.3f} "
@@ -309,9 +323,12 @@ def cmd_pipeline(args) -> int:
     # One log for the three stages: it knows what it wrote, so stages 2
     # and 3 of a fresh run do not read back the file stage 1 wrote. It
     # writes nothing before its first append, after search's checks.
+    # Each stage's result, and the space, go to the next stage in memory
+    # as well as to their files; the dict lives only for this run.
+    handoff: dict = {}
     with TrialLog(rundir.path(args.out, "trials")) as log:
         for command in (cmd_search, cmd_stage2, cmd_stage3):
-            command(args, log)
+            command(args, log, handoff)
     return 0
 
 
@@ -349,6 +366,13 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _observed_latency(entry: dict) -> float:
+    latency = float(entry["latency_ms"])
+    if not 0.0 < latency < math.inf:
+        raise ValueError(f"latency_ms must be finite and > 0, got {latency}")
+    return latency
+
+
 def cmd_fit_profile(args) -> int:
     if args.observations:
         if not args.precision:
@@ -358,7 +382,7 @@ def cmd_fit_profile(args) -> int:
             lambda data: [
                 FitObservation(
                     arch=build_architecture(Configuration.from_json_dict(entry["config"])),
-                    latency_ms=float(entry["latency_ms"]),
+                    latency_ms=_observed_latency(entry),
                     dynamic_power_w=entry.get("dynamic_power_w"),
                     label=entry.get("label", ""),
                 )

@@ -67,19 +67,19 @@ class SurrogateEvaluator:
     def __init__(self, space: SearchSpace):
         self.space = space
         rng = np.random.default_rng(DEFAULT_SURROGATE_SEED)
-        self._coeffs: dict[str, tuple[float, float, float]] = {}
+        # Per parameter, each grid value's cosine term: amplitude *
+        # cos(2 pi (cycles * x + phase)), x the value's relative position.
+        self._terms: dict[str, dict[int, float]] = {}
         for name in PARAM_ORDER:
-            self._coeffs[name] = (
-                float(rng.uniform(*_AMPLITUDE_RANGE)),
-                float(rng.uniform(*_CYCLES_RANGE)),
-                float(rng.uniform(0.0, 1.0)),
-            )
-
-    def _grid_position(self, name: str, value: int) -> float:
-        grid = self.space.spec_for(name).grid
-        if len(grid) == 1:
-            return 0.5
-        return grid.index(value) / (len(grid) - 1)
+            amplitude = float(rng.uniform(*_AMPLITUDE_RANGE))
+            cycles = float(rng.uniform(*_CYCLES_RANGE))
+            phase = float(rng.uniform(0.0, 1.0))
+            grid = space.spec_for(name).grid
+            last = len(grid) - 1
+            self._terms[name] = {
+                value: amplitude * math.cos(2.0 * math.pi * (cycles * (i / last if last else 0.5) + phase))
+                for i, value in enumerate(grid)
+            }
 
     def base_accuracy(self, config: Configuration) -> float:
         """Full-precision accuracy before any precision delta."""
@@ -88,9 +88,7 @@ class SurrogateEvaluator:
             raise SpaceValidationError("; ".join(verdict.reasons))
         s = DEPTH_REWARD * (config.block - 2) / 2.0
         for name in self.space.active_params(config.block):
-            amplitude, cycles, phase = self._coeffs[name]
-            x = self._grid_position(name, getattr(config, name))
-            s += amplitude * math.cos(2.0 * math.pi * (cycles * x + phase))
+            s += self._terms[name][getattr(config, name)]
         logistic = 1.0 / (1.0 + math.exp(-s))
         return ACCURACY_FLOOR_PCT + (ACCURACY_CEILING_PCT - ACCURACY_FLOOR_PCT) * logistic
 

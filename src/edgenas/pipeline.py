@@ -15,6 +15,7 @@ import json
 import logging
 import math
 import os
+from collections import defaultdict
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -161,8 +162,9 @@ class TrialLog:
     Both readers decode every line with ``json.loads`` and require a JSON
     object with an integer ``stage``. ``load`` then builds and checks a
     ``TrialRecord`` for every line. ``index(stage)`` builds records only
-    for the lines of that stage, so a line of another stage whose record
-    fields are broken is caught by ``load`` (the report), not here.
+    for the lines of that stage and of later ones, so a line of an
+    earlier stage whose record fields are broken is caught by ``load``
+    (the report), not here.
 
     The log trusts the bytes it wrote or read itself. It keeps the file
     offset where those bytes end and the set of stages their lines
@@ -174,16 +176,26 @@ class TrialLog:
     and checks every line at least once: it either wrote the line or
     read it. ``edgenas pipeline`` shares one log across its three
     stages, so on a fresh run stages 2 and 3 find no line of their own
-    stage without reading the file stage 1 wrote. The log assumes the
-    file only grows: a rewrite in place that keeps the length is not
-    detected while the log is open; a truncated, replaced or
-    appended-to file is."""
+    stage without reading the file stage 1 wrote.
+
+    An ``index`` that reads the file also keeps the index of each later
+    stage it found there. A later ``index`` of that stage serves the kept
+    one, once, while the file's size still equals the offset, that is
+    while the file holds nothing but the log's own appends since the
+    read; an ``append`` of that stage's record drops it. So a
+    ``pipeline`` rerun into a finished run reads the file once, in stage
+    2, and stage 3 is served what that read found.
+
+    The log assumes the file only grows: a rewrite in place that keeps
+    the length is not detected while the log is open; a truncated,
+    replaced or appended-to file is."""
 
     def __init__(self, path: str | Path):
         self._handle = None
         self.path = Path(path)
         self._end: int | None = None  # None: nothing known of the file
         self._stages: set[int] = set()
+        self._kept: dict[int, dict[tuple, TrialRecord]] = {}  # later stages' indices
 
     def append(self, record: TrialRecord) -> None:
         if self._handle is None:
@@ -191,9 +203,10 @@ class TrialLog:
             self._handle = self.path.open("a")
             size = os.fstat(self._handle.fileno()).st_size
             if size == 0:
-                self._end, self._stages = 0, set()
+                self._end, self._stages, self._kept = 0, set(), {}
             elif size != self._end:
                 self._end = None
+        self._kept.pop(record.stage, None)
         line = record.log_line() + "\n"
         self._handle.write(line)
         self._handle.flush()
@@ -218,13 +231,13 @@ class TrialLog:
         self.close()
 
     def _records(self, stage: int | None) -> Iterator[TrialRecord]:
-        """The records of one stage, or of every stage when ``stage`` is
-        None; a pass to the end records the offset and stages read. A
-        last line with no newline that fails is an append cut short by a
-        crash: it is dropped with a warning and cut from the file, so the
-        next append starts a fresh line. Any other bad line raises
-        ValueError naming path:line."""
-        self._end = None
+        """The records of stage ``stage`` and later stages, or of every
+        stage when ``stage`` is None; a pass to the end records the offset
+        and stages read. A last line with no newline that fails is an
+        append cut short by a crash: it is dropped with a warning and cut
+        from the file, so the next append starts a fresh line. Any other
+        bad line raises ValueError naming path:line."""
+        self._end, self._kept = None, {}
         if not self.path.exists():
             return
         with self.path.open("rb") as handle:
@@ -239,7 +252,9 @@ class TrialLog:
                 if not isinstance(fields, dict) or type(fields.get("stage")) is not int:
                     raise ValueError("not an object with an integer stage")
                 record = (
-                    TrialRecord.from_json_dict(fields) if stage in (None, fields["stage"]) else None
+                    TrialRecord.from_json_dict(fields)
+                    if stage is None or fields["stage"] >= stage
+                    else None
                 )
             except (ValueError, KeyError, TypeError) as exc:
                 if number < len(lines):
@@ -266,13 +281,19 @@ class TrialLog:
     def index(self, stage: int) -> dict[tuple, TrialRecord]:
         """One stage's records by (device, config); later lines win, so a
         resumed stage sees the freshest measurement of each pair."""
-        if self._end is not None and stage not in self._stages:
+        kept = self._kept.pop(stage, None)
+        if self._end is not None and (kept is not None or stage not in self._stages):
             try:
                 if self.path.stat().st_size == self._end:
-                    return {}
+                    return {} if kept is None else kept
             except FileNotFoundError:
                 pass
-        return {(r.device, r.config): r for r in self._records(stage)}
+        by_stage: dict[int, dict[tuple, TrialRecord]] = defaultdict(dict)
+        for r in self._records(stage):
+            by_stage[r.stage][(r.device, r.config)] = r
+        own = by_stage.pop(stage, {})
+        self._kept = dict(by_stage)
+        return own
 
 
 @dataclass

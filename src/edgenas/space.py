@@ -150,8 +150,13 @@ class SearchSpace:
     def spec_for(self, name: str) -> ParamSpec:
         return self.params[name]
 
-    # Both tables are built on first read and kept in the instance dict;
-    # neither is a field, so equality is unchanged.
+    # The tables are built on first read and kept in the instance dict;
+    # none is a field, so equality is unchanged.
+    @cached_property
+    def _active(self) -> dict[int, tuple[str, ...]]:
+        """Per block value on the grid: its active parameters."""
+        return {block: self._active_params(block) for block in self.spec_for("block").grid}
+
     @cached_property
     def _block_sizes(self) -> tuple[tuple[int, tuple[str, ...], int], ...]:
         """Per block value: (block, non-block active params, sub-space size)."""
@@ -169,6 +174,10 @@ class SearchSpace:
         return sum(size for _, _, size in self._block_sizes)
 
     def active_params(self, block: int) -> tuple[str, ...]:
+        names = self._active.get(block)
+        return self._active_params(block) if names is None else names
+
+    def _active_params(self, block: int) -> tuple[str, ...]:
         names = []
         for name in PARAM_ORDER:
             spec = self.params[name]
@@ -255,14 +264,14 @@ def validate(config: Configuration, space: SearchSpace) -> ValidationResult:
             f"Block={config.block} off-grid ({block_spec.range_text()})"
         )
         return ValidationResult(False, tuple(reasons))
-    active = set(space.active_params(config.block))
+    active = space.active_params(config.block)
     for name in PARAM_ORDER:
         value = getattr(config, name)
         if name in active:
             if value is None:
                 reasons.append(f"{_display(name)} missing for block={config.block}")
                 continue
-            spec = space.spec_for(name)
+            spec = space.params[name]
             if not spec.contains(value):
                 reasons.append(
                     f"{_display(name)}={_render_value(name, value)} "

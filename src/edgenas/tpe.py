@@ -141,7 +141,10 @@ class GridMirror:
             [PARAM_ORDER.index(name) for name in space.active_params(block) if name != "block"]
             for block in self.specs[0].grid
         ]
+        # Per parameter, each grid value's position; None (inactive) is -1.
+        self._lookup = [{None: -1, **{v: i for i, v in enumerate(spec.grid)}} for spec in self.specs]
         self._columns = np.arange(len(PARAM_ORDER))
+        self.last = (self._columns, self.sizes - 1)  # each row's last grid position
         self.n = 0
         self._positions = np.empty((64, len(PARAM_ORDER)), dtype=np.int64)
         self.seen: set[tuple[int, ...]] = set()
@@ -158,8 +161,9 @@ class GridMirror:
         """Mirror the history's next entry. An off-grid value raises
         before anything is changed."""
         row = tuple(
-            -1 if (value := getattr(entry.config, spec.name)) is None else spec.position(value)
-            for spec in self.specs
+            lookup[value] if (value := getattr(entry.config, spec.name)) in lookup
+            else spec.position(value)  # raises: the value is off the grid
+            for spec, lookup in zip(self.specs, self._lookup)
         )
         i = self.n
         if i == len(self._positions):
@@ -183,9 +187,10 @@ class GridMirror:
     def positions(self) -> np.ndarray:
         return self._positions[: self.n]
 
-    def split(self, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-        """The good and bad position counts, per parameter over ``width``
-        positions, with the lowest-loss ceil(gamma*n) successes good.
+    def split(self, gamma: float) -> np.ndarray:
+        """The good and bad position counts stacked in a (2, 9, ``width``)
+        array, per parameter over ``width`` positions, with the lowest-loss
+        ceil(gamma*n) successes good.
 
         -1 (an inactive parameter) is not an observation, so k3/k4
         densities see only the entries deep enough to carry them.
@@ -199,18 +204,20 @@ class GridMirror:
         while self.n_good > n_good:
             self.n_good -= 1
             self._count(self.good_counts, self.order[self.n_good][1], -1)
-        return self.good_counts[:, 1:], (self.all_counts - self.good_counts)[:, 1:]
+        return np.array((self.good_counts, self.all_counts - self.good_counts))[:, :, 1:]
 
 
 def density_weights(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Count-based categorical weights with Laplace smoothing alpha=1, per
-    row of ``counts``; row j's first sizes[j] weights are parameter j's.
+    row of ``counts`` (its last axis); row j's first sizes[j] weights are
+    parameter j's. A stack of count tables is weighted in one pass, each
+    table as on its own.
 
     Zero observations give the uniform prior; weights are strictly
     positive and sum to 1.
     """
-    denominators = counts.sum(axis=1) + SMOOTHING_ALPHA * sizes
-    return (counts + SMOOTHING_ALPHA) / denominators[:, None]
+    denominators = counts.sum(axis=-1) + SMOOTHING_ALPHA * sizes
+    return (counts + SMOOTHING_ALPHA) / denominators[..., None]
 
 
 def suggest(history: ObservationHistory) -> Configuration:
@@ -226,12 +233,10 @@ def suggest(history: ObservationHistory) -> Configuration:
     if len(history) < settings.n_startup or not mirror.order:
         return sample_uniform(space, rng)
 
-    good_counts, bad_counts = mirror.split(settings.gamma)
-    good_weights = density_weights(good_counts, mirror.sizes)
-    bad_weights = density_weights(bad_counts, mirror.sizes)
+    good_weights, bad_weights = density_weights(mirror.split(settings.gamma), mirror.sizes)
     ratios = (good_weights / bad_weights).tolist()
     cdfs = good_weights.cumsum(axis=1)
-    cdfs /= cdfs[np.arange(len(mirror.sizes)), mirror.sizes - 1][:, None]
+    cdfs /= cdfs[mirror.last][:, None]
     cdfs = cdfs.tolist()
 
     # Each candidate draws its block, then one value per active parameter,

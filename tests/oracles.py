@@ -53,6 +53,33 @@ def recomputed_fitness(record):
     )
 
 
+def surrogate_base_accuracy(space, config):
+    """The surrogate's full-precision accuracy in closed form: a logistic
+    of a depth reward plus one cosine wave per active parameter, squashed
+    onto [88.32, 99.49]. The waves' amplitude, cycles and phase are drawn,
+    in that order and parameter by parameter, from default_rng(49); x is
+    the value's step count from lo over the grid's last step count (0.5
+    on a one-value grid). k3 exists from 3 blocks, k4 from 4."""
+    names = ("block", "k1", "k2", "k3", "k4", "fc1", "do1", "fc2", "do2")
+    rng = np.random.default_rng(49)
+    waves = {}
+    for name in names:
+        amplitude = float(rng.uniform(0.45, 0.95))
+        cycles = float(rng.uniform(0.10, 0.40))
+        phase = float(rng.uniform(0.0, 1.0))
+        waves[name] = (amplitude, cycles, phase)
+    total = 0.3 * (config.block - 2) / 2.0
+    for name in names:
+        if (name == "k3" and config.block < 3) or (name == "k4" and config.block < 4):
+            continue
+        spec = space.params[name]
+        steps = (spec.hi - spec.lo) // spec.step
+        x = (getattr(config, name) - spec.lo) // spec.step / steps if steps else 0.5
+        amplitude, cycles, phase = waves[name]
+        total += amplitude * math.cos(2.0 * math.pi * (cycles * x + phase))
+    return 88.32 + (99.49 - 88.32) * (1.0 / (1.0 + math.exp(-total)))
+
+
 def enumerate_config_tuples(space):
     """All valid configurations as plain tuples, by direct nested product
     over the grids (no canonical-index machinery)."""

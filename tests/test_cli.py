@@ -288,7 +288,7 @@ class TestPipelineCli:
         assert reads == []  # stages 2 and 3 know from the shared log that it holds none of theirs
 
         # A rerun into the finished run serves every stage-2 and stage-3 pair
-        # from the log: nothing is measured and only stage 1 appends.
+        # from the log, read once: nothing is measured and only stage 1 appends.
         measured = []
         monkeypatch.setattr(DeviceMeasurer, "latency", lambda *_: measured.append("latency"))
         monkeypatch.setattr(DeviceMeasurer, "power", lambda *_: measured.append("power"))
@@ -296,7 +296,7 @@ class TestPipelineCli:
         log = (run / "trials.jsonl").read_bytes()
         code, _, _ = self._pipeline(capsys, run, reduced_space_file)
         assert code == 0
-        assert reads == [2, 3] and measured == []
+        assert reads == [2] and measured == []
         assert {name: (run / name).read_bytes() for name in files} == files
         appended = (run / "trials.jsonl").read_bytes()[len(log) :].decode().splitlines()
         assert appended and {json.loads(line)["stage"] for line in appended} == {1}
@@ -341,6 +341,24 @@ class TestPipelineCli:
         code, _, _ = _run(capsys, "stage3", "--out", str(staged))
         assert code == 0
         assert (staged / "stage3.json").read_text() == (full / "stage3.json").read_text()
+
+    def test_pipeline_hands_stage_results_over_in_memory(
+        self, capsys, tmp_path, reduced_space_file, monkeypatch
+    ):
+        reads, read = [], edgenas.rundir.read
+
+        def spy(out, key):
+            reads.append(key)
+            return read(out, key)
+
+        monkeypatch.setattr(edgenas.rundir, "read", spy)
+        run = tmp_path / "run"
+        code, _, _ = self._pipeline(capsys, run, reduced_space_file)
+        assert code == 0
+        assert reads == []  # no run file is read back, stage1.json and stage2.json included
+        code, _, _ = _run(capsys, "stage2", "--out", str(run))
+        assert code == 0
+        assert reads == ["manifest", "space", "stage1"]  # a staged command reads its inputs
 
     def test_run_config_file(self, capsys, tmp_path, reduced_space_file):
         run_config = tmp_path / "run.json"
@@ -858,6 +876,18 @@ class TestProfileCli:
             assert code == 1, text
             assert f"error: {path}: {kind}" in err, err
             assert "Traceback" not in err
+
+    @pytest.mark.parametrize("latency", ["0", "-1", "NaN", "Infinity"])
+    def test_non_positive_or_non_finite_latency_refused(self, capsys, tmp_path, latency):
+        path, out_dir = tmp_path / "observations.json", tmp_path / "profiles"
+        config = '{"block": 2, "k1": 6, "k2": 24, "fc1": 100, "do1_hundredths": 10, "fc2": 80, "do2_hundredths": 10}'
+        path.write_text(f'[{{"config": {config}, "latency_ms": {latency}}}]')
+        argv = ["fit-profile", "--device", "x", "--out", str(out_dir), "--observations", str(path)]
+        code, _, err = _run(capsys, *argv, "--precision", "fp32")
+        assert code == 1
+        assert f"error: {path}: ValueError: latency_ms must be finite and > 0, got " in err, err
+        assert "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_fit_profile_unknown_device(self, capsys, tmp_path):
         out_dir = tmp_path / "profiles"

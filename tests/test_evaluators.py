@@ -14,8 +14,15 @@ from edgenas.evaluators import (
     SurrogateEvaluator,
 )
 from edgenas.protocol import ChannelError, JsonLineChannel, ProtocolError
-from edgenas.space import Configuration, SpaceValidationError, sample_uniform
+from edgenas.space import (
+    Configuration,
+    SpaceValidationError,
+    cardinality,
+    config_from_index,
+    sample_uniform,
+)
 from conftest import MOCK_EVALUATOR
+from oracles import surrogate_base_accuracy
 
 
 def _channel(mode: str, timeout_s: float = 10.0) -> JsonLineChannel:
@@ -94,6 +101,21 @@ class TestSurrogate:
         off_grid = Configuration(block=2, k1=18, k2=24, fc1=110, do1=15, fc2=95, do2=29)
         with pytest.raises(SpaceValidationError):
             evaluator.evaluate(off_grid)
+
+
+    def test_base_accuracy_equals_closed_form(self, table1, reduced_space, toy8_space):
+        # Every config of two small spaces (toy8's one-value k2 grid sits at
+        # x = 0.5), then seeded Table-1 draws; equal bit for bit.
+        for space in (reduced_space, toy8_space):
+            evaluator = SurrogateEvaluator(space)
+            for index in range(cardinality(space)):
+                config = config_from_index(space, index)
+                assert evaluator.base_accuracy(config) == surrogate_base_accuracy(space, config)
+        evaluator = SurrogateEvaluator(table1)
+        rng = np.random.default_rng(2024)
+        for _ in range(2000):
+            config = sample_uniform(table1, rng)
+            assert evaluator.base_accuracy(config) == surrogate_base_accuracy(table1, config)
 
 
 class TestExternalEvaluator:

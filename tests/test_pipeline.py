@@ -731,6 +731,39 @@ class TestTrialLog:
             with pytest.raises(ValueError, match=r"trials\.jsonl:2: bad trial record"):
                 log.index(3)
 
+    def _finished_run_log(self, tmp_path, table1):
+        """A closed log of stage-2 and stage-3 records, as a finished run leaves it."""
+        with TrialLog(tmp_path / "trials.jsonl") as log:
+            stage2 = [self._stage_record(table1, 2, i) for i in range(3)]
+            stage3 = [self._stage_record(table1, 3, i) for i in range(2)]
+            for record in stage2 + stage3:
+                log.append(record)
+        return log.path, stage2, stage3
+
+    def test_one_read_serves_the_later_stage(self, tmp_path, table1, reads):
+        path, stage2, stage3 = self._finished_run_log(tmp_path, table1)
+        with TrialLog(path) as log:
+            assert list(log.index(2).values()) == stage2
+            log.append(self._stage_record(table1, 2, 5))  # the log's own append
+            assert list(log.index(3).values()) == stage3
+            assert len(reads) == 1
+            assert list(log.index(3).values()) == stage3  # served once, then read
+            assert len(reads) == 2
+
+    @pytest.mark.parametrize("change", ["foreign", "own stage 3"])
+    def test_later_stage_read_again_after_a_change(self, tmp_path, table1, reads, change):
+        path, _, stage3 = self._finished_run_log(tmp_path, table1)
+        extra = self._stage_record(table1, 3, 7)
+        with TrialLog(path) as log:
+            log.index(2)
+            if change == "foreign":
+                with path.open("a") as other:
+                    other.write(extra.log_line() + "\n")
+            else:
+                log.append(extra)
+            assert list(log.index(3).values()) == stage3 + [extra]
+            assert len(reads) == 2
+
     def test_log_on_existing_file_reads_it_on_first_index(self, tmp_path, table1, reads):
         stage3_record = self._stage_record(table1, 3, 1)
         with TrialLog(tmp_path / "trials.jsonl") as first:

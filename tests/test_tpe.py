@@ -8,6 +8,7 @@ from edgenas.evaluators import EvaluatorError, SurrogateEvaluator
 from edgenas.space import (
     PARAM_ORDER,
     Configuration,
+    SpaceValidationError,
     cardinality,
     config_from_index,
     sample_uniform,
@@ -118,6 +119,16 @@ class TestDensities:
         rows = (good + bad)[[PARAM_ORDER.index("block"), PARAM_ORDER.index("k3")], :3]
         assert rows.tolist() == [[2, 0, 1], [0, 1, 0]]
 
+    def test_stacked_pass_equals_one_call_per_table(self):
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            width = int(rng.integers(1, 25))
+            sizes = rng.integers(1, width + 1, size=9)
+            good, bad = rng.integers(0, 60, size=(2, 9, width))
+            stacked = density_weights(np.array((good, bad)), sizes)
+            for weights, counts in zip(stacked, (good, bad)):
+                assert weights.tobytes() == density_weights(counts, sizes).tobytes()
+
 
 class TestSuggest:
     def test_deterministic_per_history(self, table1):
@@ -199,6 +210,23 @@ def _assert_split_from_scratch(history):
     assert mirror.n_good == len(good)
     assert np.array_equal(mirror.good_counts[:, 1:], position_counts(rows[good], mirror.width))
     assert np.array_equal(mirror.all_counts[:, 1:], position_counts(rows, mirror.width))
+
+
+def test_off_grid_entry_leaves_mirror_unchanged(table1):
+    rng = np.random.default_rng(3)
+    history = _history(table1, [(sample_uniform(table1, rng), -float(i)) for i in range(30)])
+    mirror = history.mirror
+    mirror.split(history.settings.gamma)
+    before = (mirror.n, list(mirror.order), set(mirror.seen), mirror.n_good,
+              mirror.all_counts.copy(), mirror.good_counts.copy(), mirror.positions.copy())
+    off_grid = Configuration(block=2, k1=7, k2=24, fc1=100, do1=10, fc2=80, do2=10)
+    with pytest.raises(SpaceValidationError, match=r"^K1=7 off-grid \(6\.\.16 step 2\)$"):
+        history.record(off_grid, -99.0)
+    after = (mirror.n, mirror.order, mirror.seen, mirror.n_good,
+             mirror.all_counts, mirror.good_counts, mirror.positions)
+    assert after[:4] == before[:4]
+    assert all(np.array_equal(a, b) for a, b in zip(after[4:], before[4:]))
+    assert len(history) == 30
 
 
 class TestReferenceEquivalence:
