@@ -159,12 +159,14 @@ class TrialLog:
     log, and ``__del__`` closes a handle still open when the log is
     collected, for callers that never close it.
 
-    Both readers decode every line with ``json.loads`` and require a JSON
-    object with an integer ``stage``. ``load`` then builds and checks a
-    ``TrialRecord`` for every line. ``index(stage)`` builds records only
-    for the lines of that stage and of later ones, so a line of an
-    earlier stage whose record fields are broken is caught by ``load``
-    (the report), not here.
+    Both readers stream the file one line at a time, so a read holds one
+    line and the records it returns, never the whole file. They decode
+    every line with ``json.loads`` and require a JSON object with an
+    integer ``stage``. ``load`` then builds and checks a ``TrialRecord``
+    for every line. ``index(stage)`` builds records only for the lines of
+    that stage and of later ones, so a line of an earlier stage whose
+    record fields are broken is caught by ``load`` (the report), not
+    here.
 
     The log trusts the bytes it wrote or read itself. It keeps the file
     offset where those bytes end and the set of stages their lines
@@ -232,46 +234,48 @@ class TrialLog:
 
     def _records(self, stage: int | None) -> Iterator[TrialRecord]:
         """The records of stage ``stage`` and later stages, or of every
-        stage when ``stage`` is None; a pass to the end records the offset
-        and stages read. A last line with no newline that fails is an
+        stage when ``stage`` is None, read one line at a time; a pass to
+        the end records the offset, counted from the bytes read, and the
+        stages read. A last line with no newline that fails is an
         append cut short by a crash: it is dropped with a warning and cut
         from the file, so the next append starts a fresh line. Any other
         bad line raises ValueError naming path:line."""
         self._end, self._kept = None, {}
         if not self.path.exists():
             return
-        with self.path.open("rb") as handle:
-            lines = handle.read().decode(errors="replace").split("\n")
-            end = handle.tell()
         stages: set[int] = set()
-        for number, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                fields = json.loads(line)
-                if not isinstance(fields, dict) or type(fields.get("stage")) is not int:
-                    raise ValueError("not an object with an integer stage")
-                record = (
-                    TrialRecord.from_json_dict(fields)
-                    if stage is None or fields["stage"] >= stage
-                    else None
-                )
-            except (ValueError, KeyError, TypeError) as exc:
-                if number < len(lines):
-                    raise ValueError(f"{self.path}:{number}: bad trial record: {exc}") from None
-                logger.warning("%s: dropping torn last line %d", self.path, number)
-                with self.path.open("r+b") as handle:
-                    end = handle.read().rfind(b"\n") + 1
-                    handle.truncate(end)
-                break
-            stages.add(fields["stage"])
-            if record is not None:
-                yield record
-        else:
-            if lines[-1].strip():
-                with self.path.open("a") as handle:
-                    handle.write("\n")
-                end += 1
+        end, line, torn = 0, "", False
+        with self.path.open("rb") as handle:
+            for number, raw in enumerate(handle, 1):
+                # A newline byte never falls inside a UTF-8 sequence, so
+                # each line decodes as it would within the whole file.
+                start, end, line = end, end + len(raw), raw.decode(errors="replace")
+                if not line.strip():
+                    continue
+                try:
+                    fields = json.loads(line)
+                    if not isinstance(fields, dict) or type(fields.get("stage")) is not int:
+                        raise ValueError("not an object with an integer stage")
+                    record = (
+                        TrialRecord.from_json_dict(fields)
+                        if stage is None or fields["stage"] >= stage
+                        else None
+                    )
+                except (ValueError, KeyError, TypeError) as exc:
+                    if line.endswith("\n"):
+                        raise ValueError(f"{self.path}:{number}: bad trial record: {exc}") from None
+                    logger.warning("%s: dropping torn last line %d", self.path, number)
+                    end, torn = start, True
+                    break
+                stages.add(fields["stage"])
+                if record is not None:
+                    yield record
+        if torn:
+            os.truncate(self.path, end)
+        elif line.strip() and not line.endswith("\n"):
+            with self.path.open("a") as handle:
+                handle.write("\n")
+            end += 1
         self._end, self._stages = end, stages
 
     def load(self) -> list[TrialRecord]:

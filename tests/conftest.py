@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -11,6 +12,16 @@ from edgenas.space import Configuration, ParamSpec, build_space, table1_space
 
 MOCK_EVALUATOR = Path(__file__).parent / "mock_evaluator.py"
 MOCK_DEVICE = Path(__file__).parent / "mock_device.py"
+
+
+def traced_peak(call) -> int:
+    """The peak of memory traced while ``call`` runs, in bytes."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

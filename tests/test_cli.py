@@ -233,6 +233,47 @@ class TestUsageErrors:
             assert message in err
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pipeline", "--config"],
+            ["pipeline", "--space"],
+            ["fit-profile", "--device", "pi", "--precision", "fp32", "--observations"],
+        ],
+    )
+    def test_directory_input_is_named_and_writes_nothing(self, capsys, tmp_path, argv):
+        directory, out_dir = tmp_path / "input", tmp_path / "out"
+        directory.mkdir()
+        code, _, err = _run(capsys, *argv, str(directory), "--out", str(out_dir))
+        assert code == 1
+        assert f"{directory}: IsADirectoryError" in err
+        assert not out_dir.exists()
+
+
+class _FullDisk:
+    """A text file handle on a disk with room for ``room`` more characters.
+    The write that overflows it puts what fits on disk, adds the file's
+    size to ``partial`` and raises ENOSPC."""
+
+    def __init__(self, handle, room, partial):
+        self.handle, self.room, self.partial = handle, room, partial
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.handle.close()
+
+    def write(self, text):
+        if len(text) <= self.room:
+            self.room -= len(text)
+            return self.handle.write(text)
+        self.handle.write(text[: self.room])
+        self.handle.flush()
+        self.partial.append(os.path.getsize(self.handle.name))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
 class TestPipelineCli:
     def _pipeline(self, capsys, out_dir, space_file, seed="1"):
         return _run(
@@ -520,25 +561,28 @@ class TestPipelineCli:
             return {path: path.read_bytes() for d in (run, profiles) for path in d.iterdir()}
 
         before = files()
-        real_write_text = Path.write_text
+        real_open = Path.open
 
-        # Each command's writes fail in turn: the first n succeed and the
-        # next one writes half and fails. With n = writes, all succeed.
+        # Each command's writes fail in turn: the first n files are written
+        # whole, and the next one fills the disk partway, its temporary
+        # file holding what fitted when the write raises. With n = writes,
+        # all succeed.
         for argv, writes in zip(commands, (1, 4, 1)):
             for n in range(writes + 1):
-                calls = []
+                calls, partial = [], []
 
-                def write_half_then_fail(path, text, *args, **kwargs):
+                def open_on_full_disk(path, mode="r", *args, **kwargs):
+                    handle = real_open(path, mode, *args, **kwargs)
+                    if not path.name.endswith(".tmp"):
+                        return handle
                     calls.append(path)
-                    if len(calls) <= n:
-                        return real_write_text(path, text, *args, **kwargs)
-                    real_write_text(path, text[: len(text) // 2], *args, **kwargs)
-                    raise OSError(errno.ENOSPC, "No space left on device")
+                    return handle if len(calls) <= n else _FullDisk(handle, 64, partial)
 
-                monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+                monkeypatch.setattr(Path, "open", open_on_full_disk)
                 if n < writes:
                     with pytest.raises(OSError, match="No space left"):
                         main(argv)
+                    assert partial == [64], (argv, n)
                 else:
                     assert main(argv) == 0
                     assert len(calls) == writes, argv

@@ -32,7 +32,7 @@ from edgenas.space import (
     index_of,
 )
 from edgenas.tpe import OptimizerSettings
-from conftest import MOCK_DEVICE
+from conftest import MOCK_DEVICE, traced_peak
 from oracles import recomputed_fitness
 
 
@@ -776,6 +776,30 @@ class TestTrialLog:
             assert log.index(4) == {} and len(reads) == 1
         with TrialLog(first.path) as log:
             assert log.index(4) == {} and len(reads) == 2
+
+    def test_offset_counts_bytes_of_non_ascii_lines(self, tmp_path, table1, reads):
+        # another writer's lines may hold raw UTF-8; the last lacks its newline
+        path = tmp_path / "trials.jsonl"
+        records = [self._stage_record(table1, 2, i, device="pï-ncs2") for i in range(3)]
+        lines = [json.dumps(r.to_json_dict(), ensure_ascii=False) for r in records]
+        path.write_bytes("\n".join(lines).encode())
+        reads.clear()
+        with TrialLog(path) as log:
+            assert log.load() == records
+            assert log.index(3) == {}
+            assert len(reads) == 1
+        assert path.read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    def test_index_holds_one_line_not_the_file(self, tmp_path, table1):
+        path = tmp_path / "trials.jsonl"
+        with TrialLog(path) as log:
+            for index in range(2000):
+                log.append(_stage1_record(config_from_index(table1, index), 99.0, seed=index))
+        log = TrialLog(path)
+        found = []
+        peak = traced_peak(lambda: found.append(log.index(3)))
+        assert found == [{}]
+        assert peak < 0.5 * path.stat().st_size
 
 
 class TestCompileOnce:
