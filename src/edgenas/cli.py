@@ -267,7 +267,8 @@ def cmd_search(args, log: TrialLog | None = None, handoff: dict | None = None) -
 
 
 def _measurement_inputs(args, handoff: dict | None):
-    """The run's space, its device profiles by name and a measurer factory."""
+    """The run's space, its device profiles by name (as the pipeline's
+    preflight loaded them, else from ``--devices``) and a measurer factory."""
     protocol = MeasurementProtocol(warmup_runs=args.warmup_runs)
     jitter = JitterSpec(args.latency_jitter, args.power_jitter)
 
@@ -275,6 +276,8 @@ def _measurement_inputs(args, handoff: dict | None):
         return DeviceMeasurer(SimulatedDevice(profile, jitter, seed=args.seed), protocol)
 
     space = _read(args, "space", handoff)
+    if handoff is not None:
+        return space, handoff["profiles"], factory
     return space, dict(sorted(load_profiles(args.devices).items())), factory
 
 
@@ -319,13 +322,14 @@ def cmd_stage3(args, log: TrialLog | None = None, handoff: dict | None = None) -
 def cmd_pipeline(args) -> int:
     # Fail-fast preflight: the profiles parse before any stage runs (the
     # space and the evaluator are checked by search before it writes).
-    load_profiles(args.devices)
+    profiles = dict(sorted(load_profiles(args.devices).items()))
     # One log for the three stages: it knows what it wrote, so stages 2
     # and 3 of a fresh run do not read back the file stage 1 wrote. It
     # writes nothing before its first append, after search's checks.
     # Each stage's result, and the space, go to the next stage in memory
-    # as well as to their files; the dict lives only for this run.
-    handoff: dict = {}
+    # as well as to their files, and the preflight's profiles go to
+    # stages 2 and 3; the dict lives only for this run.
+    handoff: dict = {"profiles": profiles}
     with TrialLog(rundir.path(args.out, "trials")) as log:
         for command in (cmd_search, cmd_stage2, cmd_stage3):
             command(args, log, handoff)

@@ -149,11 +149,12 @@ class TrialLog:
     """Append-only JSONL persistence, one record per line.
 
     The first ``append`` creates the file's directory, opens the file in
-    append mode and keeps the handle for the ones after it; making a log
-    writes nothing. Each line is ``TrialRecord.log_line()``, flushed as
-    soon as it is written, so it reaches the OS at once and any other
-    reader of the file (``load``, another process, a resumed run) sees
-    whole records.
+    unbuffered binary append mode and keeps the handle for the ones after
+    it; making a log writes nothing. Each line is
+    ``TrialRecord.log_line()``, handed to the OS whole in one unbuffered
+    write (a short write is continued until the line is whole), so any
+    other reader of the file (``load``, another process, a resumed run)
+    sees whole records.
     ``close`` releases the handle and may be called again; an ``append``
     after it opens the file anew. Leaving a ``with`` block closes the
     log, and ``__del__`` closes a handle still open when the log is
@@ -202,20 +203,19 @@ class TrialLog:
     def append(self, record: TrialRecord) -> None:
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a")
+            self._handle = self.path.open("ab", buffering=0)
             size = os.fstat(self._handle.fileno()).st_size
             if size == 0:
                 self._end, self._stages, self._kept = 0, set(), {}
             elif size != self._end:
                 self._end = None
         self._kept.pop(record.stage, None)
-        line = record.log_line() + "\n"
-        self._handle.write(line)
-        self._handle.flush()
+        line = (record.log_line() + "\n").encode()
+        written = self._handle.write(line)
+        while written < len(line):
+            written += self._handle.write(line[written:])
         if self._end is not None:
-            # log_line escapes every non-ASCII character, so the line has
-            # one byte per character.
-            self._end += len(line)
+            self._end += written
             self._stages.add(record.stage)
 
     def close(self) -> None:
@@ -273,8 +273,8 @@ class TrialLog:
         if torn:
             os.truncate(self.path, end)
         elif line.strip() and not line.endswith("\n"):
-            with self.path.open("a") as handle:
-                handle.write("\n")
+            with self.path.open("ab") as handle:
+                handle.write(b"\n")
             end += 1
         self._end, self._stages = end, stages
 

@@ -9,7 +9,6 @@ exact; they render as 0.10..0.30.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -130,11 +129,19 @@ class Configuration:
             raise SpaceValidationError(f"configuration missing fields: {', '.join(missing)}")
         return cls(**kwargs)
 
-    # Built on first read and kept in the instance dict; not a field, so
+    # json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":")),
+    # built from a key-sorted template rather than a fresh encoder. Built
+    # on first read and kept in the instance dict; not a field, so
     # equality and hashing are unchanged.
     @cached_property
     def _canonical_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
+        k3 = "" if self.k3 is None else f',"k3":{self.k3}'
+        k4 = "" if self.k4 is None else f',"k4":{self.k4}'
+        return (
+            f'{{"block":{self.block},"do1_hundredths":{self.do1},'
+            f'"do2_hundredths":{self.do2},"fc1":{self.fc1},"fc2":{self.fc2},'
+            f'"k1":{self.k1},"k2":{self.k2}{k3}{k4},"output_classes":{self.output_classes}}}'
+        )
 
     def canonical_json(self) -> str:
         return self._canonical_json

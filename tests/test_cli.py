@@ -401,6 +401,22 @@ class TestPipelineCli:
         assert code == 0
         assert reads == ["manifest", "space", "stage1"]  # a staged command reads its inputs
 
+    def test_pipeline_loads_the_profiles_once(self, capsys, tmp_path, reduced_space_file, monkeypatch):
+        loads, load = [], edgenas.cli.load_profiles
+
+        def spy(devices):
+            loads.append(devices)
+            return load(devices)
+
+        monkeypatch.setattr(edgenas.cli, "load_profiles", spy)
+        run = tmp_path / "run"
+        assert self._pipeline(capsys, run, reduced_space_file)[0] == 0
+        assert len(loads) == 1  # the preflight's profiles serve stages 2 and 3
+        for command in ("stage2", "stage3"):
+            del loads[:]
+            assert _run(capsys, command, "--out", str(run))[0] == 0
+            assert len(loads) == 1, command
+
     def test_run_config_file(self, capsys, tmp_path, reduced_space_file):
         run_config = tmp_path / "run.json"
         run_config.write_text(

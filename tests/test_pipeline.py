@@ -62,6 +62,24 @@ class FakeMeasurer:
         return value
 
 
+class _AppendHandle:
+    """An append handle that records the bytes each write took; with a
+    ``limit``, a write takes at most that many, as a short write does."""
+
+    limit: int | None = None
+
+    def __init__(self, handle):
+        self._handle, self.writes = handle, []
+
+    def write(self, data) -> int:
+        taken = self._handle.write(bytes(data[: self.limit]))
+        self.writes.append(bytes(data[:taken]))
+        return taken
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+
 def _stage1_record(config, accuracy, seed=1):
     return TrialRecord(
         config=config,
@@ -620,13 +638,15 @@ class TestTrialLog:
 
     @pytest.fixture()
     def append_handles(self, monkeypatch):
-        """Every handle a TrialLog opens in append mode, in order."""
+        """Every handle a TrialLog opens in binary append mode, in order,
+        each wrapped to record its writes."""
         handles = []
         real_open = pathlib.Path.open
 
         def recording_open(path, mode="r", *args, **kwargs):
             handle = real_open(path, mode, *args, **kwargs)
-            if mode == "a":
+            if mode == "ab":
+                handle = _AppendHandle(handle)
                 handles.append(handle)
             return handle
 
@@ -638,6 +658,22 @@ class TestTrialLog:
         assert len(append_handles) == 1 and not append_handles[0].closed
         assert TrialLog(log.path).load() == records
         assert log.path.read_text().count("\n") == 3
+        log.close()
+
+    @pytest.mark.parametrize("limit", [None, 7], ids=["one-write", "short-writes"])
+    def test_each_line_is_written_whole(
+        self, tmp_path, table1, append_handles, monkeypatch, limit
+    ):
+        # one write per line; a short write is continued from where it stopped
+        monkeypatch.setattr(_AppendHandle, "limit", limit)
+        log, records = self._three_records(tmp_path, table1)
+        lines = [(r.log_line() + "\n").encode() for r in records]
+        step = limit or max(map(len, lines))
+        chunks = [line[i : i + step] for line in lines for i in range(0, len(line), step)]
+        assert append_handles[0].writes == chunks
+        assert log.path.read_bytes() == b"".join(lines)
+        assert log._end == log.path.stat().st_size
+        assert log.load() == records
         log.close()
 
     def test_torn_last_line_cut_while_open(self, tmp_path, table1):
@@ -678,7 +714,7 @@ class TestTrialLog:
         real_open = pathlib.Path.open
 
         def recording_open(path, mode="r", *args, **kwargs):
-            if mode != "a":
+            if not mode.startswith("a"):
                 paths.append(path)
             return real_open(path, mode, *args, **kwargs)
 

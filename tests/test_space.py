@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -223,10 +224,16 @@ class TestSerialization:
         assert "k3" not in data and "k4" not in data
         assert Configuration.from_json_dict(data) == pi_best
 
-    def test_canonical_json_is_built_once_and_leaves_equality(self, table1):
+    def test_canonical_json_is_built_once_and_leaves_equality(self, table1, reduced_space):
+        # every reduced-space config (blocks 2 and 3), 2,000 Table-1 draws
+        # and other output_classes: the template equals json.dumps byte for byte
         rng = np.random.default_rng(5)
-        for index in rng.integers(cardinality(table1), size=50):
-            read, unread = config_from_index(table1, int(index)), config_from_index(table1, int(index))
+        configs = [config_from_index(reduced_space, i) for i in range(cardinality(reduced_space))]
+        configs += [sample_uniform(table1, rng) for _ in range(2000)]
+        configs += [replace(c, output_classes=n) for c in configs[::97] for n in (2, 10, 1000)]
+        assert {c.block for c in configs} == {2, 3, 4}
+        for read in configs:
+            unread = replace(read)
             fresh = json.dumps(read.to_json_dict(), sort_keys=True, separators=(",", ":"))
             assert read.canonical_json() == fresh
             assert read.canonical_json() is read.canonical_json()
