@@ -344,12 +344,17 @@ def cmd_report(args) -> int:
     for key, data in (("stage2", per_device), ("stage3", winners)):
         if not data:
             raise UsageError(f"{rundir.path(out, key)}: empty per-device map")
+    candidates = {r.config for r in rundir.read(out, "stage1").records}
     records = rundir.read(out, "trials")
 
-    measured = [r for r in records if r.stage >= 2]
+    # Only this run's pairs: its stage-1 candidates on its stage-2 devices,
+    # and each device's stage-2 survivors; a log may hold older runs' lines.
+    survivors = {device: {r.config for r in rset.records} for device, rset in per_device.items()}
     by_device: dict[str, list] = {}
-    for record in measured:
-        by_device.setdefault(record.device, []).append(record)
+    for record in records:
+        configs = candidates if record.stage == 2 else survivors.get(record.device, ())
+        if record.stage >= 2 and record.device in survivors and record.config in configs:
+            by_device.setdefault(record.device, []).append(record)
     summary = summary_table(dict(sorted(by_device.items())))
     best_latency = {device: rset.records[0] for device, rset in per_device.items()}
     tables = load_paper_tables()

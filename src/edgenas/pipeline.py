@@ -169,54 +169,36 @@ class TrialLog:
     record fields are broken is caught by ``load`` (the report), not
     here.
 
-    The log trusts the bytes it wrote or read itself. It keeps the file
-    offset where those bytes end and the set of stages their lines
-    carry: a full read sets both, each ``append`` moves the offset past
-    its line, and opening the append handle on a file of another size
-    forgets both (an empty file is known to hold no stage). ``index``
-    of a stage outside that set returns ``{}`` without opening the file
-    while its size still equals the offset. So each ``TrialLog`` decodes
-    and checks every line at least once: it either wrote the line or
-    read it. ``edgenas pipeline`` shares one log across its three
-    stages, so on a fresh run stages 2 and 3 find no line of their own
-    stage without reading the file stage 1 wrote.
-
-    An ``index`` that reads the file also keeps the index of each later
-    stage it found there. A later ``index`` of that stage serves the kept
-    one, once, while the file's size still equals the offset, that is
-    while the file holds nothing but the log's own appends since the
-    read; an ``append`` of that stage's record drops it. So a
-    ``pipeline`` rerun into a finished run reads the file once, in stage
-    2, and stage 3 is served what that read found.
-
-    The log assumes the file only grows: a rewrite in place that keeps
-    the length is not detected while the log is open; a truncated,
-    replaced or appended-to file is."""
+    While a log is open it is the only writer of its file: one command at
+    a time writes a run directory, and a change another writer makes
+    meanwhile is not noticed. The log keeps a map of the stages the file
+    holds, set by a full read and by each ``append``; an absent file, or
+    an empty one when the append handle opens, holds none. ``index`` of a
+    stage the map lacks returns ``{}`` without reading, so on a fresh
+    ``edgenas pipeline`` run, which shares one log across its stages,
+    stages 2 and 3 do not read back the file stage 1 wrote. A read also
+    keeps each later stage's index in the map and serves it once, unless
+    an ``append`` of that stage comes first: a ``pipeline`` rerun into a
+    finished run reads the file once, in stage 2."""
 
     def __init__(self, path: str | Path):
         self._handle = None
         self.path = Path(path)
-        self._end: int | None = None  # None: nothing known of the file
-        self._stages: set[int] = set()
-        self._kept: dict[int, dict[tuple, TrialRecord]] = {}  # later stages' indices
+        # stage -> the index a read kept for it, or None; None: nothing known
+        self._stages: dict[int, dict[tuple, TrialRecord] | None] | None = None
 
     def append(self, record: TrialRecord) -> None:
         if self._handle is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = self.path.open("ab", buffering=0)
-            size = os.fstat(self._handle.fileno()).st_size
-            if size == 0:
-                self._end, self._stages, self._kept = 0, set(), {}
-            elif size != self._end:
-                self._end = None
-        self._kept.pop(record.stage, None)
+            if os.fstat(self._handle.fileno()).st_size == 0:
+                self._stages = {}
+        if self._stages is not None:
+            self._stages[record.stage] = None
         line = (record.log_line() + "\n").encode()
         written = self._handle.write(line)
         while written < len(line):
             written += self._handle.write(line[written:])
-        if self._end is not None:
-            self._end += written
-            self._stages.add(record.stage)
 
     def close(self) -> None:
         if self._handle is not None:
@@ -235,13 +217,13 @@ class TrialLog:
     def _records(self, stage: int | None) -> Iterator[TrialRecord]:
         """The records of stage ``stage`` and later stages, or of every
         stage when ``stage`` is None, read one line at a time; a pass to
-        the end records the offset, counted from the bytes read, and the
-        stages read. A last line with no newline that fails is an
-        append cut short by a crash: it is dropped with a warning and cut
-        from the file, so the next append starts a fresh line. Any other
-        bad line raises ValueError naming path:line."""
-        self._end, self._kept = None, {}
+        the end records the stages read. A last line with no newline that
+        fails is an append cut short by a crash: it is dropped with a
+        warning and cut from the file, so the next append starts a fresh
+        line. Any other bad line raises ValueError naming path:line."""
+        self._stages = None
         if not self.path.exists():
+            self._stages = {}
             return
         stages: set[int] = set()
         end, line, torn = 0, "", False
@@ -275,8 +257,7 @@ class TrialLog:
         elif line.strip() and not line.endswith("\n"):
             with self.path.open("ab") as handle:
                 handle.write(b"\n")
-            end += 1
-        self._end, self._stages = end, stages
+        self._stages = dict.fromkeys(stages)
 
     def load(self) -> list[TrialRecord]:
         """Every record in the log, each one checked."""
@@ -285,18 +266,17 @@ class TrialLog:
     def index(self, stage: int) -> dict[tuple, TrialRecord]:
         """One stage's records by (device, config); later lines win, so a
         resumed stage sees the freshest measurement of each pair."""
-        kept = self._kept.pop(stage, None)
-        if self._end is not None and (kept is not None or stage not in self._stages):
-            try:
-                if self.path.stat().st_size == self._end:
-                    return {} if kept is None else kept
-            except FileNotFoundError:
-                pass
+        if self._stages is not None:
+            if stage not in self._stages:
+                return {}
+            kept, self._stages[stage] = self._stages[stage], None
+            if kept is not None:
+                return kept
         by_stage: dict[int, dict[tuple, TrialRecord]] = defaultdict(dict)
         for r in self._records(stage):
             by_stage[r.stage][(r.device, r.config)] = r
         own = by_stage.pop(stage, {})
-        self._kept = dict(by_stage)
+        self._stages.update(by_stage)
         return own
 
 

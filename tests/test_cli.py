@@ -1,4 +1,6 @@
+import csv
 import errno
+import io
 import json
 import os
 import re
@@ -341,6 +343,12 @@ class TestPipelineCli:
         assert {name: (run / name).read_bytes() for name in files} == files
         appended = (run / "trials.jsonl").read_bytes()[len(log) :].decode().splitlines()
         assert appended and {json.loads(line)["stage"] for line in appended} == {1}
+
+        # A staged stage 2, then a staged stage 3, each reads the log once.
+        for stage in (2, 3):
+            del reads[:]
+            assert _run(capsys, f"stage{stage}", "--out", str(run))[0] == 0
+            assert reads == [stage] and measured == []
 
     def test_preflight_failure_leaves_no_outputs(self, capsys, tmp_path):
         out_dir = tmp_path / "never"
@@ -854,6 +862,21 @@ class TestReportCli:
         assert f"error: {bad}: JSONDecodeError" in err, err
         assert not (run / "report.md").exists()
 
+    def test_report_summarises_only_the_current_runs_pairs(self, capsys, tmp_path):
+        # a second search into a finished run, then its stages 2 and 3
+        run = str(tmp_path / "run")
+        sizes = ("--budget", "120", "--keep1", "15", "--no-timestamps")
+        assert _run(capsys, "pipeline", "--out", run, "--seed", "1", *sizes, "--keep2", "5")[0] == 0
+        assert _run(capsys, "search", "--out", run, "--seed", "2", *sizes)[0] == 0
+        for command in ("stage2", "stage3"):
+            assert _run(capsys, command, "--out", run)[0] == 0
+        code, out, _ = _run(capsys, "report", "--out", run, "--format", "csv")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        stage2_lines = [r for r in TrialLog(Path(run, "trials.jsonl")).load() if r.stage == 2]
+        assert len(stage2_lines) == 2 * 15 * len(rows)  # the seed-1 pairs are still in the log
+        assert rows and {row["n_models"] for row in rows} == {"15"}
+
     def test_report_requires_finished_run(self, capsys, tmp_path, reduced_space_file):
         empty, started, finished = tmp_path / "empty", tmp_path / "started", tmp_path / "finished"
         empty.mkdir()
@@ -868,6 +891,7 @@ class TestReportCli:
             (started, "stage3", "stage2.json", "stage2"),
             (started, "report", "stage2.json", "stage2"),
             (finished, "report", "stage3.json", "stage3"),
+            (finished, "report", "stage1.json", "search"),
             (finished, "report", "trials.jsonl", "search"),
         )
         code, _, _ = TestPipelineCli()._pipeline(capsys, finished, reduced_space_file)

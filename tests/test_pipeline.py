@@ -1,6 +1,5 @@
 import json
 import math
-import os
 import pathlib
 import sys
 
@@ -672,7 +671,6 @@ class TestTrialLog:
         chunks = [line[i : i + step] for line in lines for i in range(0, len(line), step)]
         assert append_handles[0].writes == chunks
         assert log.path.read_bytes() == b"".join(lines)
-        assert log._end == log.path.stat().st_size
         assert log.load() == records
         log.close()
 
@@ -742,31 +740,6 @@ class TestTrialLog:
             del reads[:]
             assert log.index(3) == {} and reads == []
 
-    def test_line_appended_by_another_handle_is_found(self, tmp_path, table1):
-        with TrialLog(tmp_path / "trials.jsonl") as log:
-            log.append(self._stage_record(table1, 2, 0))
-            foreign = self._stage_record(table1, 3, 1)
-            with TrialLog(log.path) as other:
-                other.append(foreign)
-            log.append(self._stage_record(table1, 2, 2))
-            assert log.index(3) == {("a", foreign.config): foreign}
-
-    @pytest.mark.parametrize("change", ["truncated", "replaced"])
-    def test_file_changed_under_open_log_is_read_whole(self, tmp_path, table1, change):
-        with TrialLog(tmp_path / "trials.jsonl") as log:
-            for i in range(4):
-                log.append(self._stage_record(table1, 2, i))
-            first = log.path.read_bytes().split(b"\n")[0] + b"\n"
-            torn = first + b"not json\n" + first
-            if change == "truncated":
-                log.path.write_bytes(torn)
-            else:
-                staged = log.path.with_name("staged.jsonl")
-                staged.write_bytes(torn * 3)
-                os.replace(staged, log.path)
-            with pytest.raises(ValueError, match=r"trials\.jsonl:2: bad trial record"):
-                log.index(3)
-
     def _finished_run_log(self, tmp_path, table1):
         """A closed log of stage-2 and stage-3 records, as a finished run leaves it."""
         with TrialLog(tmp_path / "trials.jsonl") as log:
@@ -786,17 +759,12 @@ class TestTrialLog:
             assert list(log.index(3).values()) == stage3  # served once, then read
             assert len(reads) == 2
 
-    @pytest.mark.parametrize("change", ["foreign", "own stage 3"])
-    def test_later_stage_read_again_after_a_change(self, tmp_path, table1, reads, change):
+    def test_later_stage_read_again_after_its_own_append(self, tmp_path, table1, reads):
         path, _, stage3 = self._finished_run_log(tmp_path, table1)
         extra = self._stage_record(table1, 3, 7)
         with TrialLog(path) as log:
             log.index(2)
-            if change == "foreign":
-                with path.open("a") as other:
-                    other.write(extra.log_line() + "\n")
-            else:
-                log.append(extra)
+            log.append(extra)  # drops the stage-3 index the read kept
             assert list(log.index(3).values()) == stage3 + [extra]
             assert len(reads) == 2
 
@@ -813,8 +781,8 @@ class TestTrialLog:
         with TrialLog(first.path) as log:
             assert log.index(4) == {} and len(reads) == 2
 
-    def test_offset_counts_bytes_of_non_ascii_lines(self, tmp_path, table1, reads):
-        # another writer's lines may hold raw UTF-8; the last lacks its newline
+    def test_raw_utf8_lines_read_and_last_newline_restored(self, tmp_path, table1, reads):
+        # a closed file's lines may hold raw UTF-8; the last lacks its newline
         path = tmp_path / "trials.jsonl"
         records = [self._stage_record(table1, 2, i, device="pï-ncs2") for i in range(3)]
         lines = [json.dumps(r.to_json_dict(), ensure_ascii=False) for r in records]
