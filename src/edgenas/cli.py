@@ -349,13 +349,16 @@ def cmd_report(args) -> int:
 
     # Only this run's pairs: its stage-1 candidates on its stage-2 devices,
     # and each device's stage-2 survivors; a log may hold older runs' lines.
+    # The summary reads the log once, checking every line, and keeps only
+    # each pair's merged values; no report file is written before it ends.
     survivors = {device: {r.config for r in rset.records} for device, rset in per_device.items()}
-    by_device: dict[str, list] = {}
-    for record in records:
-        configs = candidates if record.stage == 2 else survivors.get(record.device, ())
-        if record.stage >= 2 and record.device in survivors and record.config in configs:
-            by_device.setdefault(record.device, []).append(record)
-    summary = summary_table(dict(sorted(by_device.items())))
+    summary = summary_table(
+        record
+        for record in records
+        if record.stage >= 2
+        and record.device in survivors
+        and record.config in (candidates if record.stage == 2 else survivors[record.device])
+    )
     best_latency = {device: rset.records[0] for device, rset in per_device.items()}
     tables = load_paper_tables()
     claims = evaluate_claims(tables, run_source(tables, summary, best_latency, winners))

@@ -25,7 +25,7 @@ import numpy as np
 from ._data import read_json, write_json
 from .architecture import ArchitectureDescriptor
 from .evaluators import Precision
-from .protocol import ChannelTimeout, JsonLineChannel, ProtocolError
+from .protocol import ChannelTimeout, JsonLineChannel, ProtocolError, number
 from .space import Configuration, seeded_rng
 
 NEGATIVE_POWER_TOLERANCE_W = 0.05
@@ -290,7 +290,7 @@ class ExternalDevice:
             raise ProtocolError(f"response missing latency_ms list: {response!r}")
         if len(samples) != runs:
             raise MeasurementError(f"expected {runs} latency runs, got {len(samples)}")
-        return [float(s) for s in samples]
+        return [number(s, "latency_ms") for s in samples]
 
     def power_traces(
         self,
@@ -316,7 +316,7 @@ class ExternalDevice:
                 raise MeasurementError(
                     f"expected {expected} {label} samples, got {len(trace)}"
                 )
-        return [float(s) for s in idle], [float(s) for s in active]
+        return [number(s, "idle_w") for s in idle], [number(s, "active_w") for s in active]
 
     def close(self) -> None:
         self.channel.close()

@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .protocol import ChannelTimeout, JsonLineChannel, ProtocolError
+from .protocol import ChannelTimeout, JsonLineChannel, ProtocolError, number
 from .space import PARAM_ORDER, Configuration, SearchSpace, SpaceValidationError, validate
 
 ACCURACY_FLOOR_PCT = 88.32
@@ -129,7 +129,8 @@ class ExternalEvaluator:
             raise EvaluatorError(f"evaluator reported: {response['error']}")
         if "accuracy_pct" not in response:
             raise ProtocolError(f"response missing accuracy_pct: {response!r}")
-        return AccuracyResult(float(response["accuracy_pct"]), "external", config, precision)
+        accuracy = number(response["accuracy_pct"], "accuracy_pct")
+        return AccuracyResult(accuracy, "external", config, precision)
 
     def close(self) -> None:
         self.channel.close()

@@ -160,14 +160,15 @@ class TrialLog:
     log, and ``__del__`` closes a handle still open when the log is
     collected, for callers that never close it.
 
-    Both readers stream the file one line at a time, so a read holds one
-    line and the records it returns, never the whole file. They decode
-    every line with ``json.loads`` and require a JSON object with an
-    integer ``stage``. ``load`` then builds and checks a ``TrialRecord``
-    for every line. ``index(stage)`` builds records only for the lines of
-    that stage and of later ones, so a line of an earlier stage whose
-    record fields are broken is caught by ``load`` (the report), not
-    here.
+    The readers stream the file one line at a time, so a read holds one
+    line, never the whole file. They decode every line with
+    ``json.loads`` and require a JSON object with an integer ``stage``.
+    ``records()`` then builds and checks a ``TrialRecord`` for every line
+    and yields each as it is read; the report consumes it and keeps none,
+    and ``load`` is its list. ``index(stage)`` builds records only for the
+    lines of that stage and of later ones, so a line of an earlier stage
+    whose record fields are broken is caught by ``records()`` (the
+    report), not here.
 
     While a log is open it is the only writer of its file: one command at
     a time writes a run directory, and a change another writer makes
@@ -259,9 +260,13 @@ class TrialLog:
                 handle.write(b"\n")
         self._stages = dict.fromkeys(stages)
 
+    def records(self) -> Iterator[TrialRecord]:
+        """Every record in the log, each one checked, one line at a time."""
+        return self._records(None)
+
     def load(self) -> list[TrialRecord]:
         """Every record in the log, each one checked."""
-        return list(self._records(None))
+        return list(self.records())
 
     def index(self, stage: int) -> dict[tuple, TrialRecord]:
         """One stage's records by (device, config); later lines win, so a

@@ -36,6 +36,15 @@ class ChannelTimeout(ProtocolError):
     """No response line within the allowed time."""
 
 
+def number(value, field: str) -> float:
+    """A reply's numeric value as a float. It must be a JSON number: an
+    int or a float, and not a bool; anything else is a ProtocolError
+    naming ``field``."""
+    if type(value) not in (int, float):
+        raise ProtocolError(f"{field} must be a JSON number, got {value!r}")
+    return float(value)
+
+
 class JsonLineChannel:
     def __init__(self, command: str | list[str], timeout_s: float = 60.0):
         argv = shlex.split(command) if isinstance(command, str) else list(command)

@@ -19,15 +19,13 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
+from collections.abc import Iterable
 from dataclasses import astuple, dataclass
 from pathlib import Path
 
 from ._data import PAPER_TABLES_PATH, read_json, write_json, write_text
 from .devices import mean_std
 from .pipeline import FitnessKind, TrialRecord, fitness
-
-logger = logging.getLogger(__name__)
 
 RATIO_TOLERANCE = 0.05
 
@@ -48,40 +46,42 @@ class DeviceSummaryRow:
     power_std_w: float | None = None
 
 
-def summary_table(records_by_device: dict[str, list[TrialRecord]]) -> list[DeviceSummaryRow]:
-    """Per-device mean/std over the group's models.
+def summary_table(records: Iterable[TrialRecord]) -> list[DeviceSummaryRow]:
+    """Per-device mean/std over each device's models, in device-name order.
 
-    Records for the same configuration are merged first (a power-stage
-    record refines, not duplicates, its latency-stage record), so each
-    model contributes one value per metric.
+    ``records`` is read once and no record is kept: each one is merged
+    into its device's slot for its configuration as it arrives (a
+    power-stage record refines, not duplicates, its latency-stage
+    record), so each model contributes one value per metric, in the
+    order its configuration was first seen.
     """
-    rows = []
-    for device, records in records_by_device.items():
-        if not records:
-            logger.warning("summary: omitting empty group %s", device)
-            continue
-        merged: dict[str, dict] = {}
-        for record in records:
-            slot = merged.setdefault(record.config.canonical_json(), {})
-            if record.accuracy_pct is not None:
-                slot["accuracy"] = record.accuracy_pct
-            if record.latency_mean_ms is not None:
-                slot["latency"] = record.latency_mean_ms
-            if record.dynamic_power_w is not None:
-                slot["power"] = record.dynamic_power_w
+    merged: dict[str, dict[str, dict]] = {}
+    for record in records:
+        slots = merged.setdefault(record.device, {})
+        slot = slots.setdefault(record.config.canonical_json(), {})
+        if record.accuracy_pct is not None:
+            slot["accuracy"] = record.accuracy_pct
+        if record.latency_mean_ms is not None:
+            slot["latency"] = record.latency_mean_ms
+        if record.dynamic_power_w is not None:
+            slot["power"] = record.dynamic_power_w
 
-        def stats(key: str) -> tuple[float | None, float | None]:
-            values = [slot[key] for slot in merged.values() if key in slot]
-            if not values:
-                return None, None
-            return mean_std(values)
+    def stats(slots: dict[str, dict], key: str) -> tuple[float | None, float | None]:
+        values = [slot[key] for slot in slots.values() if key in slot]
+        if not values:
+            return None, None
+        return mean_std(values)
 
-        rows.append(
-            DeviceSummaryRow(
-                device, len(merged), *stats("accuracy"), *stats("latency"), *stats("power")
-            )
+    return [
+        DeviceSummaryRow(
+            device,
+            len(slots),
+            *stats(slots, "accuracy"),
+            *stats(slots, "latency"),
+            *stats(slots, "power"),
         )
-    return rows
+        for device, slots in sorted(merged.items())
+    ]
 
 
 _OPS = {

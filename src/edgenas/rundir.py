@@ -108,11 +108,15 @@ def path(out, key: str) -> Path:
 
 def read(out, key: str):
     """A missing file is a FileNotFoundError naming the command that
-    writes it; a bad one is ``read_json``'s ValueError naming the file."""
+    writes it; a bad one is ``read_json``'s ValueError naming the file.
+    The trial log is a generator of its records, checked as they are
+    read, so a bad line raises its ValueError while it is consumed."""
     name, parse, command = FILES[key]
     if not path(out, key).exists():
         raise FileNotFoundError(f"missing {name} in {out}; run {command} or pipeline first")
-    return TrialLog(path(out, key)).load() if parse is None else read_json(path(out, key), parse)
+    if parse is None:
+        return TrialLog(path(out, key)).records()
+    return read_json(path(out, key), parse)
 
 
 def write(out, key: str, value) -> None:

@@ -6,6 +6,21 @@ import sys
 
 MODE = sys.argv[1] if len(sys.argv) > 1 else "ok"
 held = []
+# modes that put a JSON value that is not a number into one reply field:
+# mode -> (field, value)
+NOT_A_NUMBER = {
+    "null_latency": ("latency_ms", None),
+    "bool_idle": ("idle_w", False),
+    "string_active": ("active_w", "4.08"),
+}
+
+
+def spoil(reply):
+    """The reply with its mode's field's last value replaced, if it has that field."""
+    field, value = NOT_A_NUMBER.get(MODE, (None, None))
+    if field in reply:
+        reply[field][-1] = value
+    return reply
 
 
 def emit(obj):
@@ -34,7 +49,7 @@ for line in sys.stdin:
         elif MODE == "error":
             emit({"id": rid, "error": "device unreachable"})
         else:
-            emit({"id": rid, "latency_ms": [2.35] * runs})
+            emit(spoil({"id": rid, "latency_ms": [2.35] * runs}))
     elif cmd == "measure_power":
         n = request["window_s"] * request["sample_hz"]
         if MODE == "negative":
@@ -42,6 +57,6 @@ for line in sys.stdin:
         elif MODE == "short_trace":
             emit({"id": rid, "idle_w": [2.0] * (n - 5), "active_w": [4.08] * n})
         else:
-            emit({"id": rid, "idle_w": [2.0] * n, "active_w": [4.08] * n})
+            emit(spoil({"id": rid, "idle_w": [2.0] * n, "active_w": [4.08] * n}))
     else:
         emit({"id": rid, "error": f"unknown cmd {cmd}"})

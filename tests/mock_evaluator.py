@@ -7,6 +7,8 @@ import time
 
 MODE = sys.argv[1] if len(sys.argv) > 1 else "ok"
 held = []
+# modes whose accuracy_pct is a JSON value that is not a number
+NOT_A_NUMBER = {"bool": True, "numeric_string": "97.5", "string": "abc", "null": None}
 
 if MODE == "grandchild":
     # a grandchild that inherits stdout and holds it open for 1.5 s
@@ -43,6 +45,8 @@ for line in sys.stdin:
         emit({"id": rid + 1, "accuracy_pct": 98.98})
     elif MODE == "out_of_range":
         emit({"id": rid, "accuracy_pct": 150})
+    elif MODE in NOT_A_NUMBER:
+        emit({"id": rid, "accuracy_pct": NOT_A_NUMBER[MODE]})
     elif MODE == "error":
         emit({"id": rid, "error": "training diverged"})
     elif MODE == "garbage":

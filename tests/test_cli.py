@@ -819,6 +819,20 @@ class TestExternalEvaluatorCli:
         assert channels[0]._proc.returncode is not None
         assert not channels[0]._reader.is_alive()
 
+    @pytest.mark.parametrize("mode", ["bool", "numeric_string", "string", "null"])
+    def test_accuracy_that_is_not_a_json_number_exits_2(
+        self, capsys, tmp_path, reduced_space_file, mode
+    ):
+        code, _, err = _run(
+            capsys, "search", "--space", str(reduced_space_file),
+            "--evaluator", f"exec:{sys.executable} {MOCK_EVALUATOR} {mode}",
+            "--budget", "10", "--keep1", "2", "--out", str(tmp_path / "ext"),
+        )
+        assert code == 2
+        assert "error: accuracy_pct must be a JSON number, got " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "ext" / "stage1.json").exists()
+
     def test_bad_selector(self, capsys, tmp_path, reduced_space_file):
         code, _, err = _run(
             capsys,
@@ -861,6 +875,62 @@ class TestReportCli:
         assert code == 1
         assert f"error: {bad}: JSONDecodeError" in err, err
         assert not (run / "report.md").exists()
+
+    def test_bad_log_line_fails_the_report_before_it_writes(
+        self, capsys, tmp_path, reduced_space_file
+    ):
+        # a stage-1 line the summary skips, and the last line (a stage-3
+        # one): either fails the report, which then writes no file, and
+        # leaves an earlier report's files as they were
+        run = tmp_path / "run"
+        assert TestPipelineCli()._pipeline(capsys, run, reduced_space_file)[0] == 0
+        log = run / "trials.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        names = ("summary.csv", "best_models.csv", "ratios.json", "report.md")
+
+        def report_files():
+            return {name: (run / name).read_bytes() for name in names if (run / name).exists()}
+
+        for number in (5, len(lines)):
+            record = json.loads(lines[number - 1])
+            assert record["stage"] == (1 if number == 5 else 3)
+            del record["accuracy_pct"]
+            broken = [*lines[: number - 1], json.dumps(record, sort_keys=True) + "\n"]
+            broken += lines[number:]
+            for name in names:
+                (run / name).unlink(missing_ok=True)
+            for earlier in (False, True):
+                if earlier:
+                    log.write_text("".join(lines))
+                    assert _run(capsys, "report", "--out", str(run))[0] == 0
+                before = report_files()
+                assert len(before) == (4 if earlier else 0)
+                log.write_text("".join(broken))
+                code, _, err = _run(capsys, "report", "--out", str(run))
+                assert code == 1
+                assert f"trials.jsonl:{number}: bad trial record" in err and "accuracy_pct" in err
+                assert report_files() == before
+
+    def test_report_streams_the_log_and_never_loads_it(
+        self, capsys, tmp_path, reduced_space_file, monkeypatch
+    ):
+        run = tmp_path / "run"
+        assert TestPipelineCli()._pipeline(capsys, run, reduced_space_file)[0] == 0
+        streamed = []
+        records = TrialLog.records
+
+        def spy(self):
+            streamed.append(self.path)
+            return records(self)
+
+        def refuse(self):
+            raise AssertionError("report called TrialLog.load")
+
+        monkeypatch.setattr(TrialLog, "records", spy)
+        monkeypatch.setattr(TrialLog, "load", refuse)
+        code, _, err = _run(capsys, "report", "--out", str(run))
+        assert code == 0, err
+        assert streamed == [run / "trials.jsonl"]
 
     def test_report_summarises_only_the_current_runs_pairs(self, capsys, tmp_path):
         # a second search into a finished run, then its stages 2 and 3

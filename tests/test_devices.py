@@ -30,7 +30,7 @@ from edgenas.devices import (
     simulate_latency,
 )
 from edgenas.evaluators import Precision
-from edgenas.protocol import JsonLineChannel
+from edgenas.protocol import JsonLineChannel, ProtocolError
 from edgenas.space import Configuration, cardinality, config_from_index
 from conftest import MOCK_DEVICE
 
@@ -330,6 +330,15 @@ class TestExternalMeasurement:
     def test_short_power_trace_rejected(self, pi_best):
         with _device_channel("short_trace") as channel:
             with pytest.raises(MeasurementError, match="idle_w samples"):
+                _measure(pi_best, ExternalDevice(channel))
+
+    @pytest.mark.parametrize(
+        "mode, field",
+        [("null_latency", "latency_ms"), ("bool_idle", "idle_w"), ("string_active", "active_w")],
+    )
+    def test_sample_that_is_not_a_json_number_rejected(self, pi_best, mode, field):
+        with _device_channel(mode) as channel:
+            with pytest.raises(ProtocolError, match=f"{field} must be a JSON number"):
                 _measure(pi_best, ExternalDevice(channel))
 
     def test_device_error_response(self, pi_best):

@@ -141,6 +141,12 @@ class TestExternalEvaluator:
             with pytest.raises(EvaluatorError, match=r"outside \[0, 100\]"):
                 ExternalEvaluator(channel).evaluate(pi_best)
 
+    @pytest.mark.parametrize("mode", ["bool", "numeric_string", "string", "null"])
+    def test_accuracy_that_is_not_a_json_number_rejected(self, pi_best, mode):
+        with _channel(mode) as channel:
+            with pytest.raises(ProtocolError, match="accuracy_pct must be a JSON number"):
+                ExternalEvaluator(channel).evaluate(pi_best)
+
     def test_error_response_marks_failure(self, pi_best):
         with _channel("error") as channel:
             with pytest.raises(EvaluatorError, match="training diverged"):

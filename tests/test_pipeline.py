@@ -22,7 +22,7 @@ from edgenas.pipeline import (
     stage2,
     stage3,
 )
-from edgenas.protocol import JsonLineChannel
+from edgenas.protocol import JsonLineChannel, ProtocolError
 from edgenas.space import (
     Configuration,
     SpaceValidationError,
@@ -954,6 +954,17 @@ class TestBadMeasurements:
         assert len(excluded) == 1
         assert configs[0].canonical_json() in excluded[0]
         assert "no response to request 0" in excluded[0]
+
+    def test_device_sample_that_is_not_a_number_stops_the_stage(self, table1):
+        # a protocol fault, not one pair's measurement: it is not excluded
+        candidates = _candidates([(config_from_index(table1, i), 95.0) for i in range(2)])
+        argv = [sys.executable, str(MOCK_DEVICE), "null_latency"]
+        with JsonLineChannel(argv, timeout_s=10.0) as channel:
+            with pytest.raises(ProtocolError, match="latency_ms must be a JSON number, got None"):
+                stage2(
+                    table1, candidates, {"dev": _zero_delta_profile("dev")},
+                    lambda profile: DeviceMeasurer(ExternalDevice(channel)), 2,
+                )
 
 
 def _zero_delta_profile(name):

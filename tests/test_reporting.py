@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -41,7 +42,7 @@ class TestSummaryTable:
             _record(config_from_index(table1, 0), 98.0, 1.0),
             _record(config_from_index(table1, 1), 100.0, 1.0),
         ]
-        row = summary_table({"dev": records})[0]
+        row = summary_table(records)[0]
         assert row.accuracy_mean == 99.0
         assert row.accuracy_std == pytest.approx(math.sqrt(2))
         assert row.n_models == 2
@@ -49,21 +50,17 @@ class TestSummaryTable:
     def test_reconstructs_published_latency_cell(self, table1):
         offset = 0.799 / math.sqrt(2)
         records = [
-            _record(config_from_index(table1, 0), 98.0, 4.70 - offset),
-            _record(config_from_index(table1, 1), 98.0, 4.70 + offset),
+            _record(config_from_index(table1, 0), 98.0, 4.70 - offset, device="pi"),
+            _record(config_from_index(table1, 1), 98.0, 4.70 + offset, device="pi"),
         ]
-        row = summary_table({"pi": records})[0]
+        row = summary_table(records)[0]
         assert row.latency_mean_ms == pytest.approx(4.70)
         assert row.latency_std_ms == pytest.approx(0.799)
 
     def test_single_model_group(self, table1):
-        row = summary_table({"dev": [_record(config_from_index(table1, 0), 97.0, 2.0)]})[0]
+        row = summary_table([_record(config_from_index(table1, 0), 97.0, 2.0)])[0]
         assert row.n_models == 1
         assert row.accuracy_std == 0.0
-
-    def test_empty_group_omitted(self, table1):
-        rows = summary_table({"empty": [], "dev": [_record(config_from_index(table1, 0), 97.0)]})
-        assert [r.device for r in rows] == ["dev"]
 
     def test_stage3_record_merges_not_duplicates(self, table1):
         config = config_from_index(table1, 0)
@@ -71,10 +68,45 @@ class TestSummaryTable:
             _record(config, 97.0, 2.0),
             _record(config, 97.0, 2.0, power=0.5, stage=3),
         ]
-        row = summary_table({"dev": records})[0]
+        row = summary_table(records)[0]
         assert row.n_models == 1
         assert row.latency_mean_ms == 2.0
         assert row.power_mean_w == 0.5
+
+    def _two_device_log(self, table1):
+        # two devices interleaved, device "b" first, with a stage-3 line
+        # refining a stage-2 one and one configuration on both devices
+        configs = [config_from_index(table1, i) for i in range(3)]
+        return [
+            _record(configs[0], 97.0, 2.0, device="b"),
+            _record(configs[0], 96.0, 1.5, device="a"),
+            _record(configs[1], 98.0, 3.0, device="b"),
+            _record(configs[2], 95.0, 1.0, device="a"),
+            _record(configs[1], 98.0, 3.0, power=0.7, device="b", stage=3),
+            _record(configs[2], 95.0, 1.0, power=0.4, device="a", stage=3),
+        ]
+
+    def test_groups_by_device_in_name_order(self, table1):
+        a, b = summary_table(self._two_device_log(table1))
+        assert (a.device, a.n_models, a.accuracy_mean, a.latency_mean_ms) == ("a", 2, 95.5, 1.25)
+        assert (b.device, b.n_models, b.accuracy_mean, b.latency_mean_ms) == ("b", 2, 97.5, 2.5)
+        assert (a.power_mean_w, a.power_std_w, b.power_mean_w) == (0.4, 0.0, 0.7)
+
+    def test_one_shot_generator_gives_the_rows_of_a_list(self, table1):
+        records = self._two_device_log(table1)
+        assert summary_table(r for r in records) == summary_table(records)
+
+    def test_keeps_no_record(self, table1):
+        refs = []
+
+        def stream():
+            for record in self._two_device_log(table1):
+                refs.append(weakref.ref(record))
+                yield record
+
+        rows = summary_table(stream())
+        assert [row.n_models for row in rows] == [2, 2]
+        assert len(refs) == 6 and all(ref() is None for ref in refs)
 
 
 # The paper column, float for float: where the catalog lives and how it
@@ -250,7 +282,7 @@ class TestRenderingStability:
             _record(config_from_index(table1, i), 90.0 + i / 7.0, 1.0 + i / 3.0, 0.4 + i / 11.0, stage=3)
             for i in range(5)
         ]
-        rows = summary_table({"dev": records})
+        rows = summary_table(records)
         csv_path = tmp_path / "summary.csv"
         write_summary_csv(rows, csv_path)
         with csv_path.open() as handle:
