@@ -478,7 +478,9 @@ def stage2(
     timestamps: bool = True,
 ) -> dict[str, RankedSet]:
     """Exhaustive latency measurement: every candidate on every device,
-    ranked per device by accuracy/latency."""
+    ranked per device by accuracy/latency. ``measurer_factory`` is called
+    once per device, cache hits or not; the caller owns what it returns
+    and must close it."""
     if not candidates.records:
         raise PipelineError("stage 2 requires a non-empty candidate set")
     return _measure_and_rank(
@@ -505,7 +507,9 @@ def stage3(
 ) -> dict[str, TrialRecord]:
     """Dynamic-power measurement for the stage-2 survivors; the single
     accuracy/PDP winner per device. PDP reuses the stage-2 latency mean
-    (power is the only new measurement here)."""
+    (power is the only new measurement here). ``measurer_factory`` is
+    called once per device, cache hits or not; the caller owns what it
+    returns and must close it."""
     if not per_device:
         raise PipelineError("stage 3 requires a non-empty per-device map")
     ranked = _measure_and_rank(

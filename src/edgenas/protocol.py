@@ -1,11 +1,14 @@
 """Newline-delimited JSON request/response transport to a child process.
 
-One request in flight per channel; the child must answer in request
-order. Responses are matched by id; a reply to a request that already
-timed out is dropped. A background thread drains the child's stdout into
-a queue of byte lines so reads can time out without blocking; the
-requesting thread decodes each line, so a reply that is not UTF-8 JSON
-is a ProtocolError for that request and never stops the reader.
+The child starts at the channel's first request, so a channel that never
+sends starts no child; a command that cannot be found still fails when
+the channel is built. One request in flight per channel; the child must
+answer in request order. Responses are matched by integer id; a reply to
+a request that already timed out is dropped. A background thread drains
+the child's stdout into a queue of byte lines so reads can time out
+without blocking; the requesting thread decodes each line, so a reply
+that is not UTF-8 JSON is a ProtocolError for that request and never
+stops the reader.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import queue
 import shlex
+import shutil
 import subprocess
 import threading
 import time
@@ -48,17 +52,28 @@ def number(value, field: str) -> float:
 class JsonLineChannel:
     def __init__(self, command: str | list[str], timeout_s: float = 60.0):
         argv = shlex.split(command) if isinstance(command, str) else list(command)
+        if shutil.which(argv[0]) is None:
+            raise FileNotFoundError(f"command not found or not executable: {argv[0]}")
         self.command = argv
         self.timeout_s = timeout_s
-        self._proc = subprocess.Popen(
-            argv,
-            stdin=subprocess.PIPE,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.DEVNULL,
-        )
+        self._proc: subprocess.Popen | None = None
+        self._closed = False
         self._lines: queue.Queue = queue.Queue()
         self._next_id = 0
         self._timed_out: set[int] = set()
+
+    def _start(self) -> None:
+        if self._closed:
+            raise ChannelError("channel is closed")
+        try:
+            self._proc = subprocess.Popen(
+                self.command,
+                stdin=subprocess.PIPE,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL,
+            )
+        except OSError as exc:
+            raise ChannelError(f"cannot start {shlex.join(self.command)}: {exc}") from exc
         self._reader = threading.Thread(target=self._drain, daemon=True)
         self._reader.start()
 
@@ -75,6 +90,8 @@ class JsonLineChannel:
         self._next_id += 1
         message = dict(payload)
         message["id"] = request_id
+        if self._proc is None:
+            self._start()
         if self._proc.poll() is not None:
             raise ChannelError(f"child exited with code {self._proc.returncode}")
         try:
@@ -103,11 +120,13 @@ class JsonLineChannel:
             if not isinstance(response, dict):
                 raise ProtocolError(f"response is not an object: {text!r}")
             response_id = response.get("id")
-            if response_id == request_id:
-                return response
-            if isinstance(response_id, int) and response_id in self._timed_out:
-                self._timed_out.discard(response_id)  # late reply to a timed-out request
-                continue
+            # type(), not ==: true and 1.0 are not the id 1
+            if type(response_id) is int:
+                if response_id == request_id:
+                    return response
+                if response_id in self._timed_out:
+                    self._timed_out.discard(response_id)  # late reply to a timed-out request
+                    continue
             raise ProtocolError(
                 f"response id {response_id!r} does not match request {request_id}"
             )
@@ -116,7 +135,11 @@ class JsonLineChannel:
         """Close stdin so the child sees EOF, join the reader, which ends
         when the child's stdout closes at exit, then reap the child. Both
         share one CLOSE_GRACE_S; a child still running when it runs out is
-        killed. stdout is closed once the reader has ended."""
+        killed. stdout is closed once the reader has ended. A channel that
+        never started a child has nothing to close."""
+        self._closed = True
+        if self._proc is None:
+            return
         try:
             self._proc.stdin.close()
         except OSError:

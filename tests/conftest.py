@@ -1,3 +1,4 @@
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -6,6 +7,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from edgenas import protocol
 from edgenas._data import PROFILES_DIR
 from edgenas.devices import load_profiles
 from edgenas.space import Configuration, ParamSpec, build_space, table1_space
@@ -22,6 +24,20 @@ def traced_peak(call) -> int:
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def popens(monkeypatch):
+    """The argv of each child process that edgenas.protocol starts."""
+    started = []
+    real_popen = subprocess.Popen
+
+    def counting_popen(argv, *args, **kwargs):
+        started.append(list(argv))
+        return real_popen(argv, *args, **kwargs)
+
+    monkeypatch.setattr(protocol.subprocess, "Popen", counting_popen)
+    return started
 
 
 @pytest.fixture(scope="session")

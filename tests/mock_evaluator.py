@@ -9,6 +9,14 @@ MODE = sys.argv[1] if len(sys.argv) > 1 else "ok"
 held = []
 # modes whose accuracy_pct is a JSON value that is not a number
 NOT_A_NUMBER = {"bool": True, "numeric_string": "97.5", "string": "abc", "null": None}
+# modes that answer one request with an id that is equal to it but not a
+# JSON integer: mode -> (request id, id sent back)
+NOT_AN_INT_ID = {
+    "true_id": (1, True),
+    "float_id": (1, 1.0),
+    "false_id": (0, False),
+    "slow_false_id": (0, False),
+}
 
 if MODE == "grandchild":
     # a grandchild that inherits stdout and holds it open for 1.5 s
@@ -19,8 +27,13 @@ if MODE == "grandchild":
 
 def emit(obj):
     # slow_first holds the reply to request 0 until request 1 has come in,
-    # so that reply is late whatever the timeout; otherwise it acts as ok
-    if MODE == "slow_first" and obj["id"] == 0:
+    # so that reply is late whatever the timeout; otherwise it acts as ok.
+    # slow_false_id does the same, and that late reply's id is false
+    late = MODE in ("slow_first", "slow_false_id") and obj["id"] == 0
+    rid, sent = NOT_AN_INT_ID.get(MODE, (None, None))
+    if obj["id"] == rid:
+        obj["id"] = sent
+    if late:
         held.append(obj)
         return
     for reply in held + [obj]:
@@ -35,7 +48,7 @@ for line in sys.stdin:
         continue
     request = json.loads(line)
     rid = request["id"]
-    if MODE in ("ok", "ignore_eof", "grandchild", "slow_first"):
+    if MODE in ("ok", "ignore_eof", "grandchild", "slow_first") or MODE in NOT_AN_INT_ID:
         emit({"id": rid, "accuracy_pct": 98.98})
     elif MODE == "per_config":
         # deterministic pseudo-accuracy from the configuration contents

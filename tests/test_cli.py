@@ -833,6 +833,49 @@ class TestExternalEvaluatorCli:
         assert "Traceback" not in err
         assert not (tmp_path / "ext" / "stage1.json").exists()
 
+    @pytest.mark.parametrize("mode", ["true_id", "float_id", "false_id"])
+    def test_reply_id_that_is_not_an_integer_exits_2(
+        self, capsys, tmp_path, reduced_space_file, mode
+    ):
+        code, _, err = _run(
+            capsys, "search", "--space", str(reduced_space_file),
+            "--evaluator", f"exec:{sys.executable} {MOCK_EVALUATOR} {mode}",
+            "--budget", "10", "--keep1", "2", "--out", str(tmp_path / "ext"),
+        )
+        assert code == 2
+        assert "does not match request" in err
+        assert not (tmp_path / "ext" / "stage1.json").exists()
+
+    def test_missing_evaluator_command_exits_1_before_writing(
+        self, capsys, tmp_path, reduced_space_file
+    ):
+        out = tmp_path / "ext"
+        code, _, err = _run(
+            capsys, "search", "--space", str(reduced_space_file),
+            "--evaluator", "exec:/nonexistent/cmd --flag", "--out", str(out),
+        )
+        assert code == 1
+        assert "/nonexistent/cmd" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_evaluator_that_cannot_be_executed_exits_2(
+        self, capsys, tmp_path, reduced_space_file
+    ):
+        # executable but no shebang: it passes the lookup and fails at exec
+        script = tmp_path / "no_shebang"
+        script.write_text("echo hello\n")
+        script.chmod(0o755)
+        code, _, err = _run(
+            capsys, "search", "--space", str(reduced_space_file),
+            "--evaluator", f"exec:{script}", "--budget", "10", "--keep1", "2",
+            "--out", str(tmp_path / "ext"),
+        )
+        assert code == 2
+        assert f"error: cannot start {script}: " in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "ext" / "stage1.json").exists()
+
     def test_bad_selector(self, capsys, tmp_path, reduced_space_file):
         code, _, err = _run(
             capsys,

@@ -862,6 +862,56 @@ class TestCompileOnce:
             assert (failing in kept) == (name != first)
 
 
+class TestResumeStartsNoDevice:
+    """A stage rerun served from the log starts no device process: a
+    channel's child starts at its first request, and a cache hit sends none."""
+
+    @pytest.fixture()
+    def devices(self):
+        """A measurer factory over NDJSON stub devices; the test owns what
+        it returns, so every channel it opened is closed at teardown."""
+        channels = []
+
+        def factory(profile):
+            argv = [sys.executable, str(MOCK_DEVICE), "ok", profile.name]
+            channels.append(JsonLineChannel(argv, timeout_s=10.0))
+            return DeviceMeasurer(ExternalDevice(channels[-1]))
+
+        yield factory
+        for channel in channels:
+            channel.close()
+
+    def _inputs(self, table1):
+        configs = [config_from_index(table1, i) for i in range(3)]
+        candidates = _candidates([(c, 95.0 + i) for i, c in enumerate(configs)])
+        return candidates, {name: _zero_delta_profile(name) for name in ("a", "b")}
+
+    def test_fully_cached_stages_start_no_process(self, tmp_path, table1, devices, popens):
+        candidates, profiles = self._inputs(table1)
+        with TrialLog(tmp_path / "trials.jsonl") as log:
+            ranked = stage2(table1, candidates, profiles, devices, 2, log=log, timestamps=False)
+            winners = stage3(table1, ranked, profiles, devices, log=log, timestamps=False)
+            assert len(popens) == 4
+            del popens[:]
+            assert stage2(table1, candidates, profiles, devices, 2, log=log) == ranked
+            assert stage3(table1, ranked, profiles, devices, log=log) == winners
+        assert popens == []
+
+    def test_one_miss_starts_one_process(self, tmp_path, table1, devices, popens):
+        candidates, profiles = self._inputs(table1)
+        path = tmp_path / "trials.jsonl"
+        with TrialLog(path) as log:
+            stage2(table1, candidates, profiles, devices, 2, log=log, timestamps=False)
+        # drop the last line, device b's last candidate
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+        del popens[:]
+        with TrialLog(path) as log:
+            stage2(table1, candidates, profiles, devices, 2, log=log, timestamps=False)
+        assert popens == [[sys.executable, str(MOCK_DEVICE), "ok", "b"]]
+        assert path.read_text().splitlines(keepends=True) == lines
+
+
 class SampleBackend:
     """Canned raw samples by config: a NaN, infinite or negative latency
     for some, a NaN or zero-difference power trace for others."""

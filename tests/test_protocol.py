@@ -1,17 +1,18 @@
+import re
 import sys
 import time
 
 import pytest
 
 from edgenas import protocol
-from edgenas.protocol import ChannelError, JsonLineChannel
+from edgenas.protocol import ChannelError, ChannelTimeout, JsonLineChannel, ProtocolError
 from conftest import MOCK_EVALUATOR
 
 REQUEST = {"cmd": "evaluate", "config": {}, "precision": "fp32"}
 
 
-def _channel(mode: str) -> JsonLineChannel:
-    return JsonLineChannel([sys.executable, str(MOCK_EVALUATOR), mode], timeout_s=10.0)
+def _channel(mode: str, timeout_s: float = 10.0) -> JsonLineChannel:
+    return JsonLineChannel([sys.executable, str(MOCK_EVALUATOR), mode], timeout_s=timeout_s)
 
 
 @pytest.fixture
@@ -29,6 +30,10 @@ def sleeps(monkeypatch):
 
 
 def _closed(channel: JsonLineChannel) -> bool:
+    """A channel that never sent has no child; one that did has its child
+    reaped, its reader ended and both pipes closed."""
+    if channel._proc is None:
+        return channel._next_id == 0
     return (
         channel._proc.returncode is not None
         and not channel._reader.is_alive()
@@ -37,13 +42,67 @@ def _closed(channel: JsonLineChannel) -> bool:
     )
 
 
-class TestClose:
-    def test_unused_channel_reaped_without_polling(self, sleeps):
+class TestStart:
+    def test_child_starts_at_first_request(self, popens):
+        channel = _channel("ok")
+        assert popens == []
+        assert channel.request(REQUEST)["accuracy_pct"] == 98.98
+        assert channel.request(REQUEST)["accuracy_pct"] == 98.98
+        assert popens == [channel.command]
+        channel.close()
+        assert _closed(channel)
+
+    def test_request_after_close_starts_nothing(self, popens):
         channel = _channel("ok")
         channel.close()
-        assert len(sleeps) <= 2
+        with pytest.raises(ChannelError, match="closed"):
+            channel.request(REQUEST)
+        assert popens == []
+
+    @pytest.mark.parametrize("command", ["/nonexistent/cmd", "no-such-command-on-path"])
+    def test_missing_command_fails_at_construction(self, popens, command):
+        with pytest.raises(FileNotFoundError, match=command):
+            JsonLineChannel([command, "arg"])
+        assert popens == []
+
+    def test_command_that_is_not_executable_fails_at_construction(self, tmp_path):
+        script = tmp_path / "stub"
+        script.write_text("#!/bin/sh\n")
+        with pytest.raises(FileNotFoundError, match="not executable"):
+            JsonLineChannel(str(script))
+
+    def test_exec_failure_is_a_channel_error_naming_the_command(self, tmp_path):
+        # executable but no shebang: shutil.which accepts it, exec refuses it
+        script = tmp_path / "no_shebang"
+        script.write_text("echo hello\n")
+        script.chmod(0o755)
+        channel = JsonLineChannel([str(script), "--flag"])
+        with pytest.raises(ChannelError, match=re.escape(f"cannot start {script} --flag: ")):
+            channel.request(REQUEST)
+        channel.close()
+        assert channel._proc is None
+
+
+class TestResponseId:
+    def test_late_reply_whose_id_is_false_rejected(self):
+        # request 0 times out; its late reply comes back with "id": false,
+        # which is not the timed-out id 0
+        with _channel("slow_false_id", timeout_s=0.3) as channel:
+            with pytest.raises(ChannelTimeout):
+                channel.request(REQUEST)
+            with pytest.raises(ProtocolError, match="response id False does not match request 1"):
+                channel.request(REQUEST)
+
+
+class TestClose:
+    def test_unused_channel_reaped_without_polling(self, sleeps, popens):
+        # an unused channel has no child: close starts, waits for and
+        # sleeps for nothing
+        channel = _channel("ok")
+        channel.close()
+        assert sleeps == []
+        assert popens == []
         assert _closed(channel)
-        assert channel._proc.returncode == 0
 
     def test_used_channel_reaped_without_polling(self, sleeps):
         channel = _channel("ok")
@@ -65,14 +124,16 @@ class TestClose:
         assert _closed(channel)
 
     def test_second_close_is_a_no_op(self, sleeps):
-        channel = _channel("ok")
-        channel.close()
-        sleeps.clear()
-        start = time.monotonic()
-        channel.close()
-        assert time.monotonic() - start < 0.1
-        assert sleeps == []
-        assert _closed(channel)
+        used, unused = _channel("ok"), _channel("ok")
+        assert used.request(REQUEST)["accuracy_pct"] == 98.98
+        for channel in (used, unused):
+            channel.close()
+            sleeps.clear()
+            start = time.monotonic()
+            channel.close()
+            assert time.monotonic() - start < 0.1
+            assert sleeps == []
+            assert _closed(channel)
 
     def test_exited_child_reaped_without_grace(self):
         channel = _channel("exit")
