@@ -38,7 +38,6 @@ class LayerDescriptor:
 @dataclass(frozen=True)
 class ArchitectureDescriptor:
     config: Configuration
-    input_shape: tuple[int, int, int]
     total_params: int
     total_macs: int
     weighted_layer_count: int
@@ -49,12 +48,12 @@ class ArchitectureDescriptor:
     # equality and hashing see only the fields above, which determine it.
     @cached_property
     def layers(self) -> tuple[LayerDescriptor, ...]:
-        return _layer_walk(self.config, self.input_shape)
+        return _layer_walk(self.config)
 
     def to_json_dict(self) -> dict:
         return {
             "config": self.config.to_json_dict(),
-            "input_shape": list(self.input_shape),
+            "input_shape": list(INPUT_SHAPE),
             "layers": [
                 {
                     "kind": l.kind,
@@ -90,17 +89,11 @@ def _check_structure(config: Configuration) -> None:
         raise SpaceValidationError("output_classes must be positive")
 
 
-def build_architecture(
-    config: Configuration, input_shape: tuple[int, int, int] = INPUT_SHAPE
-) -> ArchitectureDescriptor:
+def build_architecture(config: Configuration) -> ArchitectureDescriptor:
     """Check a configuration and total its parameters and MACs; the
     layer stack itself is built only when ``layers`` is read."""
     _check_structure(config)
-    height, width, channels = input_shape
-    if height % (2 ** config.block) or width % (2 ** config.block):
-        raise SpaceValidationError(
-            f"input {height}x{width} not divisible by 2^{config.block} pooling stages"
-        )
+    height, width, channels = INPUT_SHAPE
     params = conv_macs = fc_macs = 0
     for k in config.kernels:  # two convolutions, then pooling halves the side
         params += 9 * channels * k + k + 9 * k * k + k
@@ -113,7 +106,6 @@ def build_architecture(
         units_in = units
     return ArchitectureDescriptor(
         config=config,
-        input_shape=input_shape,
         total_params=params,
         total_macs=conv_macs + fc_macs,
         weighted_layer_count=2 * len(config.kernels) + 3,
@@ -122,11 +114,9 @@ def build_architecture(
     )
 
 
-def _layer_walk(
-    config: Configuration, input_shape: tuple[int, int, int]
-) -> tuple[LayerDescriptor, ...]:
+def _layer_walk(config: Configuration) -> tuple[LayerDescriptor, ...]:
     """The full layer stack with shape, parameter and MAC accounting."""
-    height, width, channels = input_shape
+    height, width, channels = INPUT_SHAPE
     layers: list[LayerDescriptor] = []
 
     def conv(h: int, w: int, c_in: int, c_out: int) -> None:

@@ -378,11 +378,15 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _observed_latency(entry: dict) -> float:
-    latency = float(entry["latency_ms"])
-    if not 0.0 < latency < math.inf:
-        raise ValueError(f"latency_ms must be finite and > 0, got {latency}")
-    return latency
+def _observed(entry: dict, key: str, op: str) -> float:
+    """An observation's ``key``: a finite JSON number, not a bool, that is
+    ``op`` (">" or ">=") 0."""
+    value = entry[key]
+    if type(value) not in (int, float) or not (
+        0 < value < math.inf if op == ">" else 0 <= value < math.inf
+    ):
+        raise ValueError(f"{key} must be a finite JSON number {op} 0, got {value!r}")
+    return float(value)
 
 
 def cmd_fit_profile(args) -> int:
@@ -394,8 +398,10 @@ def cmd_fit_profile(args) -> int:
             lambda data: [
                 FitObservation(
                     arch=build_architecture(Configuration.from_json_dict(entry["config"])),
-                    latency_ms=_observed_latency(entry),
-                    dynamic_power_w=entry.get("dynamic_power_w"),
+                    latency_ms=_observed(entry, "latency_ms", ">"),
+                    dynamic_power_w=None
+                    if entry.get("dynamic_power_w") is None
+                    else _observed(entry, "dynamic_power_w", ">="),
                     label=entry.get("label", ""),
                 )
                 for entry in data

@@ -33,6 +33,10 @@ _MAX_THROUGHPUT = 1e15  # stand-in for "term fitted to zero", keeps models finit
 # Not identifiable from dynamic power (it cancels in the trace
 # subtraction); the nominal baseline of synthesized traces.
 IDLE_W = 2.0
+# The reference protocols of the module docstring.
+LATENCY_RUNS = 40
+POWER_WINDOW_S = 180
+POWER_SAMPLE_HZ = 1
 
 
 class MeasurementError(RuntimeError):
@@ -124,10 +128,7 @@ def load_profiles(directory: str | Path) -> dict[str, DeviceProfile]:
 
 @dataclass(frozen=True)
 class MeasurementProtocol:
-    latency_runs: int = 40
     warmup_runs: int = 0
-    power_window_s: int = 180
-    power_sample_hz: int = 1
 
 
 @dataclass(frozen=True)
@@ -331,14 +332,12 @@ class DeviceMeasurer:
         self.protocol = protocol or MeasurementProtocol()
 
     def latency(self, config: Configuration, arch: ArchitectureDescriptor) -> tuple[float, float]:
-        total = self.protocol.latency_runs + self.protocol.warmup_runs
+        total = LATENCY_RUNS + self.protocol.warmup_runs
         samples = self.backend.latency_samples(config, arch, total)
         return latency_stats(samples[self.protocol.warmup_runs :])
 
     def power(self, config: Configuration, arch: ArchitectureDescriptor) -> float:
-        idle, active = self.backend.power_traces(
-            config, arch, self.protocol.power_window_s, self.protocol.power_sample_hz
-        )
+        idle, active = self.backend.power_traces(config, arch, POWER_WINDOW_S, POWER_SAMPLE_HZ)
         return dynamic_power_from_traces(idle, active)
 
 

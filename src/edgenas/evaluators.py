@@ -4,8 +4,12 @@ external-process evaluator speaking the NDJSON wire protocol.
 The surrogate maps every active parameter to its relative grid position,
 mixes per-parameter cosine waves (coefficients frozen from a seed) with a
 mild depth reward, and squashes through a logistic onto the observed
-accuracy band [88.32, 99.49]. Lower-precision deployment subtracts a
-per-precision delta before clamping.
+accuracy band [88.32, 99.49]; the logistic keeps every value strictly
+inside it.
+
+Stage 1 scores full-precision accuracy. The loss of a lower-precision
+deployment belongs to the device: stage 2 subtracts each profile's
+``accuracy_delta_pct``.
 """
 
 from __future__ import annotations
@@ -22,8 +26,6 @@ from .space import PARAM_ORDER, Configuration, SearchSpace, SpaceValidationError
 ACCURACY_FLOOR_PCT = 88.32
 ACCURACY_CEILING_PCT = 99.49
 
-# Defaults reproduce the published average-accuracy gaps between full-precision
-# and FP16 deployments (98.88 vs 95.45); INT8 deployments matched full precision.
 DEFAULT_SURROGATE_SEED = 49
 DEPTH_REWARD = 0.3
 _AMPLITUDE_RANGE = (0.45, 0.95)
@@ -36,13 +38,6 @@ class Precision(str, Enum):
     INT8 = "int8"
 
 
-DEFAULT_PRECISION_DELTAS = {
-    Precision.FP32: 0.0,
-    Precision.FP16: 3.43,
-    Precision.INT8: 0.0,
-}
-
-
 class EvaluatorError(RuntimeError):
     """Evaluation failed for one configuration (recorded, not fatal)."""
 
@@ -50,9 +45,6 @@ class EvaluatorError(RuntimeError):
 @dataclass(frozen=True)
 class AccuracyResult:
     accuracy_pct: float
-    source: str  # "surrogate" | "external"
-    config: Configuration
-    precision: Precision
 
     def __post_init__(self):
         if not math.isfinite(self.accuracy_pct) or not 0.0 <= self.accuracy_pct <= 100.0:
@@ -60,9 +52,7 @@ class AccuracyResult:
 
 
 class SurrogateEvaluator:
-    """Pure stand-in for real training; deterministic in (config, precision, seed)."""
-
-    deltas = DEFAULT_PRECISION_DELTAS
+    """Pure stand-in for real training; deterministic in (config, seed)."""
 
     def __init__(self, space: SearchSpace):
         self.space = space
@@ -81,8 +71,7 @@ class SurrogateEvaluator:
                 for i, value in enumerate(grid)
             }
 
-    def base_accuracy(self, config: Configuration) -> float:
-        """Full-precision accuracy before any precision delta."""
+    def evaluate(self, config: Configuration) -> AccuracyResult:
         verdict = validate(config, self.space)
         if not verdict.valid:
             raise SpaceValidationError("; ".join(verdict.reasons))
@@ -90,47 +79,33 @@ class SurrogateEvaluator:
         for name in self.space.active_params(config.block):
             s += self._terms[name][getattr(config, name)]
         logistic = 1.0 / (1.0 + math.exp(-s))
-        return ACCURACY_FLOOR_PCT + (ACCURACY_CEILING_PCT - ACCURACY_FLOOR_PCT) * logistic
-
-    def evaluate(
-        self, config: Configuration, precision: Precision = Precision.FP32
-    ) -> AccuracyResult:
-        accuracy = min(
-            max(self.base_accuracy(config) - self.deltas[precision], ACCURACY_FLOOR_PCT),
-            ACCURACY_CEILING_PCT,
+        return AccuracyResult(
+            ACCURACY_FLOOR_PCT + (ACCURACY_CEILING_PCT - ACCURACY_FLOOR_PCT) * logistic
         )
-        return AccuracyResult(accuracy, "surrogate", config, precision)
 
 
 class ExternalEvaluator:
     """Bridges to a spawned evaluator process over line-delimited JSON.
+    The process scores full-precision accuracy; stage 2 subtracts each
+    device profile's ``accuracy_delta_pct``.
 
-    Request:  {"id": N, "cmd": "evaluate", "config": {...}, "precision": "fp16"}
+    Request:  {"id": N, "cmd": "evaluate", "config": {...}}
     Response: {"id": N, "accuracy_pct": x} or {"id": N, "error": "message"}
     """
 
     def __init__(self, channel: JsonLineChannel):
         self.channel = channel
 
-    def evaluate(
-        self, config: Configuration, precision: Precision = Precision.FP32
-    ) -> AccuracyResult:
+    def evaluate(self, config: Configuration) -> AccuracyResult:
         try:
-            response = self.channel.request(
-                {
-                    "cmd": "evaluate",
-                    "config": config.to_json_dict(),
-                    "precision": precision.value,
-                }
-            )
+            response = self.channel.request({"cmd": "evaluate", "config": config.to_json_dict()})
         except ChannelTimeout as exc:
             raise EvaluatorError(str(exc)) from exc
         if "error" in response:
             raise EvaluatorError(f"evaluator reported: {response['error']}")
         if "accuracy_pct" not in response:
             raise ProtocolError(f"response missing accuracy_pct: {response!r}")
-        accuracy = number(response["accuracy_pct"], "accuracy_pct")
-        return AccuracyResult(accuracy, "external", config, precision)
+        return AccuracyResult(number(response["accuracy_pct"], "accuracy_pct"))
 
     def close(self) -> None:
         self.channel.close()

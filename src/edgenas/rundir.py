@@ -1,11 +1,13 @@
 """The run directory: each file's name, its parse and the command that
 writes it, and the run settings that ``manifest.json`` and ``--config`` hold."""
 
+from dataclasses import asdict
 from pathlib import Path
 
 from ._data import read_json, write_json
 from .pipeline import RankedSet, TrialLog, TrialRecord
 from .space import space_from_dict
+from .tpe import OptimizerSettings
 
 # Each run setting: its key in manifest.json or a --config file (a key
 # "jitter.NAME" nests under "jitter"), its flag destination and its type.
@@ -40,8 +42,8 @@ def _typed(value, kind: type, key: str):
 def settings(data, base) -> dict:
     """The run settings in a manifest or --config file's ``data``, keyed by
     flag destination; ``base`` is the file's directory. A wrong type is a
-    TypeError naming the key, and keys that are no setting are a
-    ValueError naming them."""
+    TypeError naming the key, and keys that are no setting, or an
+    optimizer setting out of range, are a ValueError naming them."""
     _typed(data, dict, "run settings")
     keys = {key for key, _, _ in SETTINGS}
     groups = {key.rpartition(".")[0] for key in keys} - {""}
@@ -57,6 +59,12 @@ def settings(data, base) -> dict:
         section = _typed(data.get(group, {}), dict, group) if group else data
         if name in section:
             values[dest] = _typed(section[name], kind, key)
+    if "optimizer_settings" in values:
+        optimizer, defaults = values["optimizer_settings"], asdict(OptimizerSettings())
+        for name in optimizer:
+            if name in defaults:
+                _typed(optimizer[name], type(defaults[name]), f"optimizer.{name}")
+        OptimizerSettings.from_dict(optimizer)  # unknown keys and out-of-range values
     if "space_file" in data:
         values["space"] = str(Path(base, data["space_file"]))
     if "timestamps" in data:

@@ -9,7 +9,7 @@ exact; they render as 0.10..0.30.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -19,6 +19,8 @@ from ._data import TABLE1_SPACE_PATH, read_json, write_json
 
 PARAM_ORDER = ("block", "k1", "k2", "k3", "k4", "fc1", "do1", "fc2", "do2")
 DROPOUT_PARAMS = ("do1", "do2")
+# The minimum block count at which each block-conditional parameter exists.
+MIN_BLOCK = {"k3": 3, "k4": 4}
 
 
 class SpaceValidationError(ValueError):
@@ -37,17 +39,12 @@ def _render_value(name: str, value: int) -> str:
 
 @dataclass(frozen=True)
 class ParamSpec:
-    """One grid dimension: values lo, lo+step, ..., hi inclusive.
-
-    ``active_when`` is the minimum block count for which the parameter
-    exists (None means always active).
-    """
+    """One grid dimension: values lo, lo+step, ..., hi inclusive."""
 
     name: str
     lo: int
     hi: int
     step: int
-    active_when: int | None = None
 
     def __post_init__(self):
         if self.step <= 0:
@@ -83,6 +80,12 @@ class ParamSpec:
         hi = _render_value(self.name, self.hi)
         step = _render_value(self.name, self.step) if self.name in DROPOUT_PARAMS else self.step
         return f"{lo}..{hi} step {step}"
+
+
+def _json_int(value, key: str) -> int:
+    if type(value) is not int:  # so a bool or a float is refused
+        raise SpaceValidationError(f"{key} must be a JSON integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -122,8 +125,8 @@ class Configuration:
         for name in PARAM_ORDER:
             key = f"{name}_hundredths" if name in DROPOUT_PARAMS else name
             if key in data:
-                kwargs[name] = int(data[key])
-        kwargs["output_classes"] = int(data.get("output_classes", 7))
+                kwargs[name] = _json_int(data[key], key)
+        kwargs["output_classes"] = _json_int(data.get("output_classes", 7), "output_classes")
         missing = [n for n in ("block", "k1", "k2", "fc1", "do1", "fc2", "do2") if n not in kwargs]
         if missing:
             raise SpaceValidationError(f"configuration missing fields: {', '.join(missing)}")
@@ -185,13 +188,7 @@ class SearchSpace:
         return self._active_params(block) if names is None else names
 
     def _active_params(self, block: int) -> tuple[str, ...]:
-        names = []
-        for name in PARAM_ORDER:
-            spec = self.params[name]
-            if spec.active_when is not None and block < spec.active_when:
-                continue
-            names.append(name)
-        return tuple(names)
+        return tuple(name for name in PARAM_ORDER if block >= MIN_BLOCK.get(name, block))
 
     def to_json_dict(self) -> dict:
         out: dict = {}
@@ -216,7 +213,7 @@ class ValidationResult:
 
 
 def build_space(spec_table: list[ParamSpec], output_classes: int = 7) -> SearchSpace:
-    """Assemble a SearchSpace, attaching k3/k4 activation rules.
+    """Assemble a SearchSpace.
 
     Raises SpaceValidationError when a parameter is missing, duplicated,
     or (via ParamSpec) has a misaligned grid.
@@ -231,10 +228,6 @@ def build_space(spec_table: list[ParamSpec], output_classes: int = 7) -> SearchS
     missing = [n for n in PARAM_ORDER if n not in by_name]
     if missing:
         raise SpaceValidationError(f"missing parameters: {', '.join(missing)}")
-    for name, min_block in (("k3", 3), ("k4", 4)):
-        spec = by_name[name]
-        if spec.active_when != min_block:
-            by_name[name] = replace(spec, active_when=min_block)
     return SearchSpace(params=by_name, output_classes=output_classes)
 
 

@@ -78,7 +78,10 @@ class OptimizerSettings:
 class Observation:
     config: Configuration
     loss: float | None  # -accuracy_pct; None when the evaluation failed
-    failed: bool = False
+
+    @property
+    def failed(self) -> bool:
+        return self.loss is None
 
 
 class ObservationHistory:
@@ -104,10 +107,10 @@ class ObservationHistory:
     def entries(self) -> tuple[Observation, ...]:
         return tuple(self._entries)
 
-    def record(self, config: Configuration, loss: float | None, failed: bool = False) -> None:
-        if not failed and (loss is None or not math.isfinite(loss)):
+    def record(self, config: Configuration, loss: float | None) -> None:
+        if loss is not None and not math.isfinite(loss):
             raise ValueError(f"non-finite loss {loss!r} for a successful trial")
-        entry = Observation(config, loss, failed)
+        entry = Observation(config, loss)
         self.mirror.add(entry)
         self._entries.append(entry)
 
@@ -283,20 +286,20 @@ def run_optimization(
     if budget < 1:
         raise ValueError(f"budget {budget} must be >= 1")
     history = ObservationHistory(space, settings)
-    cache: dict[Configuration, tuple[float | None, bool]] = {}
+    cache: dict[Configuration, float | None] = {}
     limit = budget
     max_limit = budget * DEDUP_BUDGET_FACTOR if unique_target is not None else budget
     while len(history) < limit:
         config = suggest(history)
         if config in cache:
-            loss, failed = cache[config]
+            loss = cache[config]
         else:
             try:
-                loss, failed = -float(evaluate(config)), False
+                loss = -float(evaluate(config))
             except EvaluatorError:
-                loss, failed = None, True
-            cache[config] = (loss, failed)
-        history.record(config, loss, failed=failed)
+                loss = None
+            cache[config] = loss
+        history.record(config, loss)
         if (
             len(history) == limit
             and unique_target is not None

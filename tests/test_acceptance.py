@@ -14,9 +14,17 @@ import numpy as np
 import pytest
 
 from edgenas.architecture import build_architecture
-from edgenas.devices import DeviceMeasurer, ExternalDevice, MeasurementError
-from edgenas.evaluators import Precision, SurrogateEvaluator
-from edgenas.pipeline import FitnessKind, RankedSet, TrialRecord, fitness, rank_records, stage1
+from edgenas.devices import DeviceMeasurer, ExternalDevice, MeasurementError, SimulatedDevice
+from edgenas.evaluators import SurrogateEvaluator
+from edgenas.pipeline import (
+    FitnessKind,
+    RankedSet,
+    TrialRecord,
+    fitness,
+    rank_records,
+    stage1,
+    stage2,
+)
 from edgenas.protocol import JsonLineChannel
 from edgenas.reporting import evaluate_claims
 from edgenas.space import (
@@ -274,14 +282,23 @@ def test_criterion_09_measurement_protocol(pi_best):
     _ok(9, "NDJSON device protocol: stats match hand arithmetic; bad responses rejected")
 
 
-def test_criterion_11_surrogate_contract(table1):
+def test_criterion_11_surrogate_contract(table1, shipped_profiles):
     evaluator = SurrogateEvaluator(table1)
     rng = np.random.default_rng(1111)
-    configs = [sample_uniform(table1, rng) for _ in range(1000)]
-    fp32 = [evaluator.evaluate(c, Precision.FP32).accuracy_pct for c in configs]
-    fp16 = [evaluator.evaluate(c, Precision.FP16).accuracy_pct for c in configs]
-    assert all(88.32 <= v <= 99.49 for v in fp32 + fp16)
-    gap = statistics.mean(fp32) - statistics.mean(fp16)
+    configs = list(dict.fromkeys(sample_uniform(table1, rng) for _ in range(1000)))
+    fp32 = [evaluator.evaluate(c).accuracy_pct for c in configs]
+    assert all(88.32 < v < 99.49 for v in fp32)
+    assert fp32 == [evaluator.evaluate(c).accuracy_pct for c in configs]
+    # The FP16 loss is the device's: stage 2 subtracts its profile's delta.
+    records = [TrialRecord(c, 1, FitnessKind.ACCURACY, a, a, seed=1) for c, a in zip(configs, fp32)]
+    candidates = RankedSet(FitnessKind.ACCURACY, records, len(records))
+    profiles = {name: shipped_profiles[name] for name in ("pi", "pi-ncs2")}
+    ranked = stage2(
+        table1, candidates, profiles, lambda p: DeviceMeasurer(SimulatedDevice(p)), len(records)
+    )
+    pi, ncs2 = ([r.accuracy_pct for r in ranked[name].records] for name in profiles)
+    assert len(pi) == len(ncs2) == len(configs)
+    gap = statistics.mean(pi) - statistics.mean(ncs2)
     assert abs(gap - 3.43) <= 0.01
-    assert fp32 == [evaluator.evaluate(c, Precision.FP32).accuracy_pct for c in configs]
-    _ok(11, f"1000 configs in [88.32, 99.49]; fp32-fp16 gap {gap:.4f}; bit-exact repeats")
+    _ok(11, f"{len(configs)} configs in (88.32, 99.49); bit-exact repeats; "
+            f"stage-2 pi - pi-ncs2 gap {gap:.4f}")

@@ -172,16 +172,6 @@ def test_structural_validation():
         )
 
 
-def test_input_not_divisible_by_pooling_refused(pi_best):
-    config = Configuration(block=4, k1=6, k2=24, k3=36, k4=52, fc1=100, do1=10, fc2=80, do2=10)
-    message = "input 40x40 not divisible by 2^4 pooling stages"
-    with pytest.raises(SpaceValidationError, match=re.escape(message)):
-        build_architecture(config, input_shape=(40, 40, 1))
-    message = "input 48x50 not divisible by 2^2 pooling stages"
-    with pytest.raises(SpaceValidationError, match=re.escape(message)):
-        build_architecture(pi_best, input_shape=(48, 50, 1))
-
-
 def test_off_grid_config_still_compiles():
     # published best-model rows include values outside the grid; the
     # compiler only needs structural consistency

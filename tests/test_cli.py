@@ -179,6 +179,20 @@ class TestArchDescribe:
         assert code == 1
         assert "off-grid" in err
 
+    @pytest.mark.parametrize("key, value", [("k1", 6.7), ("k1", True), ("k1", "6"),
+                                            ("do2_hundredths", 20.0), ("output_classes", None)])
+    def test_describe_non_integer_field_refused(self, capsys, tmp_path, pi_best, key, value):
+        from edgenas._data import TABLE1_SPACE_PATH
+
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({**pi_best.to_json_dict(), key: value}))
+        for extra in ([], ["--space", str(TABLE1_SPACE_PATH)]):
+            code, out, err = _run(capsys, "arch", "describe", "--config", str(config_path), *extra)
+            assert code == 1
+            message = f"{key} must be a JSON integer, got {value!r}"
+            assert f"error: {config_path}: SpaceValidationError: {message}" in err, err
+            assert out == ""
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -227,12 +241,21 @@ class TestUsageErrors:
         cases = (
             ("search", {"budget": 0}, "budget must be >= 1"),
             ("pipeline", {"budget": 40, "jitter": {"power_sigma_w": -0.5}}, "power_jitter must be >= 0"),
+            ("search", {"optimizer": {"gamma": "0.25"}},
+             f"{run_config}: TypeError: optimizer.gamma must be float, not str"),
+            ("search", {"optimizer": {"n_candidates": 2.5}},
+             f"{run_config}: TypeError: optimizer.n_candidates must be int, not float"),
+            ("pipeline", {"optimizer": {"n_startup": True}},
+             f"{run_config}: TypeError: optimizer.n_startup must be int, not bool"),
+            ("search", {"optimizer": {"gamma": 1.5}},
+             f"{run_config}: ValueError: gamma 1.5 outside (0, 1)"),
         )
         for command, settings, message in cases:
             run_config.write_text(json.dumps({"space": str(reduced_space_file), **settings}))
             code, _, err = _run(capsys, command, "--config", str(run_config), "--out", str(out_dir))
             assert code == 1
-            assert message in err
+            assert message in err, err
+            assert "Traceback" not in err
             assert not out_dir.exists()
 
     @pytest.mark.parametrize(
@@ -1060,11 +1083,23 @@ class TestProfileCli:
 
     def test_bad_observations_are_named(self, capsys, tmp_path):
         path = tmp_path / "observations.json"
+        config = '{"block": 2, "k1": 6, "k2": 24, "fc1": 100, "do1_hundredths": 10, "fc2": 80, "do2_hundredths": 10}'
+        fractional_k1 = config.replace('"k1": 6', '"k1": 6.5')
         cases = (
             ('[{"latency_ms": 1.0}]', "KeyError: 'config'"),
             ('{"latency_ms": 1.0}', "TypeError"),
             ('[{"config": {"block": 2, "k1": 6}, "latency_ms": 1.0}]', "SpaceValidationError"),
             ("[{", "JSONDecodeError"),
+            (f'[{{"config": {config}, "latency_ms": 1.0, "dynamic_power_w": true}}]',
+             "ValueError: dynamic_power_w must be a finite JSON number >= 0, got True"),
+            (f'[{{"config": {config}, "latency_ms": 1.0, "dynamic_power_w": "abc"}}]',
+             "ValueError: dynamic_power_w must be a finite JSON number >= 0, got 'abc'"),
+            (f'[{{"config": {config}, "latency_ms": 1.0, "dynamic_power_w": -0.1}}]',
+             "ValueError: dynamic_power_w must be a finite JSON number >= 0, got -0.1"),
+            (f'[{{"config": {config}, "latency_ms": 1.0, "dynamic_power_w": Infinity}}]',
+             "ValueError: dynamic_power_w must be a finite JSON number >= 0, got inf"),
+            (f'[{{"config": {fractional_k1}, "latency_ms": 1.0}}]',
+             "SpaceValidationError: k1 must be a JSON integer, got 6.5"),
         )
         for text, kind in cases:
             path.write_text(text)
@@ -1074,7 +1109,7 @@ class TestProfileCli:
             assert f"error: {path}: {kind}" in err, err
             assert "Traceback" not in err
 
-    @pytest.mark.parametrize("latency", ["0", "-1", "NaN", "Infinity"])
+    @pytest.mark.parametrize("latency", ["0", "-1", "NaN", "Infinity", "true", '"1.5"', "null"])
     def test_non_positive_or_non_finite_latency_refused(self, capsys, tmp_path, latency):
         path, out_dir = tmp_path / "observations.json", tmp_path / "profiles"
         config = '{"block": 2, "k1": 6, "k2": 24, "fc1": 100, "do1_hundredths": 10, "fc2": 80, "do2_hundredths": 10}'
@@ -1082,7 +1117,8 @@ class TestProfileCli:
         argv = ["fit-profile", "--device", "x", "--out", str(out_dir), "--observations", str(path)]
         code, _, err = _run(capsys, *argv, "--precision", "fp32")
         assert code == 1
-        assert f"error: {path}: ValueError: latency_ms must be finite and > 0, got " in err, err
+        message = f"latency_ms must be a finite JSON number > 0, got {json.loads(latency)!r}"
+        assert f"error: {path}: ValueError: {message}" in err, err
         assert "Traceback" not in err
         assert not out_dir.exists()
 

@@ -1,4 +1,3 @@
-import statistics
 import sys
 import time
 
@@ -10,7 +9,6 @@ from edgenas.evaluators import (
     ACCURACY_FLOOR_PCT,
     EvaluatorError,
     ExternalEvaluator,
-    Precision,
     SurrogateEvaluator,
 )
 from edgenas.protocol import ChannelError, JsonLineChannel, ProtocolError
@@ -52,41 +50,20 @@ class TestSurrogate:
             evaluator.evaluate(pi_best).accuracy_pct == reference for _ in range(10_000)
         )
 
-    def test_outputs_within_published_band(self, table1):
+    def test_outputs_within_published_band(self, table1, reduced_space, toy8_space):
+        # Strictly inside: the logistic never reaches 0 or 1, so no value
+        # needs clamping to the band.
+        values = []
+        for space in (reduced_space, toy8_space):
+            evaluator = SurrogateEvaluator(space)
+            values += [
+                evaluator.evaluate(config_from_index(space, index)).accuracy_pct
+                for index in range(cardinality(space))
+            ]
         evaluator = SurrogateEvaluator(table1)
         rng = np.random.default_rng(31)
-        for _ in range(1000):
-            config = sample_uniform(table1, rng)
-            for precision in Precision:
-                value = evaluator.evaluate(config, precision).accuracy_pct
-                assert ACCURACY_FLOOR_PCT <= value <= ACCURACY_CEILING_PCT
-
-    def test_population_gap_matches_default_delta(self, table1):
-        evaluator = SurrogateEvaluator(table1)
-        rng = np.random.default_rng(777)
-        configs = [sample_uniform(table1, rng) for _ in range(1000)]
-        fp32 = [evaluator.evaluate(c, Precision.FP32).accuracy_pct for c in configs]
-        fp16 = [evaluator.evaluate(c, Precision.FP16).accuracy_pct for c in configs]
-        gap = statistics.mean(fp32) - statistics.mean(fp16)
-        assert abs(gap - 3.43) <= 0.01
-
-    def test_fp16_never_above_fp32(self, table1):
-        evaluator = SurrogateEvaluator(table1)
-        rng = np.random.default_rng(13)
-        for _ in range(300):
-            config = sample_uniform(table1, rng)
-            assert (
-                evaluator.evaluate(config, Precision.FP16).accuracy_pct
-                <= evaluator.evaluate(config, Precision.FP32).accuracy_pct
-            )
-
-    def test_fp32_delta_zero_and_int8_default(self, table1, pi_best):
-        evaluator = SurrogateEvaluator(table1)
-        assert evaluator.deltas[Precision.FP32] == 0.0
-        assert (
-            evaluator.evaluate(pi_best, Precision.INT8).accuracy_pct
-            == evaluator.evaluate(pi_best, Precision.FP32).accuracy_pct
-        )
+        values += [evaluator.evaluate(sample_uniform(table1, rng)).accuracy_pct for _ in range(1000)]
+        assert all(ACCURACY_FLOOR_PCT < value < ACCURACY_CEILING_PCT for value in values)
 
     def test_non_constant_signal(self, table1):
         evaluator = SurrogateEvaluator(table1)
@@ -110,20 +87,30 @@ class TestSurrogate:
             evaluator = SurrogateEvaluator(space)
             for index in range(cardinality(space)):
                 config = config_from_index(space, index)
-                assert evaluator.base_accuracy(config) == surrogate_base_accuracy(space, config)
+                accuracy = evaluator.evaluate(config).accuracy_pct
+                assert accuracy == surrogate_base_accuracy(space, config)
         evaluator = SurrogateEvaluator(table1)
         rng = np.random.default_rng(2024)
         for _ in range(2000):
             config = sample_uniform(table1, rng)
-            assert evaluator.base_accuracy(config) == surrogate_base_accuracy(table1, config)
+            accuracy = evaluator.evaluate(config).accuracy_pct
+            assert accuracy == surrogate_base_accuracy(table1, config)
 
 
 class TestExternalEvaluator:
     def test_ok_response(self, pi_best):
         with _channel("ok") as channel:
-            result = ExternalEvaluator(channel).evaluate(pi_best, Precision.INT8)
-        assert result.accuracy_pct == 98.98
-        assert result.source == "external"
+            assert ExternalEvaluator(channel).evaluate(pi_best).accuracy_pct == 98.98
+
+    def test_request_is_cmd_and_config(self, pi_best):
+        class RecordingChannel:
+            def request(self, payload):
+                self.payload = payload
+                return {"accuracy_pct": 97.5}
+
+        channel = RecordingChannel()
+        assert ExternalEvaluator(channel).evaluate(pi_best).accuracy_pct == 97.5
+        assert channel.payload == {"cmd": "evaluate", "config": pi_best.to_json_dict()}
 
     def test_request_order_ids(self, pi_best):
         with _channel("ok") as channel:

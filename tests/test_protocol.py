@@ -8,7 +8,7 @@ from edgenas import protocol
 from edgenas.protocol import ChannelError, ChannelTimeout, JsonLineChannel, ProtocolError
 from conftest import MOCK_EVALUATOR
 
-REQUEST = {"cmd": "evaluate", "config": {}, "precision": "fp32"}
+REQUEST = {"cmd": "evaluate", "config": {}}
 
 
 def _channel(mode: str, timeout_s: float = 10.0) -> JsonLineChannel:

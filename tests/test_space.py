@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from edgenas.space import (
+    PARAM_ORDER,
     Configuration,
     ParamSpec,
     SpaceValidationError,
@@ -61,9 +62,9 @@ class TestBuildSpace:
         }
 
     def test_activation_rules_attached(self, table1):
-        assert table1.spec_for("k3").active_when == 3
-        assert table1.spec_for("k4").active_when == 4
-        assert table1.spec_for("k1").active_when is None
+        assert table1.active_params(2) == ("block", "k1", "k2", "fc1", "do1", "fc2", "do2")
+        assert table1.active_params(3) == ("block", "k1", "k2", "k3", "fc1", "do1", "fc2", "do2")
+        assert table1.active_params(4) == PARAM_ORDER
 
     def test_missing_parameter_rejected(self):
         with pytest.raises(SpaceValidationError, match="missing parameters"):

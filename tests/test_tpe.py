@@ -86,7 +86,7 @@ class TestSplit:
     def test_failed_entries_excluded(self, table1):
         configs = _uniform_configs(table1, 4)
         history = _history(table1, [(c, -90.0 - i) for i, c in enumerate(configs[:3])])
-        history.record(configs[3], None, failed=True)
+        history.record(configs[3], None)
         good, bad = _split(history)
         assert all(not e.failed for e in good + bad)
         assert len(good) + len(bad) == 3
@@ -186,7 +186,7 @@ def _assert_mirror_rebuilt(history):
     kept = history.mirror
     replay = ObservationHistory(history.space, history.settings)
     for entry in history.entries:
-        replay.record(entry.config, entry.loss, entry.failed)
+        replay.record(entry.config, entry.loss)
     fresh = replay.mirror
     fresh.split(history.settings.gamma)
     assert kept.n == fresh.n
@@ -250,7 +250,7 @@ class TestReferenceEquivalence:
                 _assert_mirror_rebuilt(history)
                 _assert_split_from_scratch(history)
             if config.k1 == 8:
-                history.record(config, None, failed=True)
+                history.record(config, None)
             else:
                 # rounding to 0.5 pp gives many tied losses
                 history.record(config, -round(2 * evaluator.evaluate(config).accuracy_pct) / 2)
@@ -274,7 +274,7 @@ class TestReferenceEquivalence:
             history.settings = replace(history.settings, seed=seed)
             assert suggest(history) == tpe_suggest(toy8_space, history), seed
 
-    @pytest.mark.parametrize("loss", [None, float("nan"), float("inf")])
+    @pytest.mark.parametrize("loss", [float("nan"), float("inf")])
     def test_success_without_finite_loss_is_refused(self, table1, loss):
         configs = _uniform_configs(table1, 7)
         history = _history(table1, [(c, -90.0 - i) for i, c in enumerate(configs[:6])], n_startup=2)
@@ -288,7 +288,7 @@ class TestReferenceEquivalence:
     def test_history_without_success_draws_uniformly(self, table1):
         history = ObservationHistory(table1, OptimizerSettings(seed=3, n_startup=2))
         for config in _uniform_configs(table1, 4):
-            history.record(config, None, failed=True)
+            history.record(config, None)
         assert suggest(history) == tpe_suggest(table1, history)
 
 
@@ -357,7 +357,7 @@ class TestRunOptimization:
         for k in (0, 7, settings.n_startup, 41, 79):
             replay = ObservationHistory(reduced_space, settings)
             for entry in entries[:k]:
-                replay.record(entry.config, entry.loss, entry.failed)
+                replay.record(entry.config, entry.loss)
             assert suggest(replay) == entries[k].config, k
 
     def test_unique_target_extends_budget(self, reduced_space):
