@@ -103,9 +103,17 @@ class DeviceProfile:
             precision=Precision(data["precision"]),
             latency_model=LatencyModel(**data["latency_model"]),
             power_model=PowerModel(**data["power_model"]),
-            accuracy_delta_pct=float(data.get("accuracy_delta_pct", 0.0)),
+            accuracy_delta_pct=_delta_pct(data.get("accuracy_delta_pct", 0.0)),
             fit_residuals=data.get("fit_residuals"),
         )
+
+
+def _delta_pct(value) -> float:
+    """A profile file's accuracy_delta_pct as a float; it must be a JSON
+    number, not a bool, and __post_init__ checks its range."""
+    if type(value) not in (int, float):
+        raise TypeError(f"accuracy_delta_pct must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def save_profile(profile: DeviceProfile, path: str | Path) -> None:

@@ -4,26 +4,25 @@ The child starts at the channel's first request, so a channel that never
 sends starts no child; a command that cannot be found still fails when
 the channel is built. One request in flight per channel; the child must
 answer in request order. Responses are matched by integer id; a reply to
-a request that already timed out is dropped. A background thread drains
-the child's stdout into a queue of byte lines so reads can time out
-without blocking; the requesting thread decodes each line, so a reply
-that is not UTF-8 JSON is a ProtocolError for that request and never
-stops the reader.
+a request that already timed out is dropped. There is no reader thread:
+the requesting thread polls the child's stdout for the time left, reads
+what has come into a byte buffer and takes one line from it, so a reply
+that is not UTF-8 JSON is a ProtocolError for that request only.
 """
 
 from __future__ import annotations
 
 import json
-import queue
+import math
+import os
+import select
 import shlex
 import shutil
 import subprocess
-import threading
 import time
 
-_EOF = object()
-
-# How long close() lets the child exit after its stdin closes before it is
+# How long close() waits in all, for the child's stdout to end and then for
+# the child to exit, after its stdin closes; a child still running then is
 # killed.
 CLOSE_GRACE_S = 5.0
 
@@ -58,7 +57,8 @@ class JsonLineChannel:
         self.timeout_s = timeout_s
         self._proc: subprocess.Popen | None = None
         self._closed = False
-        self._lines: queue.Queue = queue.Queue()
+        self._buffer = bytearray()
+        self._eof = False
         self._next_id = 0
         self._timed_out: set[int] = set()
 
@@ -74,14 +74,26 @@ class JsonLineChannel:
             )
         except OSError as exc:
             raise ChannelError(f"cannot start {shlex.join(self.command)}: {exc}") from exc
-        self._reader = threading.Thread(target=self._drain, daemon=True)
-        self._reader.start()
+        self._poller = select.poll()
+        self._poller.register(self._proc.stdout, select.POLLIN)
 
-    def _drain(self) -> None:
-        assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            self._lines.put(line)
-        self._lines.put(_EOF)
+    def _line(self, deadline: float) -> bytes | None:
+        """The child's next stdout line, newline included, or None at the end
+        of the stream; a last line with no newline is still returned. Raises
+        ChannelTimeout if no whole line has come by ``deadline``."""
+        while True:
+            end = self._buffer.find(b"\n") + 1
+            if end or self._eof:
+                line = bytes(self._buffer[: end or len(self._buffer)])
+                del self._buffer[: len(line)]
+                return line or None
+            timeout_ms = max(math.ceil((deadline - time.monotonic()) * 1000), 0)
+            if not self._poller.poll(timeout_ms):
+                raise ChannelTimeout
+            # each read allocates its full size, and replies are short lines
+            chunk = os.read(self._proc.stdout.fileno(), 4096)
+            self._buffer += chunk
+            self._eof = not chunk
 
     def request(self, payload: dict) -> dict:
         """Send one request (an id is assigned here) and return the matching
@@ -104,13 +116,13 @@ class JsonLineChannel:
         deadline = time.monotonic() + self.timeout_s
         while True:
             try:
-                line = self._lines.get(timeout=max(deadline - time.monotonic(), 0.0))
-            except queue.Empty:
+                line = self._line(deadline)
+            except ChannelTimeout:
                 self._timed_out.add(request_id)
                 raise ChannelTimeout(
                     f"no response to request {request_id} within {self.timeout_s}s"
                 ) from None
-            if line is _EOF:
+            if line is None:
                 raise ChannelError(f"child closed the stream (exit {self._proc.poll()})")
             try:
                 text = line.decode("utf-8")
@@ -132,11 +144,14 @@ class JsonLineChannel:
             )
 
     def close(self) -> None:
-        """Close stdin so the child sees EOF, join the reader, which ends
-        when the child's stdout closes at exit, then reap the child. Both
-        share one CLOSE_GRACE_S; a child still running when it runs out is
-        killed. stdout is closed once the reader has ended. A channel that
-        never started a child has nothing to close."""
+        """Close stdin so the child sees EOF, read stdout to its end, which
+        comes when the child exits, then reap the child and close stdout.
+        The read and the reap share one CLOSE_GRACE_S, so close waits at most
+        that long even if a grandchild holds stdout open; a child still
+        running then is killed. A channel that never started a child, or is
+        already closed, has nothing to close."""
+        if self._closed:
+            return
         self._closed = True
         if self._proc is None:
             return
@@ -145,15 +160,17 @@ class JsonLineChannel:
         except OSError:
             pass
         deadline = time.monotonic() + CLOSE_GRACE_S
-        self._reader.join(timeout=CLOSE_GRACE_S)
+        try:
+            while self._line(deadline) is not None:
+                pass
+        except ChannelTimeout:
+            pass
         try:
             self._proc.wait(timeout=max(deadline - time.monotonic(), 0.0))
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
-            self._reader.join(timeout=CLOSE_GRACE_S)
-        if not self._reader.is_alive():
-            self._proc.stdout.close()
+        self._proc.stdout.close()
 
     def __enter__(self) -> "JsonLineChannel":
         return self

@@ -350,19 +350,22 @@ def space_from_json(path: str | Path) -> SearchSpace:
 
 
 def space_from_dict(data: dict) -> SearchSpace:
+    """The space in a space file's ``data``. A bound, step or
+    output_classes that is not a JSON integer is a ValueError naming its
+    key, which space_from_json reports as a SpaceValidationError naming the
+    file."""
+
+    def whole(value, key: str) -> int:
+        if type(value) is not int:  # so a bool or a float is refused
+            raise ValueError(f"{key} must be a JSON integer, got {value!r}")
+        return value
+
     specs = []
     for name in PARAM_ORDER:
         if name not in data:
             raise SpaceValidationError(f"missing parameters: {name}")
+        suffix = "_hundredths" if name in DROPOUT_PARAMS else ""
+        bounds = [f"{bound}{suffix}" for bound in ("lo", "hi", "step")]
         entry = data[name]
-        if name in DROPOUT_PARAMS:
-            spec = ParamSpec(
-                name,
-                int(entry["lo_hundredths"]),
-                int(entry["hi_hundredths"]),
-                int(entry["step_hundredths"]),
-            )
-        else:
-            spec = ParamSpec(name, int(entry["lo"]), int(entry["hi"]), int(entry["step"]))
-        specs.append(spec)
-    return build_space(specs, output_classes=int(data.get("output_classes", 7)))
+        specs.append(ParamSpec(name, *(whole(entry[key], f"{name}.{key}") for key in bounds)))
+    return build_space(specs, output_classes=whole(data.get("output_classes", 7), "output_classes"))

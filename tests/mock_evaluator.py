@@ -2,6 +2,7 @@
 """NDJSON evaluator stub. argv[1] selects the behavior under test."""
 
 import json
+import os
 import sys
 import time
 
@@ -68,6 +69,27 @@ for line in sys.stdin:
     elif MODE == "not_utf8":
         sys.stdout.buffer.write(b'{"id": %d, "accuracy_pct": 98.98, "note": "\xff"}\n' % rid)
         sys.stdout.flush()
+    elif MODE == "split":
+        # one reply in two flushes 50 ms apart
+        reply = json.dumps({"id": rid, "accuracy_pct": 98.98}) + "\n"
+        for part in (reply[:10], reply[10:]):
+            sys.stdout.write(part)
+            sys.stdout.flush()
+            time.sleep(0.05)
+    elif MODE == "burst":
+        # holds the reply to request 0 until request 1 has come in, then
+        # writes both replies in one write
+        held.append(json.dumps({"id": rid, "accuracy_pct": 90.0 + rid}) + "\n")
+        if rid == 1:
+            os.write(sys.stdout.fileno(), "".join(held).encode())
+            held.clear()
+    elif MODE == "partial_then_silent":
+        sys.stdout.write('{"id": %d, "accuracy_pct"' % rid)
+        sys.stdout.flush()
+    elif MODE == "no_newline_exit":
+        sys.stdout.write(json.dumps({"id": rid, "accuracy_pct": 98.98}))
+        sys.stdout.flush()
+        sys.exit(0)
     elif MODE == "silent":
         continue
     elif MODE == "exit":

@@ -139,6 +139,18 @@ class TestSpaceCommands:
         assert code == 1
         assert f"{path}: KeyError: 'hi'" in err
 
+    def test_space_file_step_that_is_not_an_integer_is_named(self, capsys, tmp_path):
+        from edgenas._data import TABLE1_SPACE_PATH
+
+        space = json.loads(TABLE1_SPACE_PATH.read_text())
+        space["k1"]["step"] = 2.9
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(space))
+        code, out, err = _run(capsys, "space", "count", "--space", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"{path}: ValueError: k1.step must be a JSON integer, got 2.9" in err
+
 
 class TestArchDescribe:
     def test_describe_pi_best(self, capsys, tmp_path, pi_best):
@@ -840,7 +852,7 @@ class TestExternalEvaluatorCli:
         assert code == 0
         assert len(channels) == 1
         assert channels[0]._proc.returncode is not None
-        assert not channels[0]._reader.is_alive()
+        assert channels[0]._proc.stdout.closed
 
     @pytest.mark.parametrize("mode", ["bool", "numeric_string", "string", "null"])
     def test_accuracy_that_is_not_a_json_number_exits_2(
@@ -1072,6 +1084,25 @@ class TestProfileCli:
                 assert f"error: {devices / 'pi.json'}: " in err, err
                 assert "Traceback" not in err
             assert not run.exists()
+
+    @pytest.mark.parametrize(
+        "delta, reason",
+        [
+            (True, "TypeError: accuracy_delta_pct must be a JSON number, got True"),
+            ("3.43", "TypeError: accuracy_delta_pct must be a JSON number, got '3.43'"),
+            (-0.5, "ValueError: accuracy_delta_pct must be finite and >= 0"),
+        ],
+    )
+    def test_accuracy_delta_that_is_not_a_number_is_named(self, capsys, tmp_path, delta, reason):
+        from edgenas._data import PROFILES_DIR
+
+        profile = json.loads((PROFILES_DIR / "pi-ncs2.json").read_text())
+        profile["accuracy_delta_pct"] = delta
+        (tmp_path / "pi-ncs2.json").write_text(json.dumps(profile))
+        code, out, err = _run(capsys, "devices", "list", "--devices", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert f"error: {tmp_path / 'pi-ncs2.json'}: {reason}" in err, err
 
     def test_fit_profile_from_fixture(self, capsys, tmp_path):
         code, out, _ = _run(capsys, "fit-profile", "--device", "coral-dev", "--out", str(tmp_path))

@@ -31,12 +31,11 @@ def sleeps(monkeypatch):
 
 def _closed(channel: JsonLineChannel) -> bool:
     """A channel that never sent has no child; one that did has its child
-    reaped, its reader ended and both pipes closed."""
+    reaped and both pipes closed."""
     if channel._proc is None:
         return channel._next_id == 0
     return (
         channel._proc.returncode is not None
-        and not channel._reader.is_alive()
         and channel._proc.stdin.closed
         and channel._proc.stdout.closed
     )
@@ -92,6 +91,36 @@ class TestResponseId:
                 channel.request(REQUEST)
             with pytest.raises(ProtocolError, match="response id False does not match request 1"):
                 channel.request(REQUEST)
+
+
+class TestLineReader:
+    def test_reply_in_two_flushes_read_whole(self):
+        with _channel("split") as channel:
+            assert channel.request(REQUEST) == {"id": 0, "accuracy_pct": 98.98}
+            assert channel.request(REQUEST) == {"id": 1, "accuracy_pct": 98.98}
+
+    def test_late_reply_and_reply_in_one_write(self):
+        # request 0 times out; its late reply and the reply to request 1
+        # come back in one write, and request 1 gets its own
+        with _channel("burst", timeout_s=0.3) as channel:
+            with pytest.raises(ChannelTimeout):
+                channel.request(REQUEST)
+            assert channel.request(REQUEST) == {"id": 1, "accuracy_pct": 91.0}
+
+    def test_half_a_line_then_nothing_times_out(self):
+        with _channel("partial_then_silent", timeout_s=0.3) as channel:
+            start = time.monotonic()
+            with pytest.raises(ChannelTimeout, match="no response to request 0 within 0.3s"):
+                channel.request(REQUEST)
+            assert 0.3 <= time.monotonic() - start < 1.0
+
+    def test_last_reply_without_newline_returned(self):
+        with _channel("no_newline_exit") as channel:
+            assert channel.request(REQUEST) == {"id": 0, "accuracy_pct": 98.98}
+            with pytest.raises(ChannelError):
+                channel.request(REQUEST)
+        assert channel._proc.returncode == 0
+        assert _closed(channel)
 
 
 class TestClose:
@@ -152,13 +181,9 @@ class TestClose:
         start = time.monotonic()
         channel.close()
         elapsed = time.monotonic() - start
-        # the reader waits out one grace for the grandchild; the child itself
-        # exited on EOF and is reaped, not killed
+        # reading stdout waits out one grace for the grandchild; the child
+        # itself exited on EOF and is reaped, not killed
         assert 0.5 <= elapsed < 1.0
         assert channel._proc.returncode == 0
-        assert channel._reader.is_alive()
-        assert not channel._proc.stdout.closed
-        # once the grandchild exits, closing again releases stdout
-        channel._reader.join(timeout=5)
-        channel.close()
+        assert channel._proc.stdout.closed
         assert _closed(channel)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from edgenas._data import TABLE1_SPACE_PATH
 from edgenas.space import (
     PARAM_ORDER,
     Configuration,
@@ -23,6 +24,8 @@ from edgenas.space import (
     validate,
 )
 from oracles import conv_subspace_count, enumerate_config_tuples, fc_subspace_count
+
+TABLE1 = json.loads(TABLE1_SPACE_PATH.read_text())
 
 
 class TestParamSpec:
@@ -258,6 +261,19 @@ class TestSerialization:
             ({"block": {"lo": 2}}, "KeyError: 'hi'"),
             ({"block": 3}, "TypeError"),
             ({"block": {"lo": "two", "hi": 4, "step": 1}}, "ValueError"),
+            (
+                {**TABLE1, "k1": {"lo": 6, "hi": 16, "step": 2.9}},
+                "ValueError: k1.step must be a JSON integer, got 2.9",
+            ),
+            (
+                {**TABLE1, "k2": {"lo": 24, "hi": True, "step": 4}},
+                "ValueError: k2.hi must be a JSON integer, got True",
+            ),
+            (
+                {**TABLE1, "do1": {"lo_hundredths": 10.0, "hi_hundredths": 30, "step_hundredths": 1}},
+                "ValueError: do1.lo_hundredths must be a JSON integer, got 10.0",
+            ),
+            ({**TABLE1, "output_classes": 7.5}, "ValueError: output_classes must be a JSON integer, got 7.5"),
         ],
     )
     def test_space_file_with_missing_key_or_wrong_type_is_named(self, tmp_path, content, reason):
