@@ -19,6 +19,7 @@ import math
 import zlib
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -236,6 +237,12 @@ class SimulatedDevice:
         self.jitter = jitter or JitterSpec()
         self.seed = seed
 
+    def expect_latency(self, configs: Iterable[Configuration], runs: int) -> None:
+        """Nothing to prepare: samples are synthesized when asked for."""
+
+    def expect_power(self, configs: Iterable[Configuration], window_s: int, sample_hz: int) -> None:
+        """Nothing to prepare: traces are synthesized when asked for."""
+
     def latency_samples(
         self, config: Configuration, arch: ArchitectureDescriptor, runs: int
     ) -> list[float]:
@@ -264,6 +271,19 @@ class SimulatedDevice:
         return _clamp_at_zero(idle + idle_noise), _clamp_at_zero(active + active_noise)
 
 
+def _latency_request(config: Configuration, runs: int) -> dict:
+    return {"cmd": "measure_latency", "config": config.to_json_dict(), "runs": runs}
+
+
+def _power_request(config: Configuration, window_s: int, sample_hz: int) -> dict:
+    return {
+        "cmd": "measure_power",
+        "config": config.to_json_dict(),
+        "window_s": window_s,
+        "sample_hz": sample_hz,
+    }
+
+
 class ExternalDevice:
     """Requests raw samples from a measurement process over the wire.
 
@@ -271,10 +291,26 @@ class ExternalDevice:
         -> {"id": N, "latency_ms": [... 40 numbers ...]}
     {"id": N, "cmd": "measure_power", "config": {...}, "window_s": 180, "sample_hz": 1}
         -> {"id": N, "idle_w": [...], "active_w": [...]}
+
+    The idle and active power windows run one after the other: a device
+    cannot idle and run the model at once, so each power measurement
+    takes at least 2 * window_s of device time (360 s at POWER_WINDOW_S).
+    The stages announce their next configs (``expect_latency``,
+    ``expect_power``), and the channel sends those requests ahead.
     """
 
     def __init__(self, channel: JsonLineChannel):
         self.channel = channel
+
+    def expect_latency(self, configs: Iterable[Configuration], runs: int) -> None:
+        """Announce the configs the next ``latency_samples`` calls ask for,
+        in order, so the channel sends their requests ahead."""
+        self.channel.expect(_latency_request(config, runs) for config in configs)
+
+    def expect_power(self, configs: Iterable[Configuration], window_s: int, sample_hz: int) -> None:
+        """Announce the configs the next ``power_traces`` calls ask for, in
+        order, so the channel sends their requests ahead."""
+        self.channel.expect(_power_request(config, window_s, sample_hz) for config in configs)
 
     def _request(self, message: dict) -> dict:
         """The device's reply. A timeout or an error reply fails only this
@@ -291,9 +327,7 @@ class ExternalDevice:
     def latency_samples(
         self, config: Configuration, arch: ArchitectureDescriptor, runs: int
     ) -> list[float]:
-        response = self._request(
-            {"cmd": "measure_latency", "config": config.to_json_dict(), "runs": runs}
-        )
+        response = self._request(_latency_request(config, runs))
         samples = response.get("latency_ms")
         if not isinstance(samples, list):
             raise ProtocolError(f"response missing latency_ms list: {response!r}")
@@ -308,14 +342,7 @@ class ExternalDevice:
         window_s: int,
         sample_hz: int,
     ) -> tuple[list[float], list[float]]:
-        response = self._request(
-            {
-                "cmd": "measure_power",
-                "config": config.to_json_dict(),
-                "window_s": window_s,
-                "sample_hz": sample_hz,
-            }
-        )
+        response = self._request(_power_request(config, window_s, sample_hz))
         idle, active = response.get("idle_w"), response.get("active_w")
         if not isinstance(idle, list) or not isinstance(active, list):
             raise ProtocolError(f"response missing idle_w/active_w traces: {response!r}")
@@ -338,6 +365,15 @@ class DeviceMeasurer:
     def __init__(self, backend, protocol: MeasurementProtocol | None = None):
         self.backend = backend
         self.protocol = protocol or MeasurementProtocol()
+
+    def expect(self, measurement: str, configs: Iterable[Configuration]) -> None:
+        """Announce the configs the next ``measurement`` calls ("latency"
+        or "power") ask for, in order. A backend that can start on them
+        early (ExternalDevice) does; the calls still come one by one."""
+        if measurement == "latency":
+            self.backend.expect_latency(configs, LATENCY_RUNS + self.protocol.warmup_runs)
+        else:
+            self.backend.expect_power(configs, POWER_WINDOW_S, POWER_SAMPLE_HZ)
 
     def latency(self, config: Configuration, arch: ArchitectureDescriptor) -> tuple[float, float]:
         total = LATENCY_RUNS + self.protocol.warmup_runs

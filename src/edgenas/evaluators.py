@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 import numpy as np
 
@@ -71,6 +72,9 @@ class SurrogateEvaluator:
                 for i, value in enumerate(grid)
             }
 
+    def expect(self, configs: Iterable[Configuration]) -> None:
+        """Nothing to prepare: each score is computed when asked for."""
+
     def evaluate(self, config: Configuration) -> AccuracyResult:
         verdict = validate(config, self.space)
         if not verdict.valid:
@@ -82,6 +86,10 @@ class SurrogateEvaluator:
         return AccuracyResult(
             ACCURACY_FLOOR_PCT + (ACCURACY_CEILING_PCT - ACCURACY_FLOOR_PCT) * logistic
         )
+
+
+def _evaluate_request(config: Configuration) -> dict:
+    return {"cmd": "evaluate", "config": config.to_json_dict()}
 
 
 class ExternalEvaluator:
@@ -96,9 +104,14 @@ class ExternalEvaluator:
     def __init__(self, channel: JsonLineChannel):
         self.channel = channel
 
+    def expect(self, configs: Iterable[Configuration]) -> None:
+        """Announce the configs the next ``evaluate`` calls ask for, in
+        order, so the channel sends their requests ahead."""
+        self.channel.expect(_evaluate_request(config) for config in configs)
+
     def evaluate(self, config: Configuration) -> AccuracyResult:
         try:
-            response = self.channel.request({"cmd": "evaluate", "config": config.to_json_dict()})
+            response = self.channel.request(_evaluate_request(config))
         except ChannelTimeout as exc:
             raise EvaluatorError(str(exc)) from exc
         if "error" in response:

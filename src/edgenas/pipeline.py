@@ -26,7 +26,7 @@ from typing import Callable, Iterator
 from .architecture import ArchitectureDescriptor, build_architecture
 from .devices import DeviceMeasurer, DeviceProfile, MeasurementError
 from .space import Configuration, SearchSpace, SpaceValidationError, index_of
-from .tpe import OptimizerSettings, best_accuracy, run_optimization
+from .tpe import OptimizerSettings, best_accuracy, run_optimization, startup_draw
 
 logger = logging.getLogger(__name__)
 
@@ -341,11 +341,24 @@ def stage1(
     timestamps: bool = True,
 ) -> RankedSet:
     """Accuracy search: optimize, persist every unique successful trial,
-    return the top ``keep`` by accuracy."""
+    return the top ``keep`` by accuracy. The loop's first evaluations, its
+    distinct startup draws, are announced to the evaluator before it
+    starts (``evaluator.expect``)."""
 
     def evaluate(config: Configuration) -> float:
         return evaluator.evaluate(config).accuracy_pct
 
+    def startup_configs() -> Iterator[Configuration]:
+        # the loop's first evaluations: each distinct startup draw, first
+        # occurrences in order, since a repeat is answered from its cache
+        seen: set[Configuration] = set()
+        for index in range(min(settings.n_startup, budget)):
+            config = startup_draw(space, settings.seed, index)
+            if config not in seen:
+                seen.add(config)
+                yield config
+
+    evaluator.expect(startup_configs())
     history = run_optimization(space, evaluate, budget, settings, unique_target=keep)
     unique: dict[Configuration, float] = {}
     for entry in history.succeeded():
@@ -387,15 +400,13 @@ def _measure_and_rank(
     candidates: dict[str, list[TrialRecord]],
     profiles: dict[str, DeviceProfile],
     measurer_factory: Callable[[DeviceProfile], DeviceMeasurer],
-    measure: Callable[..., tuple],
+    measurement: str,
     log: TrialLog | None,
     timestamps: bool,
 ) -> dict[str, RankedSet]:
-    """The stage-2/3 loop: per device, reuse logged records, measure the
-    other candidates, exclude pairs that raise MeasurementError, rank.
-
-    ``measure(measurer, profile, candidate, arch)`` returns the record's
-    (accuracy, latency mean, latency std, dynamic power)."""
+    """The stage-2/3 loop: per device, reuse logged records, announce the
+    other candidates to the measurer and measure them (``measurement`` is
+    "latency" or "power"), exclude pairs that raise MeasurementError, rank."""
     # Reject a candidate off the grid before any device is measured.
     for config in dict.fromkeys(c.config for cs in candidates.values() for c in cs):
         try:
@@ -414,6 +425,10 @@ def _measure_and_rank(
             raise PipelineError(f"stage {stage}: empty candidate set for {device_name}")
         profile = profiles[device_name]
         measurer = measurer_factory(profile)
+        measurer.expect(
+            measurement,
+            (c.config for c in device_candidates if (device_name, c.config) not in cached),
+        )
         records: list[TrialRecord] = []
         for candidate in device_candidates:
             hit = cached.get((device_name, candidate.config))
@@ -424,7 +439,7 @@ def _measure_and_rank(
             if arch is None:
                 arch = archs[candidate.config] = build_architecture(candidate.config)
             try:
-                accuracy, mean, std, power = measure(measurer, profile, candidate, arch)
+                accuracy, mean, std, power = _measure(measurement, measurer, profile, candidate, arch)
             except MeasurementError as exc:
                 logger.warning(
                     "stage %d: excluding %s on %s: %s",
@@ -456,12 +471,12 @@ def _measure_and_rank(
     return result
 
 
-def _measure_latency(measurer, profile, candidate, arch) -> tuple:
-    mean, std = measurer.latency(candidate.config, arch)
-    return candidate.accuracy_pct - profile.accuracy_delta_pct, mean, std, None
-
-
-def _measure_power(measurer, profile, candidate, arch) -> tuple:
+def _measure(measurement: str, measurer, profile, candidate, arch) -> tuple:
+    """The candidate's (accuracy, latency mean, latency std, dynamic
+    power) after its ``measurement`` on the device."""
+    if measurement == "latency":
+        mean, std = measurer.latency(candidate.config, arch)
+        return candidate.accuracy_pct - profile.accuracy_delta_pct, mean, std, None
     power = measurer.power(candidate.config, arch)
     if power <= 0.0:  # accuracy per PDP is undefined
         raise MeasurementError(f"non-positive dynamic power {power} W")
@@ -491,7 +506,7 @@ def stage2(
         dict.fromkeys(profiles, candidates.records),
         profiles,
         measurer_factory,
-        _measure_latency,
+        "latency",
         log,
         timestamps,
     )
@@ -520,7 +535,7 @@ def stage3(
         {device_name: r.records for device_name, r in per_device.items()},
         profiles,
         measurer_factory,
-        _measure_power,
+        "power",
         log,
         timestamps,
     )

@@ -341,12 +341,19 @@ def space_to_json(space: SearchSpace, path: str | Path) -> None:
 
 
 def space_from_json(path: str | Path) -> SearchSpace:
-    """The space in a JSON file. Bad JSON, a missing key, a wrong type or
-    an invalid grid is a SpaceValidationError naming the file."""
+    """The space in a JSON file. Bad JSON is an "unparseable space file";
+    a missing key, a wrong type or an invalid grid is an "invalid space
+    file". Either is a SpaceValidationError naming the file."""
     try:
-        return read_json(path, space_from_dict)
+        data = read_json(path)
     except ValueError as exc:
         raise SpaceValidationError(f"unparseable space file {exc}") from None
+    try:
+        return space_from_dict(data)
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise SpaceValidationError(
+            f"invalid space file {path}: {type(exc).__name__}: {exc}"
+        ) from None
 
 
 def space_from_dict(data: dict) -> SearchSpace:

@@ -223,6 +223,12 @@ def density_weights(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return (counts + SMOOTHING_ALPHA) / denominators[..., None]
 
 
+def startup_draw(space: SearchSpace, seed: int, index: int) -> Configuration:
+    """The uniform draw ``suggest`` makes for the history's entry
+    ``index`` while the history is in its startup phase."""
+    return sample_uniform(space, seeded_rng(seed, index))
+
+
 def suggest(history: ObservationHistory) -> Configuration:
     """Next configuration to try; pure in the history's settings and entries.
 
@@ -232,9 +238,9 @@ def suggest(history: ObservationHistory) -> Configuration:
     peak forever, which would starve the unique-count targets).
     """
     space, settings, mirror = history.space, history.settings, history.mirror
-    rng = seeded_rng(settings.seed, len(history))
     if len(history) < settings.n_startup or not mirror.order:
-        return sample_uniform(space, rng)
+        return startup_draw(space, settings.seed, len(history))
+    rng = seeded_rng(settings.seed, len(history))
 
     good_weights, bad_weights = density_weights(mirror.split(settings.gamma), mirror.sizes)
     ratios = (good_weights / bad_weights).tolist()

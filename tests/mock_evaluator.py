@@ -7,6 +7,12 @@ import sys
 import time
 
 MODE = sys.argv[1] if len(sys.argv) > 1 else "ok"
+# record appends each request line it reads to this file
+RECORD_PATH = sys.argv[2] if MODE == "record" else None
+# How long slow_first holds its reply to request 0: past a 0.2-s timeout
+# even for a child that starts at once, and within the next request's
+# 0.2 s for one that takes up to about 0.15 s to start.
+SLOW_FIRST_HOLD_S = 0.25
 held = []
 # modes whose accuracy_pct is a JSON value that is not a number
 NOT_A_NUMBER = {"bool": True, "numeric_string": "97.5", "string": "abc", "null": None}
@@ -27,10 +33,12 @@ if MODE == "grandchild":
 
 
 def emit(obj):
-    # slow_first holds the reply to request 0 until request 1 has come in,
-    # so that reply is late whatever the timeout; otherwise it acts as ok.
-    # slow_false_id does the same, and that late reply's id is false
-    late = MODE in ("slow_first", "slow_false_id") and obj["id"] == 0
+    # slow_first holds the reply to request 0 for SLOW_FIRST_HOLD_S;
+    # otherwise it acts as ok. slow_false_id holds that reply until request
+    # 1 has come in, so it is late whatever the timeout, and its id is false
+    if MODE == "slow_first" and obj["id"] == 0:
+        time.sleep(SLOW_FIRST_HOLD_S)
+    late = MODE == "slow_false_id" and obj["id"] == 0
     rid, sent = NOT_AN_INT_ID.get(MODE, (None, None))
     if obj["id"] == rid:
         obj["id"] = sent
@@ -49,9 +57,14 @@ for line in sys.stdin:
         continue
     request = json.loads(line)
     rid = request["id"]
+    if RECORD_PATH is not None:
+        with open(RECORD_PATH, "a") as record:
+            record.write(line + "\n")
     if MODE in ("ok", "ignore_eof", "grandchild", "slow_first") or MODE in NOT_AN_INT_ID:
         emit({"id": rid, "accuracy_pct": 98.98})
-    elif MODE == "per_config":
+    elif MODE == "record" and rid == 2:
+        emit({"id": rid, "error": "training diverged"})
+    elif MODE in ("per_config", "record"):
         # deterministic pseudo-accuracy from the configuration contents
         blob = json.dumps(request["config"], sort_keys=True)
         emit({"id": rid, "accuracy_pct": 90.0 + (sum(blob.encode()) % 800) / 100.0})

@@ -1,15 +1,21 @@
+import hashlib
 import json
 import math
+import os
 import pathlib
 import sys
+import time
+import zlib
 
 import numpy as np
 import pytest
 
 import edgenas.pipeline as pipeline_module
+import edgenas.protocol as protocol_module
+from edgenas import rundir
 from edgenas.architecture import build_architecture
 from edgenas.devices import DeviceMeasurer, ExternalDevice, MeasurementError, SimulatedDevice
-from edgenas.evaluators import SurrogateEvaluator
+from edgenas.evaluators import ExternalEvaluator, SurrogateEvaluator
 from edgenas.pipeline import (
     FitnessKind,
     PipelineError,
@@ -31,8 +37,15 @@ from edgenas.space import (
     index_of,
 )
 from edgenas.tpe import OptimizerSettings
-from conftest import MOCK_DEVICE, traced_peak
+from conftest import MOCK_DEVICE, MOCK_EVALUATOR, traced_peak
 from oracles import recomputed_fitness
+
+# sha256 of the files of TestStage1's startup-window run, as the channel
+# wrote them when it sent one request at a time
+STARTUP_WINDOW_DIGESTS = {
+    "stage1.json": "415cff46c995dafedb643a19ff27edb896a48a56bb414b91c41853547635c832",
+    "trials.jsonl": "64652515cf5a2f62eec3ca6dd634c0b63c61ae2e6a50f3b03e31c0025a9b1f33",
+}
 
 
 class FakeMeasurer:
@@ -45,6 +58,9 @@ class FakeMeasurer:
         self.default_power = default_power
         self.latency_calls = 0
         self.power_calls = 0
+
+    def expect(self, measurement, configs):
+        pass
 
     def latency(self, config, arch):
         self.latency_calls += 1
@@ -176,6 +192,41 @@ class TestStage1:
         persisted = log.load()
         assert len(persisted) == 8  # all unique trials, not only survivors
         assert len(ranked.records) == 3
+
+    def test_startup_requests_and_outputs_unchanged_by_the_window(self, tmp_path, toy8_space):
+        # Startup covers the budget: 12 uniform draws over 8 configurations
+        # repeat some, and the evaluator answers request 2 with an error.
+        # The evaluator gets one request per distinct draw, in first-draw
+        # order, with consecutive ids, and the run's files are the bytes
+        # the sequential channel gave.
+        seed, budget, record = 5, 12, tmp_path / "requests.jsonl"
+        argv = [sys.executable, str(MOCK_EVALUATOR), "record", str(record)]
+        with JsonLineChannel(argv, timeout_s=10.0) as channel:
+            with TrialLog(tmp_path / "trials.jsonl") as log:
+                ranked = stage1(
+                    toy8_space, ExternalEvaluator(channel),
+                    OptimizerSettings(seed=seed, n_startup=budget), budget, keep=3,
+                    log=log, timestamps=False,
+                )
+        rundir.write(tmp_path, "stage1", ranked)
+        draws = [
+            config_from_index(
+                toy8_space, int(np.random.default_rng([seed, i]).integers(cardinality(toy8_space)))
+            )
+            for i in range(budget)
+        ]
+        distinct = list(dict.fromkeys(draws))
+        assert len(distinct) < budget
+        expected = [
+            json.dumps({"cmd": "evaluate", "config": c.to_json_dict(), "id": i}) + "\n"
+            for i, c in enumerate(distinct)
+        ]
+        assert record.read_text() == "".join(expected)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("trials.jsonl", "stage1.json")
+        }
+        assert digests == STARTUP_WINDOW_DIGESTS
 
 
 class TestStage2:
@@ -921,6 +972,12 @@ class SampleBackend:
         self.power = power or {}
         self.latency_calls = []
 
+    def expect_latency(self, configs, runs):
+        pass
+
+    def expect_power(self, configs, window_s, sample_hz):
+        pass
+
     def latency_samples(self, config, arch, runs):
         self.latency_calls.append(config)
         return list(self.latency.get(config, [1.0] * runs))
@@ -976,9 +1033,9 @@ class TestBadMeasurements:
 
     @pytest.mark.parametrize("stage", [2, 3])
     def test_device_timeout_excludes_only_its_pair(self, tmp_path, table1, caplog, stage):
-        # the exec: device answers request 0 only after request 1 has come
-        # in, past the channel's 0.2-s timeout; the channel drops that late
-        # reply
+        # the exec: device holds its reply to request 0 for 0.25 s, past the
+        # channel's 0.2-s timeout, while requests 1 and 2 are in flight; the
+        # channel drops that late reply
         configs = [config_from_index(table1, i) for i in range(3)]
         profiles = {"dev": _zero_delta_profile("dev")}
         channels = []
@@ -1015,6 +1072,100 @@ class TestBadMeasurements:
                     table1, candidates, {"dev": _zero_delta_profile("dev")},
                     lambda profile: DeviceMeasurer(ExternalDevice(channel)), 2,
                 )
+
+
+def _mock_latency_ms(config) -> float:
+    """The latency sample of mock_device.py in its per-config modes."""
+    blob = json.dumps(config.to_json_dict(), sort_keys=True).encode()
+    return 1.0 + zlib.crc32(blob) % 1000 / 1000
+
+
+class TestDeviceWindow:
+    """Stages 2 and 3 announce each device's misses, so the channel keeps
+    up to WINDOW requests in flight; replies still come back in order."""
+
+    @pytest.fixture()
+    def run(self, tmp_path, table1):
+        """Runs stage 2 (or 3) over ``n`` candidates on one mock device in
+        ``mode`` and returns the candidates and the stage's log index. The
+        channel it opens is ``run.channels[0]``, closed at teardown."""
+        channels = []
+
+        def run(mode, n, stage=2, timeout_s=10.0):
+            def factory(profile):
+                argv = [sys.executable, str(MOCK_DEVICE), mode]
+                channels.append(JsonLineChannel(argv, timeout_s=timeout_s))
+                return DeviceMeasurer(ExternalDevice(channels[-1]))
+
+            configs = [config_from_index(table1, i) for i in range(n)]
+            profiles = {"dev": _zero_delta_profile("dev")}
+            with TrialLog(tmp_path / "trials.jsonl") as log:
+                if stage == 2:
+                    candidates = _candidates([(c, 95.0) for c in configs])
+                    stage2(table1, candidates, profiles, factory, n, log=log)
+                else:
+                    survivors = {"dev": _stage2_set(table1, [(c, 95.0, 2.0) for c in configs])}
+                    stage3(table1, survivors, profiles, factory, log=log)
+                return configs, log.index(stage)
+
+        run.channels = channels
+        yield run
+        for channel in channels:
+            channel.close()
+
+    @pytest.mark.parametrize("stage", [2, 3])
+    def test_second_request_sent_before_first_reply(self, run, caplog, stage):
+        # the device answers request 0 with an error unless request 1 is
+        # readable within a second of reading request 0
+        configs, index = run("peek", 3, stage)
+        assert set(index) == {("dev", c) for c in configs}
+        assert not [m for m in caplog.messages if "excluding" in m]
+
+    def test_error_reply_mid_window_excludes_only_its_pair(self, run, caplog):
+        configs, index = run("error_third", 5)
+        assert set(index) == {("dev", c) for i, c in enumerate(configs) if i != 2}
+        for (_, config), record in index.items():
+            assert record.latency_mean_ms == pytest.approx(_mock_latency_ms(config))
+        excluded = [m for m in caplog.messages if m.startswith("stage 2: excluding")]
+        assert len(excluded) == 1
+        assert configs[2].canonical_json() in excluded[0]
+        assert "device reported: device unreachable" in excluded[0]
+
+    def test_late_reply_mid_window_excludes_only_its_pair(self, run, caplog):
+        # the device holds its reply to request 2 for 0.3 s after replying
+        # to request 1, past the 0.2-s timeout; request 3's timeout counts
+        # from then, and the late reply 2 is dropped, not read as reply 3
+        configs, index = run("slow_third", 5, timeout_s=0.2)
+        assert set(index) == {("dev", c) for i, c in enumerate(configs) if i != 2}
+        for (_, config), record in index.items():
+            assert record.latency_mean_ms == pytest.approx(_mock_latency_ms(config))
+        excluded = [m for m in caplog.messages if m.startswith("stage 2: excluding")]
+        assert len(excluded) == 1
+        assert configs[2].canonical_json() in excluded[0]
+        assert "no response to request 2" in excluded[0]
+
+    def test_replies_over_a_pipe_buffer_with_a_full_window(self, run):
+        # each reply is more than 64 KiB: the device blocks writing it until
+        # it is read, while the parent never blocks writing requests
+        start = time.monotonic()
+        configs, index = run("big", 12)
+        assert time.monotonic() - start < 5.0
+        assert set(index) == {("dev", c) for c in configs}
+        for (_, config), record in index.items():
+            assert record.latency_mean_ms == pytest.approx(_mock_latency_ms(config))
+
+    def test_protocol_error_mid_window_ends_the_stage_and_close_reaps(self, run):
+        # reply 2 is not JSON: the stage ends with requests 3 to 5 in flight
+        with pytest.raises(ProtocolError, match="unparseable response line"):
+            run("garbage_third", 6)
+        channel = run.channels[0]
+        start = time.monotonic()
+        channel.close()
+        assert time.monotonic() - start < protocol_module.CLOSE_GRACE_S
+        assert channel._proc.returncode == 0  # exited on EOF, not killed
+        assert channel._proc.stdout.closed
+        with pytest.raises(ProcessLookupError):
+            os.kill(channel._proc.pid, 0)
 
 
 def _zero_delta_profile(name):

@@ -1,3 +1,4 @@
+import json
 import re
 import sys
 import time
@@ -120,6 +121,65 @@ class TestLineReader:
             with pytest.raises(ChannelError):
                 channel.request(REQUEST)
         assert channel._proc.returncode == 0
+        assert _closed(channel)
+
+
+def _evaluate(i: int) -> dict:
+    return {"cmd": "evaluate", "config": {"block": i}}
+
+
+def _per_config_accuracy(payload: dict) -> float:
+    """mock_evaluator.py's answer in its per_config and record modes."""
+    blob = json.dumps(payload["config"], sort_keys=True)
+    return 90.0 + (sum(blob.encode()) % 800) / 100.0
+
+
+class TestWindow:
+    def test_announced_requests_go_ahead_up_to_the_window(self, tmp_path):
+        # the record mode logs each request line as it reads it, and answers
+        # request 2 with an error
+        record = tmp_path / "requests.jsonl"
+        payloads = [_evaluate(i) for i in range(20)]
+        argv = [sys.executable, str(MOCK_EVALUATOR), "record", str(record)]
+        with JsonLineChannel(argv, timeout_s=10.0) as channel:
+            channel.expect(iter(payloads))
+            replies = [channel.request(payloads[0])]
+            assert channel._next_id == protocol.WINDOW
+            replies += [channel.request(payload) for payload in payloads[1:]]
+            assert channel._next_id == len(payloads)
+        assert [r["id"] for r in replies] == list(range(20))
+        assert replies[2] == {"id": 2, "error": "training diverged"}
+        for payload, reply in zip(payloads, replies):
+            if reply["id"] != 2:
+                assert reply["accuracy_pct"] == _per_config_accuracy(payload)
+        assert record.read_text() == "".join(
+            json.dumps({**payload, "id": i}) + "\n" for i, payload in enumerate(payloads)
+        )
+
+    def test_unannounced_payload_abandons_the_window(self):
+        # requests 1 to 7 went ahead; a payload other than the next
+        # announced one gets its own reply, and theirs are dropped
+        payloads = [_evaluate(i) for i in range(10)]
+        with _channel("per_config") as channel:
+            channel.expect(payloads)
+            assert channel.request(payloads[0])["id"] == 0
+            other = _evaluate(99)
+            assert channel.request(other) == {
+                "id": protocol.WINDOW, "accuracy_pct": _per_config_accuracy(other)
+            }
+            assert channel.request(payloads[1]) == {
+                "id": protocol.WINDOW + 1, "accuracy_pct": _per_config_accuracy(payloads[1])
+            }
+
+    def test_close_with_requests_in_flight_kills_after_grace(self, monkeypatch):
+        monkeypatch.setattr(protocol, "CLOSE_GRACE_S", 0.3)
+        channel = _channel("ignore_eof")
+        channel.expect([REQUEST] * 20)
+        assert channel.request(REQUEST)["accuracy_pct"] == 98.98
+        start = time.monotonic()
+        channel.close()
+        assert 0.3 <= time.monotonic() - start < 3.0
+        assert channel._proc.returncode == -9
         assert _closed(channel)
 
 

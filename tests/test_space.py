@@ -274,10 +274,12 @@ class TestSerialization:
                 "ValueError: do1.lo_hundredths must be a JSON integer, got 10.0",
             ),
             ({**TABLE1, "output_classes": 7.5}, "ValueError: output_classes must be a JSON integer, got 7.5"),
+            ({**TABLE1, "k1": {"lo": 16, "hi": 6, "step": 2}}, "SpaceValidationError: empty range: K1"),
         ],
     )
     def test_space_file_with_missing_key_or_wrong_type_is_named(self, tmp_path, content, reason):
+        # the file parses, so it is invalid, not unparseable
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(content))
-        with pytest.raises(SpaceValidationError, match=re.escape(f"{path}: {reason}")):
+        with pytest.raises(SpaceValidationError, match=re.escape(f"invalid space file {path}: {reason}")):
             space_from_json(path)
