@@ -1,5 +1,5 @@
-"""Locations of packaged data files, the package's one JSON reader and its
-one file writer.
+"""Locations of packaged data files, the package's one JSON reader, its
+one JSON value check, ``typed``, and its one file writer.
 
 Each file written here is streamed into a temporary file beside its
 final name and then renamed over it. ``write_json`` hands each chunk
@@ -28,6 +28,20 @@ def read_json(path: str | Path, parse: Callable = lambda data: data):
     except (ValueError, KeyError, TypeError, AttributeError,
             IsADirectoryError, NotADirectoryError, PermissionError) as exc:
         raise ValueError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+_JSON_NAMES = {int: "integer", float: "number", str: "string", bool: "boolean", dict: "object"}
+
+
+def typed(value, kind: type, key: str):
+    """``value`` if it is a JSON ``kind`` (int, float, str, bool or dict),
+    else a TypeError naming ``key``. A bool is neither an int nor a float;
+    an int is a float, returned as one. Callers check ranges."""
+    if type(value) is kind:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise TypeError(f"{key} must be a JSON {_JSON_NAMES[kind]}, got {value!r}")
 
 
 def _replace(path: str | Path, write: Callable[[TextIO], object]) -> None:

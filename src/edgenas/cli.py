@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rundir
-from ._data import PROFILES_DIR, TABLE1_SPACE_PATH, read_json, write_text
+from ._data import PROFILES_DIR, TABLE1_SPACE_PATH, read_json, typed, write_text
 from .architecture import build_architecture
 from .calibration import fit_device_profile
 from .devices import (
@@ -379,14 +379,12 @@ def cmd_report(args) -> int:
 
 
 def _observed(entry: dict, key: str, op: str) -> float:
-    """An observation's ``key``: a finite JSON number, not a bool, that is
-    ``op`` (">" or ">=") 0."""
-    value = entry[key]
-    if type(value) not in (int, float) or not (
-        0 < value < math.inf if op == ">" else 0 <= value < math.inf
-    ):
-        raise ValueError(f"{key} must be a finite JSON number {op} 0, got {value!r}")
-    return float(value)
+    """An observation's ``key``: a JSON number (``typed``) that is finite
+    and ``op`` (">" or ">=") 0."""
+    value = typed(entry[key], float, key)
+    if not (0 < value < math.inf if op == ">" else 0 <= value < math.inf):
+        raise ValueError(f"{key} must be a finite JSON number {op} 0, got {entry[key]!r}")
+    return value
 
 
 def cmd_fit_profile(args) -> int:
@@ -402,7 +400,7 @@ def cmd_fit_profile(args) -> int:
                     dynamic_power_w=None
                     if entry.get("dynamic_power_w") is None
                     else _observed(entry, "dynamic_power_w", ">="),
-                    label=entry.get("label", ""),
+                    label=typed(entry.get("label", ""), str, "label"),
                 )
                 for entry in data
             ],

@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from ._data import read_json, write_json
+from ._data import read_json, typed, write_json
 from .architecture import ArchitectureDescriptor
 from .evaluators import Precision
 from .protocol import ChannelTimeout, JsonLineChannel, ProtocolError, number
@@ -99,22 +99,21 @@ class DeviceProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DeviceProfile":
+        """Each value checked by ``typed``, a coefficient keyed as
+        "latency_model.fixed_ms"; the dataclasses check the ranges."""
+
+        def coefficients(model: str) -> dict:
+            terms = typed(data[model], dict, model)
+            return {name: typed(value, float, f"{model}.{name}") for name, value in terms.items()}
+
         return cls(
-            name=data["name"],
-            precision=Precision(data["precision"]),
-            latency_model=LatencyModel(**data["latency_model"]),
-            power_model=PowerModel(**data["power_model"]),
-            accuracy_delta_pct=_delta_pct(data.get("accuracy_delta_pct", 0.0)),
+            name=typed(data["name"], str, "name"),
+            precision=Precision(typed(data["precision"], str, "precision")),
+            latency_model=LatencyModel(**coefficients("latency_model")),
+            power_model=PowerModel(**coefficients("power_model")),
+            accuracy_delta_pct=typed(data.get("accuracy_delta_pct", 0.0), float, "accuracy_delta_pct"),
             fit_residuals=data.get("fit_residuals"),
         )
-
-
-def _delta_pct(value) -> float:
-    """A profile file's accuracy_delta_pct as a float; it must be a JSON
-    number, not a bool, and __post_init__ checks its range."""
-    if type(value) not in (int, float):
-        raise TypeError(f"accuracy_delta_pct must be a JSON number, got {value!r}")
-    return float(value)
 
 
 def save_profile(profile: DeviceProfile, path: str | Path) -> None:

@@ -23,6 +23,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Callable, Iterator
 
+from ._data import typed
 from .architecture import ArchitectureDescriptor, build_architecture
 from .devices import DeviceMeasurer, DeviceProfile, MeasurementError
 from .space import Configuration, SearchSpace, SpaceValidationError, index_of
@@ -130,19 +131,29 @@ class TrialRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TrialRecord":
+        """Each field checked by ``typed``. ``device`` and ``latency_mean_ms``
+        may be null only in stage 1, ``dynamic_power_w`` only before stage
+        3, and the other optional fields always."""
+        stage = typed(data["stage"], int, "stage")
         return cls(
-            config=Configuration.from_json_dict(data["config"]),
-            stage=int(data["stage"]),
-            fitness_kind=FitnessKind(data["fitness"]["kind"]),
-            fitness_value=float(data["fitness"]["value"]),
-            accuracy_pct=float(data["accuracy_pct"]),
-            device=data.get("device"),
-            latency_mean_ms=data.get("latency_mean_ms"),
-            latency_std_ms=data.get("latency_std_ms"),
-            dynamic_power_w=data.get("dynamic_power_w"),
-            seed=data.get("seed"),
-            ts=data.get("ts"),
+            config=Configuration.from_json_dict(typed(data["config"], dict, "config")),
+            stage=stage,
+            fitness_kind=FitnessKind(typed(data["fitness"], dict, "fitness")["kind"]),
+            fitness_value=typed(data["fitness"]["value"], float, "fitness.value"),
+            accuracy_pct=typed(data["accuracy_pct"], float, "accuracy_pct"),
+            device=_field(data, "device", str, stage >= 2),
+            latency_mean_ms=_field(data, "latency_mean_ms", float, stage >= 2),
+            latency_std_ms=_field(data, "latency_std_ms", float),
+            dynamic_power_w=_field(data, "dynamic_power_w", float, stage >= 3),
+            seed=_field(data, "seed", int),
+            ts=_field(data, "ts", str),
         )
+
+
+def _field(data: dict, key: str, kind: type, required: bool = False):
+    """``data[key]`` checked by ``typed``, or None if null and not ``required``."""
+    value = data.get(key)
+    return None if value is None and not required else typed(value, kind, key)
 
 
 class TrialLog:
@@ -237,20 +248,18 @@ class TrialLog:
                     continue
                 try:
                     fields = json.loads(line)
-                    if not isinstance(fields, dict) or type(fields.get("stage")) is not int:
-                        raise ValueError("not an object with an integer stage")
-                    record = (
-                        TrialRecord.from_json_dict(fields)
-                        if stage is None or fields["stage"] >= stage
-                        else None
-                    )
+                    if not isinstance(fields, dict):
+                        raise ValueError("not a JSON object")
+                    line_stage = typed(fields.get("stage"), int, "stage")
+                    built = stage is None or line_stage >= stage
+                    record = TrialRecord.from_json_dict(fields) if built else None
                 except (ValueError, KeyError, TypeError) as exc:
                     if line.endswith("\n"):
                         raise ValueError(f"{self.path}:{number}: bad trial record: {exc}") from None
                     logger.warning("%s: dropping torn last line %d", self.path, number)
                     end, torn = start, True
                     break
-                stages.add(fields["stage"])
+                stages.add(line_stage)
                 if record is not None:
                     yield record
         if torn:
@@ -303,7 +312,7 @@ class RankedSet:
         return cls(
             fitness=FitnessKind(data["fitness"]),
             records=[TrialRecord.from_json_dict(r) for r in data["records"]],
-            k=int(data["k"]),
+            k=typed(data["k"], int, "k"),
         )
 
 
@@ -407,7 +416,8 @@ def _measure_and_rank(
     """The stage-2/3 loop: per device, reuse logged records, announce the
     other candidates to the measurer and measure them (``measurement`` is
     "latency" or "power"), exclude pairs that raise MeasurementError, rank."""
-    # Reject a candidate off the grid before any device is measured.
+    # Reject a candidate off the grid, or a stage-2 accuracy that a device's
+    # accuracy_delta_pct takes outside [0, 100], before any device is measured.
     for config in dict.fromkeys(c.config for cs in candidates.values() for c in cs):
         try:
             index_of(space, config)
@@ -415,6 +425,15 @@ def _measure_and_rank(
             raise SpaceValidationError(
                 f"stage {stage}: candidate {config.canonical_json()} is not in the space: {exc}"
             ) from None
+    if measurement == "latency":
+        for device_name, device_candidates in candidates.items():
+            delta = profiles[device_name].accuracy_delta_pct
+            for candidate in device_candidates:
+                if not 0.0 <= candidate.accuracy_pct - delta <= 100.0:
+                    raise PipelineError(
+                        f"stage {stage}: accuracy {candidate.accuracy_pct - delta} outside [0, 100] "
+                        f"for {candidate.config.canonical_json()} on {device_name}"
+                    )
     cached = log.index(stage) if log is not None else {}
     # Each distinct candidate is compiled once for all devices; the dict
     # lives only for this call.

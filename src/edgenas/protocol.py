@@ -36,6 +36,8 @@ import time
 from collections import deque
 from typing import Iterable, Iterator
 
+from ._data import typed
+
 # How long close() waits in all, for the child's stdout to end and then for
 # the child to exit, after its stdin closes; a child still running then is
 # killed.
@@ -57,12 +59,11 @@ class ChannelTimeout(ProtocolError):
 
 
 def number(value, field: str) -> float:
-    """A reply's numeric value as a float. It must be a JSON number: an
-    int or a float, and not a bool; anything else is a ProtocolError
-    naming ``field``."""
-    if type(value) not in (int, float):
-        raise ProtocolError(f"{field} must be a JSON number, got {value!r}")
-    return float(value)
+    """``typed(value, float, field)``, failing as a ProtocolError."""
+    try:
+        return typed(value, float, field)
+    except TypeError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 class JsonLineChannel:

@@ -49,9 +49,9 @@ class DeviceSummaryRow:
 def summary_table(records: Iterable[TrialRecord]) -> list[DeviceSummaryRow]:
     """Per-device mean/std over each device's models, in device-name order.
 
-    ``records`` is read once and no record is kept: each one is merged
-    into its device's slot for its configuration as it arrives (a
-    power-stage record refines, not duplicates, its latency-stage
+    ``records``, of stages 2 and 3, is read once and none is kept: each
+    is merged into its device's slot for its configuration as it arrives
+    (a power-stage record refines, not duplicates, its latency-stage
     record), so each model contributes one value per metric, in the
     order its configuration was first seen.
     """
@@ -59,10 +59,7 @@ def summary_table(records: Iterable[TrialRecord]) -> list[DeviceSummaryRow]:
     for record in records:
         slots = merged.setdefault(record.device, {})
         slot = slots.setdefault(record.config.canonical_json(), {})
-        if record.accuracy_pct is not None:
-            slot["accuracy"] = record.accuracy_pct
-        if record.latency_mean_ms is not None:
-            slot["latency"] = record.latency_mean_ms
+        slot["accuracy"], slot["latency"] = record.accuracy_pct, record.latency_mean_ms
         if record.dynamic_power_w is not None:
             slot["power"] = record.dynamic_power_w
 

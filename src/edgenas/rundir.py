@@ -4,7 +4,7 @@ writes it, and the run settings that ``manifest.json`` and ``--config`` hold."""
 from dataclasses import asdict
 from pathlib import Path
 
-from ._data import read_json, write_json
+from ._data import read_json, typed, write_json
 from .pipeline import RankedSet, TrialLog, TrialRecord
 from .space import space_from_dict
 from .tpe import OptimizerSettings
@@ -31,20 +31,12 @@ SETTINGS = (
 )
 
 
-def _typed(value, kind: type, key: str):
-    if kind is float and type(value) is int:
-        value = float(value)
-    if type(value) is not kind:  # so a bool is not an int
-        raise TypeError(f"{key} must be {kind.__name__}, not {type(value).__name__}")
-    return value
-
-
 def settings(data, base) -> dict:
     """The run settings in a manifest or --config file's ``data``, keyed by
     flag destination; ``base`` is the file's directory. A wrong type is a
     TypeError naming the key, and keys that are no setting, or an
     optimizer setting out of range, are a ValueError naming them."""
-    _typed(data, dict, "run settings")
+    typed(data, dict, "run settings")
     keys = {key for key, _, _ in SETTINGS}
     groups = {key.rpartition(".")[0] for key in keys} - {""}
     unknown = [key for key in data if key not in keys | groups]
@@ -56,14 +48,14 @@ def settings(data, base) -> dict:
     values = {}
     for key, dest, kind in SETTINGS:
         group, _, name = key.rpartition(".")
-        section = _typed(data.get(group, {}), dict, group) if group else data
+        section = typed(data.get(group, {}), dict, group) if group else data
         if name in section:
-            values[dest] = _typed(section[name], kind, key)
+            values[dest] = typed(section[name], kind, key)
     if "optimizer_settings" in values:
         optimizer, defaults = values["optimizer_settings"], asdict(OptimizerSettings())
         for name in optimizer:
             if name in defaults:
-                _typed(optimizer[name], type(defaults[name]), f"optimizer.{name}")
+                typed(optimizer[name], type(defaults[name]), f"optimizer.{name}")
         OptimizerSettings.from_dict(optimizer)  # unknown keys and out-of-range values
     if "space_file" in data:
         values["space"] = str(Path(base, data["space_file"]))

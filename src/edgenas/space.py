@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._data import TABLE1_SPACE_PATH, read_json, write_json
+from ._data import TABLE1_SPACE_PATH, read_json, typed, write_json
 
 PARAM_ORDER = ("block", "k1", "k2", "k3", "k4", "fc1", "do1", "fc2", "do2")
 DROPOUT_PARAMS = ("do1", "do2")
@@ -82,12 +82,6 @@ class ParamSpec:
         return f"{lo}..{hi} step {step}"
 
 
-def _json_int(value, key: str) -> int:
-    if type(value) is not int:  # so a bool or a float is refused
-        raise SpaceValidationError(f"{key} must be a JSON integer, got {value!r}")
-    return value
-
-
 @dataclass(frozen=True)
 class Configuration:
     """One grid point. Inactive kernel fields are None, never zero."""
@@ -125,8 +119,8 @@ class Configuration:
         for name in PARAM_ORDER:
             key = f"{name}_hundredths" if name in DROPOUT_PARAMS else name
             if key in data:
-                kwargs[name] = _json_int(data[key], key)
-        kwargs["output_classes"] = _json_int(data.get("output_classes", 7), "output_classes")
+                kwargs[name] = typed(data[key], int, key)
+        kwargs["output_classes"] = typed(data.get("output_classes", 7), int, "output_classes")
         missing = [n for n in ("block", "k1", "k2", "fc1", "do1", "fc2", "do2") if n not in kwargs]
         if missing:
             raise SpaceValidationError(f"configuration missing fields: {', '.join(missing)}")
@@ -193,15 +187,8 @@ class SearchSpace:
     def to_json_dict(self) -> dict:
         out: dict = {}
         for name in PARAM_ORDER:
-            spec = self.params[name]
-            if name in DROPOUT_PARAMS:
-                out[name] = {
-                    "lo_hundredths": spec.lo,
-                    "hi_hundredths": spec.hi,
-                    "step_hundredths": spec.step,
-                }
-            else:
-                out[name] = {"lo": spec.lo, "hi": spec.hi, "step": spec.step}
+            spec, suffix = self.params[name], "_hundredths" if name in DROPOUT_PARAMS else ""
+            out[name] = {f"{bound}{suffix}": getattr(spec, bound) for bound in ("lo", "hi", "step")}
         out["output_classes"] = self.output_classes
         return out
 
@@ -357,16 +344,8 @@ def space_from_json(path: str | Path) -> SearchSpace:
 
 
 def space_from_dict(data: dict) -> SearchSpace:
-    """The space in a space file's ``data``. A bound, step or
-    output_classes that is not a JSON integer is a ValueError naming its
-    key, which space_from_json reports as a SpaceValidationError naming the
-    file."""
-
-    def whole(value, key: str) -> int:
-        if type(value) is not int:  # so a bool or a float is refused
-            raise ValueError(f"{key} must be a JSON integer, got {value!r}")
-        return value
-
+    """The space in a space file's ``data``; each bound, step and
+    output_classes must be a JSON integer (``typed``)."""
     specs = []
     for name in PARAM_ORDER:
         if name not in data:
@@ -374,5 +353,5 @@ def space_from_dict(data: dict) -> SearchSpace:
         suffix = "_hundredths" if name in DROPOUT_PARAMS else ""
         bounds = [f"{bound}{suffix}" for bound in ("lo", "hi", "step")]
         entry = data[name]
-        specs.append(ParamSpec(name, *(whole(entry[key], f"{name}.{key}") for key in bounds)))
-    return build_space(specs, output_classes=whole(data.get("output_classes", 7), "output_classes"))
+        specs.append(ParamSpec(name, *(typed(entry[key], int, f"{name}.{key}") for key in bounds)))
+    return build_space(specs, output_classes=typed(data.get("output_classes", 7), int, "output_classes"))

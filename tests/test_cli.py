@@ -149,7 +149,7 @@ class TestSpaceCommands:
         code, out, err = _run(capsys, "space", "count", "--space", str(path))
         assert code == 1
         assert out == ""
-        assert f"{path}: ValueError: k1.step must be a JSON integer, got 2.9" in err
+        assert f"{path}: TypeError: k1.step must be a JSON integer, got 2.9" in err
 
 
 class TestArchDescribe:
@@ -202,7 +202,7 @@ class TestArchDescribe:
             code, out, err = _run(capsys, "arch", "describe", "--config", str(config_path), *extra)
             assert code == 1
             message = f"{key} must be a JSON integer, got {value!r}"
-            assert f"error: {config_path}: SpaceValidationError: {message}" in err, err
+            assert f"error: {config_path}: TypeError: {message}" in err, err
             assert out == ""
 
 
@@ -254,11 +254,11 @@ class TestUsageErrors:
             ("search", {"budget": 0}, "budget must be >= 1"),
             ("pipeline", {"budget": 40, "jitter": {"power_sigma_w": -0.5}}, "power_jitter must be >= 0"),
             ("search", {"optimizer": {"gamma": "0.25"}},
-             f"{run_config}: TypeError: optimizer.gamma must be float, not str"),
+             f"{run_config}: TypeError: optimizer.gamma must be a JSON number, got '0.25'"),
             ("search", {"optimizer": {"n_candidates": 2.5}},
-             f"{run_config}: TypeError: optimizer.n_candidates must be int, not float"),
+             f"{run_config}: TypeError: optimizer.n_candidates must be a JSON integer, got 2.5"),
             ("pipeline", {"optimizer": {"n_startup": True}},
-             f"{run_config}: TypeError: optimizer.n_startup must be int, not bool"),
+             f"{run_config}: TypeError: optimizer.n_startup must be a JSON integer, got True"),
             ("search", {"optimizer": {"gamma": 1.5}},
              f"{run_config}: ValueError: gamma 1.5 outside (0, 1)"),
         )
@@ -574,11 +574,11 @@ class TestPipelineCli:
 
         # A wrongly typed setting is refused naming the file, for search too.
         for data, kind in (
-            ({"budget": "40"}, "budget must be int, not str"),
-            ({"seed": True}, "seed must be int, not bool"),
-            ({"timestamps": 0}, "timestamps must be bool, not int"),
-            ({"jitter": {"power_sigma_w": "0.1"}}, "jitter.power_sigma_w must be float, not str"),
-            ({"jitter": [0.1]}, "jitter must be dict, not list"),
+            ({"budget": "40"}, "budget must be a JSON integer, got '40'"),
+            ({"seed": True}, "seed must be a JSON integer, got True"),
+            ({"timestamps": 0}, "timestamps must be a JSON boolean, got 0"),
+            ({"jitter": {"power_sigma_w": "0.1"}}, "jitter.power_sigma_w must be a JSON number, got '0.1'"),
+            ({"jitter": [0.1]}, "jitter must be a JSON object, got [0.1]"),
         ):
             run_config.write_text(json.dumps(data))
             code, _, err = _run(capsys, *argv, "--config", str(run_config), "--out", str(out))
@@ -793,6 +793,58 @@ class TestPipelineCli:
             code, _, err = _run(capsys, command, "--out", str(run))
             assert code == 1, (name, command)
             assert f"error: {path}: {kind}" in err, err
+            assert "Traceback" not in err
+            path.write_bytes(whole)
+
+
+    def test_wrongly_typed_run_values_are_named(self, capsys, tmp_path, reduced_space_file):
+        # each exits 1 naming the file and the line or key: a stage-2 log
+        # line of a pair stage 2 did not keep, a stage-3 log line, a
+        # stage-1 survivor, and each device's k in stage2.json
+        run = tmp_path / "run"
+        assert self._pipeline(capsys, run, reduced_space_file)[0] == 0
+        log = run / "trials.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        records = [json.loads(line) for line in lines]
+        kept = {
+            (device, json.dumps(r["config"], sort_keys=True))
+            for device, ranked in json.loads((run / "stage2.json").read_text()).items()
+            for r in ranked["records"]
+        }
+        dropped = next(
+            number for number, r in enumerate(records, 1)
+            if r["stage"] == 2 and (r["device"], json.dumps(r["config"], sort_keys=True)) not in kept
+        )
+        last = len(records)
+        assert records[last - 1]["stage"] == 3
+
+        def set_line(number, key, value):
+            record = dict(records[number - 1], **{key: value})
+            return log, "".join([*lines[: number - 1], json.dumps(record, sort_keys=True) + "\n", *lines[number:]])
+
+        def set_file(name, change):
+            data = json.loads((run / name).read_text())
+            change(data)
+            return run / name, json.dumps(data)
+
+        cases = [
+            (*set_line(dropped, "latency_mean_ms", "abc"), "report",
+             f"{log}:{dropped}: bad trial record: latency_mean_ms must be a JSON number, got 'abc'"),
+            (*set_line(last, "accuracy_pct", True), "report",
+             f"{log}:{last}: bad trial record: accuracy_pct must be a JSON number, got True"),
+            (*set_file("stage1.json", lambda data: data["records"][0].update(accuracy_pct=True)), "stage2",
+             f"{run / 'stage1.json'}: TypeError: accuracy_pct must be a JSON number, got True"),
+        ]
+        for k in (5.7, "5", True):
+            for command in ("stage3", "report"):
+                cases.append((*set_file("stage2.json", lambda data: data["pi"].update(k=k)), command,
+                              f"{run / 'stage2.json'}: TypeError: k must be a JSON integer, got {k!r}"))
+        for path, text, command, message in cases:
+            whole = path.read_bytes()
+            path.write_text(text)
+            code, _, err = _run(capsys, command, "--out", str(run))
+            assert code == 1, message
+            assert f"error: {message}" in err, err
             assert "Traceback" not in err
             path.write_bytes(whole)
 
@@ -1086,18 +1138,25 @@ class TestProfileCli:
             assert not run.exists()
 
     @pytest.mark.parametrize(
-        "delta, reason",
+        "value, reason",
         [
             (True, "TypeError: accuracy_delta_pct must be a JSON number, got True"),
             ("3.43", "TypeError: accuracy_delta_pct must be a JSON number, got '3.43'"),
             (-0.5, "ValueError: accuracy_delta_pct must be finite and >= 0"),
+            (True, "TypeError: latency_model.fixed_ms must be a JSON number, got True"),
+            ("1.0", "TypeError: latency_model.fixed_ms must be a JSON number, got '1.0'"),
+            (True, "TypeError: power_model.idle_w must be a JSON number, got True"),
+            (5, "TypeError: name must be a JSON string, got 5"),
+            (None, "TypeError: precision must be a JSON string, got None"),
         ],
     )
-    def test_accuracy_delta_that_is_not_a_number_is_named(self, capsys, tmp_path, delta, reason):
+    def test_accuracy_delta_that_is_not_a_number_is_named(self, capsys, tmp_path, value, reason):
         from edgenas._data import PROFILES_DIR
 
+        # the reason names the key the value replaces, a model's as "model.name"
+        section, _, key = reason.split()[1].rpartition(".")
         profile = json.loads((PROFILES_DIR / "pi-ncs2.json").read_text())
-        profile["accuracy_delta_pct"] = delta
+        (profile[section] if section else profile)[key] = value
         (tmp_path / "pi-ncs2.json").write_text(json.dumps(profile))
         code, out, err = _run(capsys, "devices", "list", "--devices", str(tmp_path))
         assert code == 1
@@ -1122,15 +1181,15 @@ class TestProfileCli:
             ('[{"config": {"block": 2, "k1": 6}, "latency_ms": 1.0}]', "SpaceValidationError"),
             ("[{", "JSONDecodeError"),
             (f'[{{"config": {config}, "latency_ms": 1.0, "dynamic_power_w": true}}]',
-             "ValueError: dynamic_power_w must be a finite JSON number >= 0, got True"),
+             "TypeError: dynamic_power_w must be a JSON number, got True"),
             (f'[{{"config": {config}, "latency_ms": 1.0, "dynamic_power_w": "abc"}}]',
-             "ValueError: dynamic_power_w must be a finite JSON number >= 0, got 'abc'"),
+             "TypeError: dynamic_power_w must be a JSON number, got 'abc'"),
             (f'[{{"config": {config}, "latency_ms": 1.0, "dynamic_power_w": -0.1}}]',
              "ValueError: dynamic_power_w must be a finite JSON number >= 0, got -0.1"),
             (f'[{{"config": {config}, "latency_ms": 1.0, "dynamic_power_w": Infinity}}]',
              "ValueError: dynamic_power_w must be a finite JSON number >= 0, got inf"),
             (f'[{{"config": {fractional_k1}, "latency_ms": 1.0}}]',
-             "SpaceValidationError: k1 must be a JSON integer, got 6.5"),
+             "TypeError: k1 must be a JSON integer, got 6.5"),
         )
         for text, kind in cases:
             path.write_text(text)
@@ -1148,8 +1207,12 @@ class TestProfileCli:
         argv = ["fit-profile", "--device", "x", "--out", str(out_dir), "--observations", str(path)]
         code, _, err = _run(capsys, *argv, "--precision", "fp32")
         assert code == 1
-        message = f"latency_ms must be a finite JSON number > 0, got {json.loads(latency)!r}"
-        assert f"error: {path}: ValueError: {message}" in err, err
+        value = json.loads(latency)
+        if latency in ("true", '"1.5"', "null"):
+            message = f"TypeError: latency_ms must be a JSON number, got {value!r}"
+        else:
+            message = f"ValueError: latency_ms must be a finite JSON number > 0, got {value!r}"
+        assert f"error: {path}: {message}" in err, err
         assert "Traceback" not in err
         assert not out_dir.exists()
 

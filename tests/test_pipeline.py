@@ -278,6 +278,23 @@ class TestStage2:
         )
         assert result["pi-ncs2"].records[0].accuracy_pct == pytest.approx(98.88 - 3.43)
 
+    def test_accuracy_outside_0_100_after_the_delta_refused_before_measuring(
+        self, tmp_path, table1, shipped_profiles
+    ):
+        config = config_from_index(table1, 0)
+        measurer = FakeMeasurer()
+        log = TrialLog(tmp_path / "run" / "trials.jsonl")
+        with pytest.raises(PipelineError) as caught:
+            stage2(
+                table1, _candidates([(config, 1.0)]),
+                {"jetson-high": shipped_profiles["jetson-high"]}, lambda p: measurer, 1, log=log,
+            )
+        message = str(caught.value)
+        assert message.startswith(f"stage 2: accuracy {1.0 - 3.43} outside [0, 100] for ")
+        assert f"{config.canonical_json()} on jetson-high" in message
+        assert measurer.latency_calls == 0
+        assert not log.path.parent.exists()
+
     def test_failed_pair_excluded(self, table1):
         configs = [config_from_index(table1, i) for i in (0, 1)]
         candidates = _candidates([(c, 95.0) for c in configs])
@@ -658,9 +675,9 @@ class TestTrialLog:
         "bad_line, message",
         [
             ('{"stage": 1, "config": {"blo\n', "bad trial record"),
-            ('{"config": {}}\n', "not an object with an integer stage"),
-            ('{"stage": "1"}\n', "not an object with an integer stage"),
-            ("[1, 2]\n", "not an object with an integer stage"),
+            ('{"config": {}}\n', "stage must be a JSON integer, got None"),
+            ('{"stage": "1"}\n', "stage must be a JSON integer, got '1'"),
+            ("[1, 2]\n", "not a JSON object"),
         ],
     )
     def test_index_fails_on_any_stage_without_json_or_stage(
@@ -672,6 +689,46 @@ class TestTrialLog:
         log.path.write_text("".join(lines))
         with pytest.raises(ValueError, match=rf"trials\.jsonl:2: .*{message}"):
             log.index(3)
+
+    @pytest.mark.parametrize(
+        "stage, key, value, kind",
+        [
+            (1, "accuracy_pct", True, "number"),
+            (1, "accuracy_pct", "95.0", "number"),
+            (1, "accuracy_pct", None, "number"),
+            (1, "fitness.value", True, "number"),
+            (1, "fitness.value", "40.0", "number"),
+            (1, "seed", True, "integer"),
+            (1, "seed", "1", "integer"),
+            (1, "seed", 1.0, "integer"),
+            (2, "stage", 2.0, "integer"),
+            (2, "stage", "2", "integer"),
+            (2, "stage", True, "integer"),
+            (2, "device", None, "string"),
+            (2, "device", 5, "string"),
+            (2, "latency_mean_ms", None, "number"),
+            (2, "latency_mean_ms", True, "number"),
+            (2, "latency_mean_ms", "2.0", "number"),
+            (2, "latency_std_ms", False, "number"),
+            (3, "dynamic_power_w", None, "number"),
+            (3, "dynamic_power_w", True, "number"),
+            (3, "dynamic_power_w", "0.5", "number"),
+            (3, "ts", 5, "string"),
+        ],
+    )
+    def test_wrongly_typed_field_names_line_and_key(self, tmp_path, table1, stage, key, value, kind):
+        log, _ = self._three_stage_log(tmp_path, table1)
+        lines = log.path.read_text().splitlines(keepends=True)
+        number = next(n for n, line in enumerate(lines, 1) if json.loads(line)["stage"] == stage)
+        record = json.loads(lines[number - 1])
+        section, _, name = key.rpartition(".")
+        (record[section] if section else record)[name] = value
+        lines[number - 1] = json.dumps(record, sort_keys=True) + "\n"
+        log.path.write_text("".join(lines))
+        message = f"{key} must be a JSON {kind}, got {value!r}"
+        with pytest.raises(ValueError) as caught:
+            TrialLog(log.path).load()
+        assert str(caught.value) == f"{log.path}:{number}: bad trial record: {message}"
 
     def test_other_stage_schema_fault_left_to_load(self, tmp_path, table1):
         log, _ = self._three_stage_log(tmp_path, table1)

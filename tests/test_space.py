@@ -260,20 +260,20 @@ class TestSerialization:
         [
             ({"block": {"lo": 2}}, "KeyError: 'hi'"),
             ({"block": 3}, "TypeError"),
-            ({"block": {"lo": "two", "hi": 4, "step": 1}}, "ValueError"),
+            ({"block": {"lo": "two", "hi": 4, "step": 1}}, "TypeError"),
             (
                 {**TABLE1, "k1": {"lo": 6, "hi": 16, "step": 2.9}},
-                "ValueError: k1.step must be a JSON integer, got 2.9",
+                "TypeError: k1.step must be a JSON integer, got 2.9",
             ),
             (
                 {**TABLE1, "k2": {"lo": 24, "hi": True, "step": 4}},
-                "ValueError: k2.hi must be a JSON integer, got True",
+                "TypeError: k2.hi must be a JSON integer, got True",
             ),
             (
                 {**TABLE1, "do1": {"lo_hundredths": 10.0, "hi_hundredths": 30, "step_hundredths": 1}},
-                "ValueError: do1.lo_hundredths must be a JSON integer, got 10.0",
+                "TypeError: do1.lo_hundredths must be a JSON integer, got 10.0",
             ),
-            ({**TABLE1, "output_classes": 7.5}, "ValueError: output_classes must be a JSON integer, got 7.5"),
+            ({**TABLE1, "output_classes": 7.5}, "TypeError: output_classes must be a JSON integer, got 7.5"),
             ({**TABLE1, "k1": {"lo": 16, "hi": 6, "step": 2}}, "SpaceValidationError: empty range: K1"),
         ],
     )
