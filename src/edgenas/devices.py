@@ -10,16 +10,23 @@ the residuals of the fit that produced it.
 
 Measurement statistics follow the reference protocols: 40 timed runs per
 model reduced to mean and sample standard deviation, and 1 Hz power
-traces over 180 s windows reduced to mean(active) - mean(idle).
+traces over 180 s windows reduced to mean(active) - mean(idle). There is
+one reduction, over the last axis of a (pairs x samples) array: sums run
+left to right and deviations are squared by multiplication, so seeded
+results depend neither on the Python version nor on the C library's
+pow(). A simulated device measures the pairs announced to it together,
+as one such array; a real device's reply is reduced as a block of one.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
+from collections import deque
 from dataclasses import asdict, dataclass, replace
+from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,6 +45,12 @@ IDLE_W = 2.0
 LATENCY_RUNS = 40
 POWER_WINDOW_S = 180
 POWER_SAMPLE_HZ = 1
+# Announced pairs a simulated device measures at once: bounds the sample
+# matrices (64 x 45 latency samples is 23 KB).
+BLOCK_PAIRS = 64
+
+# A (device, candidate) pair as a device measures it.
+Pair = tuple[Configuration, ArchitectureDescriptor]
 
 
 class MeasurementError(RuntimeError):
@@ -125,10 +138,14 @@ def load_profile(path: str | Path) -> DeviceProfile:
 
 
 def load_profiles(directory: str | Path) -> dict[str, DeviceProfile]:
-    profiles = {}
+    """Every profile in ``directory`` by name; two files with one name are
+    refused, naming both."""
+    profiles, paths = {}, {}
     for path in sorted(Path(directory).glob("*.json")):
         profile = load_profile(path)
-        profiles[profile.name] = profile
+        if profile.name in paths:
+            raise ValueError(f"{paths[profile.name]} and {path} both name device {profile.name!r}")
+        profiles[profile.name], paths[profile.name] = profile, path
     if not profiles:
         raise FileNotFoundError(f"no device profiles (*.json) in {directory}")
     return profiles
@@ -145,53 +162,100 @@ class JitterSpec:
     power_sigma_w: float = 0.0
 
 
-def mean_std(samples: list[float]) -> tuple[float, float]:
-    """Arithmetic mean and sample (n-1) standard deviation; std 0 for n=1."""
-    n = len(samples)
+def _row_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of a 2-D array: whether every sample is finite, the
+    arithmetic mean and the sample (n-1) standard deviation, std 0 for
+    n=1. A row of equal values gives its first value and std 0 exactly
+    and is not summed, so a broadcast block costs no sample matrix."""
+    n = samples.shape[-1]
     if n == 0:
         raise MeasurementError("no samples")
-    if min(samples) == max(samples):
-        return samples[0], 0.0  # exact, avoids accumulation noise
-    # Plain left-to-right sums: sum() of floats is compensated from Python
-    # 3.12 on, which would make seeded outputs depend on the version.
-    total = 0.0
-    for s in samples:
-        total += s
-    mean = total / n
-    if n == 1:
-        return mean, 0.0
-    total = 0.0
-    for s in samples:
-        total += (s - mean) ** 2
-    return mean, math.sqrt(total / (n - 1))
+    lo, hi = samples.min(axis=-1), samples.max(axis=-1)
+    finite = np.isfinite(lo) & np.isfinite(hi)
+    varying = lo != hi
+    every_row = varying.all()
+    rows = samples if every_row else samples[varying]
+    # Left-to-right sums (np.add.accumulate, not the pairwise np.sum),
+    # squares by multiplication (correctly rounded, where pow() may not
+    # be), and Python's float semantics on overflow.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add.accumulate(rows, axis=-1)[:, -1] / n
+        d = rows - mean[:, None]
+        std = np.sqrt(np.add.accumulate(d * d, axis=-1)[:, -1] / (n - 1))
+    if every_row:
+        return finite, mean, std
+    means, stds = samples[:, 0].copy(), np.zeros(len(samples))
+    means[varying], stds[varying] = mean, std
+    return finite, means, stds
 
 
-def _require_finite(samples: list[float], label: str) -> None:
-    if not all(map(math.isfinite, samples)):
-        raise MeasurementError(f"non-finite {label} sample")
+def _latency_rows(samples: np.ndarray) -> list:
+    """Each row's latency (mean, std), or the MeasurementError that
+    excludes it: a non-finite sample or a non-positive mean."""
+    n = samples.shape[-1]
+    if n < 2:
+        raise MeasurementError(f"need >= 2 latency samples, got {n}")
+    finite, means, stds = _row_stats(samples)
+    results: list = []
+    for ok, mean, std in zip(finite.tolist(), means.tolist(), stds.tolist()):
+        if not ok:
+            results.append(MeasurementError("non-finite latency sample"))
+        elif mean <= 0.0:
+            results.append(MeasurementError(f"non-positive mean latency {mean} ms"))
+        else:
+            results.append((mean, std))
+    return results
+
+
+def _power_rows(idle_w: np.ndarray, active_w: np.ndarray) -> list:
+    """Each row's mean(active) - mean(idle), or the MeasurementError that
+    excludes it: tiny negatives clamp to 0, larger ones indicate an
+    inconsistent sensor, as does a non-finite sample."""
+    if not idle_w.shape[-1] or not active_w.shape[-1]:
+        raise MeasurementError("empty power trace")
+    idle_ok, idle_means, _ = _row_stats(idle_w)
+    active_ok, active_means, _ = _row_stats(active_w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diffs = active_means - idle_means
+    results: list = []
+    for idle_finite, active_finite, diff in zip(
+        idle_ok.tolist(), active_ok.tolist(), diffs.tolist()
+    ):
+        if not idle_finite:
+            results.append(MeasurementError("non-finite idle power sample"))
+        elif not active_finite:
+            results.append(MeasurementError("non-finite active power sample"))
+        elif diff < -NEGATIVE_POWER_TOLERANCE_W:
+            results.append(MeasurementError(f"negative dynamic power {diff:.2f} W"))
+        else:
+            results.append(max(diff, 0.0))
+    return results
+
+
+def _only(results: list):
+    """The one row's result; its MeasurementError is raised."""
+    (result,) = results
+    if isinstance(result, MeasurementError):
+        raise result
+    return result
+
+
+def _row(samples) -> np.ndarray:
+    return np.asarray(samples, dtype=float).reshape(1, -1)
+
+
+def mean_std(samples: list[float]) -> tuple[float, float]:
+    """Arithmetic mean and sample (n-1) standard deviation; std 0 for n=1."""
+    _, means, stds = _row_stats(_row(samples))
+    return means.item(), stds.item()
 
 
 def latency_stats(samples: list[float]) -> tuple[float, float]:
-    if len(samples) < 2:
-        raise MeasurementError(f"need >= 2 latency samples, got {len(samples)}")
-    _require_finite(samples, "latency")
-    mean, std = mean_std(samples)
-    if mean <= 0.0:
-        raise MeasurementError(f"non-positive mean latency {mean} ms")
-    return mean, std
+    return _only(_latency_rows(_row(samples)))
 
 
 def dynamic_power_from_traces(idle_w: list[float], active_w: list[float]) -> float:
-    """mean(active) - mean(idle); tiny negatives clamp to 0, larger ones
-    indicate an inconsistent sensor and raise, as does a non-finite sample."""
-    if not idle_w or not active_w:
-        raise MeasurementError("empty power trace")
-    _require_finite(idle_w, "idle power")
-    _require_finite(active_w, "active power")
-    diff = mean_std(active_w)[0] - mean_std(idle_w)[0]
-    if diff < -NEGATIVE_POWER_TOLERANCE_W:
-        raise MeasurementError(f"negative dynamic power {diff:.2f} W")
-    return max(diff, 0.0)
+    return _only(_power_rows(_row(idle_w), _row(active_w)))
 
 
 def simulate_latency(arch: ArchitectureDescriptor, profile: DeviceProfile) -> float:
@@ -220,53 +284,59 @@ def _jitter_rng(seed: int, device: str, config: Configuration, salt: int) -> np.
     )
 
 
-def _clamp_at_zero(samples: np.ndarray) -> list[float]:
-    # max(x, 0.0) element by element, as Python floats. np.maximum would
-    # turn -0.0 into +0.0, where max keeps -0.0.
-    return np.where(samples < 0.0, 0.0, samples).tolist()
+def _clamp_at_zero(samples: np.ndarray) -> np.ndarray:
+    # max(x, 0.0) element by element. np.maximum would turn -0.0 into
+    # +0.0, where max keeps -0.0.
+    return np.where(samples < 0.0, 0.0, samples)
 
 
 class SimulatedDevice:
-    """Synthesizes raw samples from the cost models (noiseless unless a
-    jitter spec is given; jitter is seeded per device and configuration,
-    so results are independent of measurement order)."""
+    """Synthesizes raw samples from the cost models, one row per (config,
+    arch) pair, for a block of pairs at once. Noiseless unless a jitter
+    spec is given, and then a noiseless block is a broadcast view with no
+    sample matrix behind it; jitter is seeded per device and
+    configuration, so results are independent of measurement order and of
+    the block a pair is measured in."""
 
     def __init__(self, profile: DeviceProfile, jitter: JitterSpec | None = None, seed: int = 0):
         self.profile = profile
         self.jitter = jitter or JitterSpec()
         self.seed = seed
 
-    def expect_latency(self, configs: Iterable[Configuration], runs: int) -> None:
-        """Nothing to prepare: samples are synthesized when asked for."""
+    def _rngs(self, pairs: Sequence[Pair], salt: int):
+        return (_jitter_rng(self.seed, self.profile.name, config, salt) for config, _ in pairs)
 
-    def expect_power(self, configs: Iterable[Configuration], window_s: int, sample_hz: int) -> None:
-        """Nothing to prepare: traces are synthesized when asked for."""
-
-    def latency_samples(
-        self, config: Configuration, arch: ArchitectureDescriptor, runs: int
-    ) -> list[float]:
-        base = simulate_latency(arch, self.profile)
-        if not self.jitter.latency_sigma_ms:
-            return [base] * runs
-        rng = _jitter_rng(self.seed, self.profile.name, config, 1)
-        noise = rng.normal(0.0, self.jitter.latency_sigma_ms, size=runs)
+    def latency_block(self, pairs: Sequence[Pair], runs: int) -> np.ndarray:
+        """The pairs' latency samples, (pairs x runs)."""
+        base = np.array([simulate_latency(arch, self.profile) for _, arch in pairs])[:, None]
+        shape = (len(pairs), runs)
+        sigma = self.jitter.latency_sigma_ms
+        if not sigma:
+            return np.broadcast_to(base, shape)
+        noise = np.empty(shape)
+        for row, rng in zip(noise, self._rngs(pairs, 1)):
+            row[:] = rng.normal(0.0, sigma, size=runs)
         return _clamp_at_zero(base + noise)
 
-    def power_traces(
-        self,
-        config: Configuration,
-        arch: ArchitectureDescriptor,
-        window_s: int,
-        sample_hz: int,
-    ) -> tuple[list[float], list[float]]:
-        n = window_s * sample_hz
-        idle = self.profile.power_model.idle_w
-        active = idle + simulate_dynamic_power(arch, self.profile, simulate_latency(arch, self.profile))
-        if not self.jitter.power_sigma_w:
-            return [idle] * n, [active] * n
-        rng = _jitter_rng(self.seed, self.profile.name, config, 2)
-        idle_noise = rng.normal(0.0, self.jitter.power_sigma_w, size=n)
-        active_noise = rng.normal(0.0, self.jitter.power_sigma_w, size=n)
+    def power_block(
+        self, pairs: Sequence[Pair], window_s: int, sample_hz: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs' idle and active power traces, (pairs x samples) each."""
+        profile = self.profile
+        idle = profile.power_model.idle_w
+        levels = [
+            idle + simulate_dynamic_power(arch, profile, simulate_latency(arch, profile))
+            for _, arch in pairs
+        ]
+        active = np.array(levels)[:, None]
+        shape = (len(pairs), window_s * sample_hz)
+        sigma = self.jitter.power_sigma_w
+        if not sigma:
+            return np.broadcast_to(idle, shape), np.broadcast_to(active, shape)
+        idle_noise, active_noise = np.empty(shape), np.empty(shape)
+        for idle_row, active_row, rng in zip(idle_noise, active_noise, self._rngs(pairs, 2)):
+            idle_row[:] = rng.normal(0.0, sigma, size=shape[1])
+            active_row[:] = rng.normal(0.0, sigma, size=shape[1])
         return _clamp_at_zero(idle + idle_noise), _clamp_at_zero(active + active_noise)
 
 
@@ -281,6 +351,15 @@ def _power_request(config: Configuration, window_s: int, sample_hz: int) -> dict
         "window_s": window_s,
         "sample_hz": sample_hz,
     }
+
+
+def _numbers(values: list, field: str) -> np.ndarray:
+    """A reply's JSON numbers as floats; the first value that is not one
+    fails as ``number`` fails it."""
+    if not {type(value) for value in values} <= {float, int}:
+        for value in values:
+            number(value, field)
+    return np.array(values, dtype=float)
 
 
 class ExternalDevice:
@@ -325,14 +404,14 @@ class ExternalDevice:
 
     def latency_samples(
         self, config: Configuration, arch: ArchitectureDescriptor, runs: int
-    ) -> list[float]:
+    ) -> np.ndarray:
         response = self._request(_latency_request(config, runs))
         samples = response.get("latency_ms")
         if not isinstance(samples, list):
             raise ProtocolError(f"response missing latency_ms list: {response!r}")
         if len(samples) != runs:
             raise MeasurementError(f"expected {runs} latency runs, got {len(samples)}")
-        return [number(s, "latency_ms") for s in samples]
+        return _numbers(samples, "latency_ms")
 
     def power_traces(
         self,
@@ -340,7 +419,7 @@ class ExternalDevice:
         arch: ArchitectureDescriptor,
         window_s: int,
         sample_hz: int,
-    ) -> tuple[list[float], list[float]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         response = self._request(_power_request(config, window_s, sample_hz))
         idle, active = response.get("idle_w"), response.get("active_w")
         if not isinstance(idle, list) or not isinstance(active, list):
@@ -351,7 +430,7 @@ class ExternalDevice:
                 raise MeasurementError(
                     f"expected {expected} {label} samples, got {len(trace)}"
                 )
-        return [number(s, "idle_w") for s in idle], [number(s, "active_w") for s in active]
+        return _numbers(idle, "idle_w"), _numbers(active, "active_w")
 
     def close(self) -> None:
         self.channel.close()
@@ -359,29 +438,84 @@ class ExternalDevice:
 
 class DeviceMeasurer:
     """Stage-facing wrapper: latency and power are separate calls so the
-    cheap measurement can run without the expensive one."""
+    cheap measurement can run without the expensive one. Raw samples are
+    reduced by one reduction (``_row_stats``) over the last axis of a
+    (pairs x samples) array. A backend with blocks
+    (SimulatedDevice) measures the pairs announced to it together, up to
+    BLOCK_PAIRS at a time, and the calls hand out their results in
+    announcement order; any other backend (ExternalDevice) gives the
+    samples of one pair per call, reduced as a block of one."""
 
     def __init__(self, backend, protocol: MeasurementProtocol | None = None):
         self.backend = backend
         self.protocol = protocol or MeasurementProtocol()
+        self._runs = LATENCY_RUNS + self.protocol.warmup_runs
+        self._blocks = hasattr(backend, "latency_block")
+        self._measurement: str | None = None  # of the announcement, if any
+        self._announced: Iterator[Pair] = iter(())
+        self._ready: deque = deque()  # (config, result) of announced pairs, in order
 
-    def expect(self, measurement: str, configs: Iterable[Configuration]) -> None:
-        """Announce the configs the next ``measurement`` calls ("latency"
-        or "power") ask for, in order. A backend that can start on them
-        early (ExternalDevice) does; the calls still come one by one."""
-        if measurement == "latency":
-            self.backend.expect_latency(configs, LATENCY_RUNS + self.protocol.warmup_runs)
+    def expect(self, measurement: str, pairs: Iterable[Pair]) -> None:
+        """Announce the (config, arch) pairs the next ``measurement`` calls
+        ("latency" or "power") ask for, in order. A backend with blocks
+        measures them together; an ExternalDevice sends their requests
+        ahead. A call for any other pair drops the announcement."""
+        self._ready.clear()
+        if self._blocks:
+            self._measurement, self._announced = measurement, iter(pairs)
+        elif measurement == "latency":
+            self.backend.expect_latency((c for c, _ in pairs), self._runs)
         else:
-            self.backend.expect_power(configs, POWER_WINDOW_S, POWER_SAMPLE_HZ)
+            self.backend.expect_power((c for c, _ in pairs), POWER_WINDOW_S, POWER_SAMPLE_HZ)
 
     def latency(self, config: Configuration, arch: ArchitectureDescriptor) -> tuple[float, float]:
-        total = LATENCY_RUNS + self.protocol.warmup_runs
-        samples = self.backend.latency_samples(config, arch, total)
-        return latency_stats(samples[self.protocol.warmup_runs :])
+        return self._measured("latency", config, arch)
 
     def power(self, config: Configuration, arch: ArchitectureDescriptor) -> float:
+        return self._measured("power", config, arch)
+
+    def _measured(self, measurement: str, config: Configuration, arch: ArchitectureDescriptor):
+        announced = measurement == self._measurement
+        if announced and not self._ready:
+            block = list(islice(self._announced, BLOCK_PAIRS))
+            self._ready.extend(zip((c for c, _ in block), self._results(measurement, block)))
+        if announced and self._ready and self._ready[0][0] == config:
+            result = self._ready.popleft()[1]
+        else:
+            self._measurement = None
+            self._ready.clear()
+            result = self._results(measurement, [(config, arch)])[0]
+        if isinstance(result, MeasurementError):
+            raise result
+        return result
+
+    def _results(self, measurement: str, pairs: list[Pair]) -> list:
+        """Each pair's result, or the MeasurementError that excludes it. A
+        block whose samples cannot be made or reduced as a whole is
+        measured again pair by pair, so the error stays with its pair."""
+        if not pairs:
+            return []
+        try:
+            if measurement == "latency":
+                return _latency_rows(self._latency_samples(pairs)[:, self.protocol.warmup_runs :])
+            return _power_rows(*self._power_traces(pairs))
+        except MeasurementError as exc:
+            if len(pairs) == 1:
+                return [exc]
+            return [self._results(measurement, [pair])[0] for pair in pairs]
+
+    def _latency_samples(self, pairs) -> np.ndarray:
+        if self._blocks:
+            return self.backend.latency_block(pairs, self._runs)
+        ((config, arch),) = pairs
+        return _row(self.backend.latency_samples(config, arch, self._runs))
+
+    def _power_traces(self, pairs) -> tuple[np.ndarray, np.ndarray]:
+        if self._blocks:
+            return self.backend.power_block(pairs, POWER_WINDOW_S, POWER_SAMPLE_HZ)
+        ((config, arch),) = pairs
         idle, active = self.backend.power_traces(config, arch, POWER_WINDOW_S, POWER_SAMPLE_HZ)
-        return dynamic_power_from_traces(idle, active)
+        return _row(idle), _row(active)
 
 
 @dataclass(frozen=True)

@@ -134,7 +134,7 @@ class TrialRecord:
         """Each field checked by ``typed``. ``device`` and ``latency_mean_ms``
         may be null only in stage 1, ``dynamic_power_w`` only before stage
         3, and the other optional fields always."""
-        stage = typed(data["stage"], int, "stage")
+        stage = _stage(data["stage"])
         return cls(
             config=Configuration.from_json_dict(typed(data["config"], dict, "config")),
             stage=stage,
@@ -148,6 +148,13 @@ class TrialRecord:
             seed=_field(data, "seed", int),
             ts=_field(data, "ts", str),
         )
+
+
+def _stage(value) -> int:
+    stage = typed(value, int, "stage")
+    if stage not in (1, 2, 3):
+        raise ValueError(f"stage must be 1, 2 or 3, got {stage}")
+    return stage
 
 
 def _field(data: dict, key: str, kind: type, required: bool = False):
@@ -250,7 +257,7 @@ class TrialLog:
                     fields = json.loads(line)
                     if not isinstance(fields, dict):
                         raise ValueError("not a JSON object")
-                    line_stage = typed(fields.get("stage"), int, "stage")
+                    line_stage = _stage(fields.get("stage"))
                     built = stage is None or line_stage >= stage
                     record = TrialRecord.from_json_dict(fields) if built else None
                 except (ValueError, KeyError, TypeError) as exc:
@@ -414,8 +421,9 @@ def _measure_and_rank(
     timestamps: bool,
 ) -> dict[str, RankedSet]:
     """The stage-2/3 loop: per device, reuse logged records, announce the
-    other candidates to the measurer and measure them (``measurement`` is
-    "latency" or "power"), exclude pairs that raise MeasurementError, rank."""
+    other candidates with their architectures to the measurer and measure
+    them (``measurement`` is "latency" or "power"), exclude pairs that
+    raise MeasurementError, rank."""
     # Reject a candidate off the grid, or a stage-2 accuracy that a device's
     # accuracy_delta_pct takes outside [0, 100], before any device is measured.
     for config in dict.fromkeys(c.config for cs in candidates.values() for c in cs):
@@ -438,6 +446,13 @@ def _measure_and_rank(
     # Each distinct candidate is compiled once for all devices; the dict
     # lives only for this call.
     archs: dict[Configuration, ArchitectureDescriptor] = {}
+
+    def arch_of(config: Configuration) -> ArchitectureDescriptor:
+        arch = archs.get(config)
+        if arch is None:
+            arch = archs[config] = build_architecture(config)
+        return arch
+
     result: dict[str, RankedSet] = {}
     for device_name, device_candidates in candidates.items():
         if not device_candidates:
@@ -446,7 +461,11 @@ def _measure_and_rank(
         measurer = measurer_factory(profile)
         measurer.expect(
             measurement,
-            (c.config for c in device_candidates if (device_name, c.config) not in cached),
+            (
+                (c.config, arch_of(c.config))
+                for c in device_candidates
+                if (device_name, c.config) not in cached
+            ),
         )
         records: list[TrialRecord] = []
         for candidate in device_candidates:
@@ -454,11 +473,10 @@ def _measure_and_rank(
             if hit is not None:
                 records.append(hit)
                 continue
-            arch = archs.get(candidate.config)
-            if arch is None:
-                arch = archs[candidate.config] = build_architecture(candidate.config)
             try:
-                accuracy, mean, std, power = _measure(measurement, measurer, profile, candidate, arch)
+                accuracy, mean, std, power = _measure(
+                    measurement, measurer, profile, candidate, arch_of(candidate.config)
+                )
             except MeasurementError as exc:
                 logger.warning(
                     "stage %d: excluding %s on %s: %s",

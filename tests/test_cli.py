@@ -848,6 +848,21 @@ class TestPipelineCli:
             assert "Traceback" not in err
             path.write_bytes(whole)
 
+    def test_trial_log_stage_outside_1_to_3_is_named(self, capsys, tmp_path, reduced_space_file):
+        # a copy of the last (stage-3) line, at a stage no run writes
+        run = tmp_path / "run"
+        assert self._pipeline(capsys, run, reduced_space_file)[0] == 0
+        log = run / "trials.jsonl"
+        lines = log.read_text().splitlines(keepends=True)
+        for stage in (0, 4, 7):
+            record = dict(json.loads(lines[-1]), stage=stage, latency_mean_ms=1000.0)
+            log.write_text("".join(lines) + json.dumps(record, sort_keys=True) + "\n")
+            code, out, err = _run(capsys, "report", "--out", str(run))
+            assert code == 1
+            assert out == ""
+            reason = f"stage must be 1, 2 or 3, got {stage}"
+            assert f"error: {log}:{len(lines) + 1}: bad trial record: {reason}" in err, err
+
 
 class TestExternalEvaluatorCli:
     def test_exec_selector(self, capsys, tmp_path, reduced_space_file):
@@ -1114,6 +1129,19 @@ class TestProfileCli:
         lines = out.strip().splitlines()
         assert len(lines) == 6
         assert any(line.startswith("coral-dev:") for line in lines)
+
+    def test_two_profiles_with_one_name_refused(self, capsys, tmp_path):
+        from edgenas._data import PROFILES_DIR
+
+        for path in PROFILES_DIR.glob("*.json"):
+            (tmp_path / path.name).write_text(path.read_text())
+        renamed = dict(json.loads((PROFILES_DIR / "pi.json").read_text()), name="coral-dev")
+        (tmp_path / "zz.json").write_text(json.dumps(renamed))
+        code, out, err = _run(capsys, "devices", "list", "--devices", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        files = f"{tmp_path / 'coral-dev.json'} and {tmp_path / 'zz.json'}"
+        assert f"error: {files} both name device 'coral-dev'" in err, err
 
     def test_corrupt_device_profile_is_named(self, capsys, tmp_path, reduced_space_file):
         from edgenas._data import PROFILES_DIR

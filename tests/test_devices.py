@@ -149,8 +149,12 @@ class TestStatistics:
         samples = [0.1] * 10 + [0.3]
         assert math.fsum(samples) != sum_left_to_right(samples)
         mean = sum_left_to_right(samples) / len(samples)
-        var = sum_left_to_right([(s - mean) ** 2 for s in samples]) / (len(samples) - 1)
+        var = sum_left_to_right([(s - mean) * (s - mean) for s in samples]) / (len(samples) - 1)
         assert mean_std(samples) == (mean, math.sqrt(var))
+        # squares by multiplication, correctly rounded on every platform: the
+        # C library's pow() has rounded this square 1 ulp away
+        two = [0.0, 0.033628382266040764]
+        assert mean_std(two) == (0.016814191133020382, 0.02377885714065086)
 
     def test_power_subtraction(self):
         assert dynamic_power_from_traces([2.00] * 180, [3.41] * 180) == pytest.approx(1.41)
@@ -242,6 +246,78 @@ class TestSimulatedMeasurement:
         assert (mean, std) == (2.35, 0.0)
 
 
+def _pairs(table1, n):
+    configs = [config_from_index(table1, 1 + i * 997) for i in range(n)]
+    return [(config, build_architecture(config)) for config in configs]
+
+
+class TestAnnouncedBlocks:
+    """A simulated device measures the pairs announced to it together; each
+    pair still gets the result it gets measured alone."""
+
+    JITTER = JitterSpec(latency_sigma_ms=0.05, power_sigma_w=0.05)
+
+    @staticmethod
+    def _alone(measurement, device, pairs, protocol=None):
+        # a new measurer per pair, nothing announced: blocks of one
+        return [getattr(DeviceMeasurer(device, protocol), measurement)(*pair) for pair in pairs]
+
+    @staticmethod
+    def _announced(measurement, device, pairs, protocol=None):
+        measurer = DeviceMeasurer(device, protocol)
+        measurer.expect(measurement, iter(pairs))
+        return [getattr(measurer, measurement)(*pair) for pair in pairs]
+
+    @pytest.mark.parametrize("measurement", ["latency", "power"])
+    def test_announced_results_equal_pairs_measured_alone(self, table1, measurement):
+        device = SimulatedDevice(_profile(), self.JITTER, seed=7)
+        protocol = MeasurementProtocol(warmup_runs=5)
+        # more pairs than one block holds
+        pairs = _pairs(table1, devices_module.BLOCK_PAIRS + 6)
+        for announced in (pairs[::-1], pairs[1::3]):
+            alone = self._alone(measurement, device, announced, protocol)
+            assert self._announced(measurement, device, announced, protocol) == alone
+        if measurement == "latency":
+            assert all(std > 0.0 for _, std in alone)
+
+    def test_call_for_another_pair_drops_the_announcement(self, table1):
+        device = SimulatedDevice(_profile(), self.JITTER, seed=7)
+        pairs = _pairs(table1, 4)
+        alone = self._alone("latency", device, pairs)
+        measurer = DeviceMeasurer(device)
+        measurer.expect("latency", pairs)
+        assert [measurer.latency(*pair) for pair in pairs[::-1]] == alone[::-1]
+        measurer.expect("latency", pairs)
+        assert measurer.power(*pairs[0]) == self._alone("power", device, pairs[:1])[0]
+        assert measurer.latency(*pairs[1]) == alone[1]
+
+    def test_noiseless_block_gives_the_model_latency(self, table1):
+        profile = _profile()
+        device = SimulatedDevice(profile, JitterSpec(power_sigma_w=0.05))
+        pairs = _pairs(table1, 5)
+        assert device.latency_block(pairs, 45).strides[-1] == 0  # no sample matrix
+        measurer = DeviceMeasurer(device, MeasurementProtocol(warmup_runs=5))
+        measurer.expect("latency", pairs)
+        assert [measurer.latency(*pair) for pair in pairs] == [
+            (simulate_latency(arch, profile), 0.0) for _, arch in pairs
+        ]
+
+    def test_power_error_stays_with_its_pair(self, table1, pi_best):
+        # a zero model latency makes the dynamic power undefined for the
+        # empty architecture only; the block's other pairs are measured
+        profile = _profile(fixed=0.0, per_layer=0.0)
+        device = SimulatedDevice(profile, self.JITTER, seed=3)
+        pairs = _pairs(table1, 3)
+        pairs.insert(1, (pi_best, _empty_arch(pi_best)))
+        measurer = DeviceMeasurer(device)
+        measurer.expect("power", pairs)
+        assert measurer.power(*pairs[0]) == self._alone("power", device, pairs[:1])[0]
+        with pytest.raises(MeasurementError, match="non-positive latency 0.0 ms"):
+            measurer.power(*pairs[1])
+        rest = [measurer.power(*pair) for pair in pairs[2:]]
+        assert rest == self._alone("power", device, pairs[2:])
+
+
 class TestJitterClamp:
     """The array clamp of SimulatedDevice against the per-float reference."""
 
@@ -252,6 +328,15 @@ class TestJitterClamp:
         (0.05, 0.1, 0.05, 0.1),
         (0.01, 1.0, 0.0, 1.0),
     ]
+
+    @staticmethod
+    def _latency(device, config, arch, runs):
+        return device.latency_block([(config, arch)], runs)[0].tolist()
+
+    @staticmethod
+    def _power(device, config, arch, window_s, sample_hz):
+        traces = device.power_block([(config, arch)], window_s, sample_hz)
+        return tuple(trace[0].tolist() for trace in traces)
 
     @staticmethod
     def _assert_same_floats(got, expected):
@@ -270,11 +355,11 @@ class TestJitterClamp:
             # no layers: the latency is the fixed term alone
             arch = _empty_arch(config) if fixed < latency_sigma else build_architecture(config)
             device = SimulatedDevice(profile, jitter, seed=seed)
-            latency = device.latency_samples(config, arch, 45)
+            latency = self._latency(device, config, arch, 45)
             self._assert_same_floats(
                 latency, oracles.simulated_latency_samples(device, config, arch, 45)
             )
-            idle_w, active_w = device.power_traces(config, arch, 180, 1)
+            idle_w, active_w = self._power(device, config, arch, 180, 1)
             ref_idle, ref_active = oracles.simulated_power_traces(device, config, arch, 180, 1)
             self._assert_same_floats(idle_w, ref_idle)
             self._assert_same_floats(active_w, ref_active)
@@ -297,12 +382,12 @@ class TestJitterClamp:
         profile = _profile(idle=-0.0)
         device = SimulatedDevice(profile, JitterSpec(latency_sigma_ms=1.0, power_sigma_w=1.0))
         arch = _empty_arch(pi_best)
-        latency = device.latency_samples(pi_best, arch, 6)
+        latency = self._latency(device, pi_best, arch, 6)
         assert math.copysign(1.0, latency[0]) == -1.0
         self._assert_same_floats(
             latency, oracles.simulated_latency_samples(device, pi_best, arch, 6)
         )
-        traces = device.power_traces(pi_best, arch, 6, 1)
+        traces = self._power(device, pi_best, arch, 6, 1)
         reference = oracles.simulated_power_traces(device, pi_best, arch, 6, 1)
         for got, expected in zip(traces, reference):
             assert math.copysign(1.0, got[0]) == -1.0

@@ -10,11 +10,18 @@ import zlib
 import numpy as np
 import pytest
 
+import edgenas.devices as devices_module
 import edgenas.pipeline as pipeline_module
 import edgenas.protocol as protocol_module
 from edgenas import rundir
 from edgenas.architecture import build_architecture
-from edgenas.devices import DeviceMeasurer, ExternalDevice, MeasurementError, SimulatedDevice
+from edgenas.devices import (
+    DeviceMeasurer,
+    ExternalDevice,
+    JitterSpec,
+    MeasurementError,
+    SimulatedDevice,
+)
 from edgenas.evaluators import ExternalEvaluator, SurrogateEvaluator
 from edgenas.pipeline import (
     FitnessKind,
@@ -730,6 +737,18 @@ class TestTrialLog:
             TrialLog(log.path).load()
         assert str(caught.value) == f"{log.path}:{number}: bad trial record: {message}"
 
+    @pytest.mark.parametrize("stage", [0, 4, 7, -1])
+    def test_stage_outside_1_to_3_refused_on_every_read(self, tmp_path, table1, stage):
+        log, _ = self._three_stage_log(tmp_path, table1)
+        lines = log.path.read_text().splitlines(keepends=True)
+        lines[-1] = json.dumps(dict(json.loads(lines[-1]), stage=stage), sort_keys=True) + "\n"
+        log.path.write_text("".join(lines))
+        message = f"{log.path}:{len(lines)}: bad trial record: stage must be 1, 2 or 3, got {stage}"
+        for read in (lambda: TrialLog(log.path).load(), lambda: TrialLog(log.path).index(2)):
+            with pytest.raises(ValueError) as caught:
+                read()
+            assert str(caught.value) == message
+
     def test_other_stage_schema_fault_left_to_load(self, tmp_path, table1):
         log, _ = self._three_stage_log(tmp_path, table1)
         lines = log.path.read_text().splitlines(keepends=True)
@@ -1087,6 +1106,38 @@ class TestBadMeasurements:
         assert len(excluded) == 3
         assert "non-finite active power sample" in excluded[0]
         assert "non-positive dynamic power 0.0 W" in excluded[2]
+
+    def test_bad_rows_of_a_simulated_block_excluded_alone(self, table1, caplog, monkeypatch):
+        configs = [config_from_index(table1, i) for i in range(6)]
+        bad = {configs[1]: math.nan, configs[3]: -1e9}  # a NaN sample; every sample clamps to 0
+
+        class StubGenerator:
+            def __init__(self, config):
+                self.config = config
+
+            def normal(self, loc, scale, size):
+                noise = np.resize([0.01, -0.02, 0.03], size)
+                if self.config in bad:
+                    noise[-1 if math.isnan(bad[self.config]) else slice(None)] = bad[self.config]
+                return noise
+
+        monkeypatch.setattr(
+            devices_module, "_jitter_rng", lambda seed, device, config, salt: StubGenerator(config)
+        )
+        factory = lambda p: DeviceMeasurer(SimulatedDevice(p, JitterSpec(1.0)))  # noqa: E731
+        profiles = {"dev": _zero_delta_profile("dev")}
+        result = stage2(table1, _candidates([(c, 95.0) for c in configs]), profiles, factory, 6)
+        kept = [c for c in configs if c not in bad]
+        assert {r.config for r in result["dev"].records} == set(kept)
+        alone = {c: factory(profiles["dev"]).latency(c, build_architecture(c)) for c in kept}
+        assert {
+            r.config: (r.latency_mean_ms, r.latency_std_ms) for r in result["dev"].records
+        } == alone
+        assert [m for m in caplog.messages if m.startswith("stage 2: excluding")] == [
+            f"stage 2: excluding {configs[1].canonical_json()} on dev: non-finite latency sample",
+            f"stage 2: excluding {configs[3].canonical_json()} on dev: "
+            "non-positive mean latency 0.0 ms",
+        ]
 
     @pytest.mark.parametrize("stage", [2, 3])
     def test_device_timeout_excludes_only_its_pair(self, tmp_path, table1, caplog, stage):
