@@ -199,6 +199,8 @@ def cmd_space_enumerate(args) -> int:
 
 
 def cmd_space_sample(args) -> int:
+    if args.n < 0:
+        raise UsageError("--n must be >= 0")
     space = _load_space(args.space)
     rng = np.random.default_rng(args.seed)
     for _ in range(args.n):

@@ -14,8 +14,18 @@ traces over 180 s windows reduced to mean(active) - mean(idle). There is
 one reduction, over the last axis of a (pairs x samples) array: sums run
 left to right and deviations are squared by multiplication, so seeded
 results depend neither on the Python version nor on the C library's
-pow(). A simulated device measures the pairs announced to it together,
-as one such array; a real device's reply is reduced as a block of one.
+pow().
+
+Every device backend speaks one protocol: a ``block_pairs`` constant,
+``expect_latency(pairs, runs)`` and ``expect_power(pairs, window_s,
+sample_hz)`` to hear the (config, arch) pairs the next blocks hold, and
+``latency_block(pairs, runs)`` and ``power_block(pairs, window_s,
+sample_hz)`` to measure up to ``block_pairs`` of them at once as
+(pairs x samples) arrays. A simulated device measures BLOCK_PAIRS
+announced pairs at once. A real device's block is one pair, one
+request: each reply is reduced, and its record logged, as it arrives,
+and the fallback that measures a failed block again pair by pair never
+sends a device a request twice.
 """
 
 from __future__ import annotations
@@ -191,7 +201,8 @@ def _row_stats(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _latency_rows(samples: np.ndarray) -> list:
     """Each row's latency (mean, std), or the MeasurementError that
-    excludes it: a non-finite sample or a non-positive mean."""
+    excludes it: a non-finite sample, a mean or std that overflows, or a
+    non-positive mean."""
     n = samples.shape[-1]
     if n < 2:
         raise MeasurementError(f"need >= 2 latency samples, got {n}")
@@ -200,6 +211,8 @@ def _latency_rows(samples: np.ndarray) -> list:
     for ok, mean, std in zip(finite.tolist(), means.tolist(), stds.tolist()):
         if not ok:
             results.append(MeasurementError("non-finite latency sample"))
+        elif not (math.isfinite(mean) and math.isfinite(std)):
+            results.append(MeasurementError("non-finite latency mean or std"))
         elif mean <= 0.0:
             results.append(MeasurementError(f"non-positive mean latency {mean} ms"))
         else:
@@ -210,7 +223,7 @@ def _latency_rows(samples: np.ndarray) -> list:
 def _power_rows(idle_w: np.ndarray, active_w: np.ndarray) -> list:
     """Each row's mean(active) - mean(idle), or the MeasurementError that
     excludes it: tiny negatives clamp to 0, larger ones indicate an
-    inconsistent sensor, as does a non-finite sample."""
+    inconsistent sensor, as does a non-finite sample or difference."""
     if not idle_w.shape[-1] or not active_w.shape[-1]:
         raise MeasurementError("empty power trace")
     idle_ok, idle_means, _ = _row_stats(idle_w)
@@ -225,6 +238,8 @@ def _power_rows(idle_w: np.ndarray, active_w: np.ndarray) -> list:
             results.append(MeasurementError("non-finite idle power sample"))
         elif not active_finite:
             results.append(MeasurementError("non-finite active power sample"))
+        elif not math.isfinite(diff):
+            results.append(MeasurementError("non-finite dynamic power"))
         elif diff < -NEGATIVE_POWER_TOLERANCE_W:
             results.append(MeasurementError(f"negative dynamic power {diff:.2f} W"))
         else:
@@ -232,30 +247,10 @@ def _power_rows(idle_w: np.ndarray, active_w: np.ndarray) -> list:
     return results
 
 
-def _only(results: list):
-    """The one row's result; its MeasurementError is raised."""
-    (result,) = results
-    if isinstance(result, MeasurementError):
-        raise result
-    return result
-
-
-def _row(samples) -> np.ndarray:
-    return np.asarray(samples, dtype=float).reshape(1, -1)
-
-
 def mean_std(samples: list[float]) -> tuple[float, float]:
     """Arithmetic mean and sample (n-1) standard deviation; std 0 for n=1."""
-    _, means, stds = _row_stats(_row(samples))
+    _, means, stds = _row_stats(np.asarray(samples, dtype=float).reshape(1, -1))
     return means.item(), stds.item()
-
-
-def latency_stats(samples: list[float]) -> tuple[float, float]:
-    return _only(_latency_rows(_row(samples)))
-
-
-def dynamic_power_from_traces(idle_w: list[float], active_w: list[float]) -> float:
-    return _only(_power_rows(_row(idle_w), _row(active_w)))
 
 
 def simulate_latency(arch: ArchitectureDescriptor, profile: DeviceProfile) -> float:
@@ -298,10 +293,18 @@ class SimulatedDevice:
     configuration, so results are independent of measurement order and of
     the block a pair is measured in."""
 
+    block_pairs = BLOCK_PAIRS
+
     def __init__(self, profile: DeviceProfile, jitter: JitterSpec | None = None, seed: int = 0):
         self.profile = profile
         self.jitter = jitter or JitterSpec()
         self.seed = seed
+
+    def expect_latency(self, pairs: Sequence[Pair], runs: int) -> None:
+        pass
+
+    def expect_power(self, pairs: Sequence[Pair], window_s: int, sample_hz: int) -> None:
+        pass
 
     def _rngs(self, pairs: Sequence[Pair], salt: int):
         return (_jitter_rng(self.seed, self.profile.name, config, salt) for config, _ in pairs)
@@ -354,12 +357,12 @@ def _power_request(config: Configuration, window_s: int, sample_hz: int) -> dict
 
 
 def _numbers(values: list, field: str) -> np.ndarray:
-    """A reply's JSON numbers as floats; the first value that is not one
-    fails as ``number`` fails it."""
+    """A reply's JSON numbers as a (1 x n) row of floats; the first value
+    that is not one fails as ``number`` fails it."""
     if not {type(value) for value in values} <= {float, int}:
         for value in values:
             number(value, field)
-    return np.array(values, dtype=float)
+    return np.array([values], dtype=float)
 
 
 class ExternalDevice:
@@ -373,22 +376,20 @@ class ExternalDevice:
     The idle and active power windows run one after the other: a device
     cannot idle and run the model at once, so each power measurement
     takes at least 2 * window_s of device time (360 s at POWER_WINDOW_S).
-    The stages announce their next configs (``expect_latency``,
-    ``expect_power``), and the channel sends those requests ahead.
+    A block is one pair, one request; the announced pairs' requests go
+    ahead on the channel.
     """
+
+    block_pairs = 1
 
     def __init__(self, channel: JsonLineChannel):
         self.channel = channel
 
-    def expect_latency(self, configs: Iterable[Configuration], runs: int) -> None:
-        """Announce the configs the next ``latency_samples`` calls ask for,
-        in order, so the channel sends their requests ahead."""
-        self.channel.expect(_latency_request(config, runs) for config in configs)
+    def expect_latency(self, pairs: Sequence[Pair], runs: int) -> None:
+        self.channel.expect(_latency_request(config, runs) for config, _ in pairs)
 
-    def expect_power(self, configs: Iterable[Configuration], window_s: int, sample_hz: int) -> None:
-        """Announce the configs the next ``power_traces`` calls ask for, in
-        order, so the channel sends their requests ahead."""
-        self.channel.expect(_power_request(config, window_s, sample_hz) for config in configs)
+    def expect_power(self, pairs: Sequence[Pair], window_s: int, sample_hz: int) -> None:
+        self.channel.expect(_power_request(config, window_s, sample_hz) for config, _ in pairs)
 
     def _request(self, message: dict) -> dict:
         """The device's reply. A timeout or an error reply fails only this
@@ -402,9 +403,8 @@ class ExternalDevice:
             raise MeasurementError(f"device reported: {response['error']}")
         return response
 
-    def latency_samples(
-        self, config: Configuration, arch: ArchitectureDescriptor, runs: int
-    ) -> np.ndarray:
+    def latency_block(self, pairs: Sequence[Pair], runs: int) -> np.ndarray:
+        ((config, _),) = pairs
         response = self._request(_latency_request(config, runs))
         samples = response.get("latency_ms")
         if not isinstance(samples, list):
@@ -413,13 +413,10 @@ class ExternalDevice:
             raise MeasurementError(f"expected {runs} latency runs, got {len(samples)}")
         return _numbers(samples, "latency_ms")
 
-    def power_traces(
-        self,
-        config: Configuration,
-        arch: ArchitectureDescriptor,
-        window_s: int,
-        sample_hz: int,
+    def power_block(
+        self, pairs: Sequence[Pair], window_s: int, sample_hz: int
     ) -> tuple[np.ndarray, np.ndarray]:
+        ((config, _),) = pairs
         response = self._request(_power_request(config, window_s, sample_hz))
         idle, active = response.get("idle_w"), response.get("active_w")
         if not isinstance(idle, list) or not isinstance(active, list):
@@ -437,36 +434,34 @@ class ExternalDevice:
 
 
 class DeviceMeasurer:
-    """Stage-facing wrapper: latency and power are separate calls so the
-    cheap measurement can run without the expensive one. Raw samples are
-    reduced by one reduction (``_row_stats``) over the last axis of a
-    (pairs x samples) array. A backend with blocks
-    (SimulatedDevice) measures the pairs announced to it together, up to
-    BLOCK_PAIRS at a time, and the calls hand out their results in
-    announcement order; any other backend (ExternalDevice) gives the
-    samples of one pair per call, reduced as a block of one."""
+    """Stage-facing wrapper over a backend of the module docstring's
+    protocol: latency and power are separate calls so the cheap
+    measurement can run without the expensive one. The announced pairs
+    are measured ``backend.block_pairs`` at a time, and the calls hand out
+    their results in announcement order. A block's raw samples are
+    reduced by one reduction (``_row_stats``) over the last axis. A real
+    device's block is one pair, so each of its replies is reduced, and
+    its record logged, before the next is read."""
 
     def __init__(self, backend, protocol: MeasurementProtocol | None = None):
         self.backend = backend
         self.protocol = protocol or MeasurementProtocol()
         self._runs = LATENCY_RUNS + self.protocol.warmup_runs
-        self._blocks = hasattr(backend, "latency_block")
         self._measurement: str | None = None  # of the announcement, if any
         self._announced: Iterator[Pair] = iter(())
         self._ready: deque = deque()  # (config, result) of announced pairs, in order
 
     def expect(self, measurement: str, pairs: Iterable[Pair]) -> None:
         """Announce the (config, arch) pairs the next ``measurement`` calls
-        ("latency" or "power") ask for, in order. A backend with blocks
-        measures them together; an ExternalDevice sends their requests
-        ahead. A call for any other pair drops the announcement."""
+        ("latency" or "power") ask for, in order, to this measurer and to
+        the backend. A call for any other pair drops the announcement."""
+        pairs = list(pairs)
         self._ready.clear()
-        if self._blocks:
-            self._measurement, self._announced = measurement, iter(pairs)
-        elif measurement == "latency":
-            self.backend.expect_latency((c for c, _ in pairs), self._runs)
+        self._measurement, self._announced = measurement, iter(pairs)
+        if measurement == "latency":
+            self.backend.expect_latency(pairs, self._runs)
         else:
-            self.backend.expect_power((c for c, _ in pairs), POWER_WINDOW_S, POWER_SAMPLE_HZ)
+            self.backend.expect_power(pairs, POWER_WINDOW_S, POWER_SAMPLE_HZ)
 
     def latency(self, config: Configuration, arch: ArchitectureDescriptor) -> tuple[float, float]:
         return self._measured("latency", config, arch)
@@ -477,7 +472,7 @@ class DeviceMeasurer:
     def _measured(self, measurement: str, config: Configuration, arch: ArchitectureDescriptor):
         announced = measurement == self._measurement
         if announced and not self._ready:
-            block = list(islice(self._announced, BLOCK_PAIRS))
+            block = list(islice(self._announced, self.backend.block_pairs))
             self._ready.extend(zip((c for c, _ in block), self._results(measurement, block)))
         if announced and self._ready and self._ready[0][0] == config:
             result = self._ready.popleft()[1]
@@ -491,31 +486,20 @@ class DeviceMeasurer:
 
     def _results(self, measurement: str, pairs: list[Pair]) -> list:
         """Each pair's result, or the MeasurementError that excludes it. A
-        block whose samples cannot be made or reduced as a whole is
-        measured again pair by pair, so the error stays with its pair."""
+        block of several pairs whose samples cannot be made or reduced as
+        a whole is measured again pair by pair, so the error stays with
+        its pair."""
         if not pairs:
             return []
         try:
             if measurement == "latency":
-                return _latency_rows(self._latency_samples(pairs)[:, self.protocol.warmup_runs :])
-            return _power_rows(*self._power_traces(pairs))
+                samples = self.backend.latency_block(pairs, self._runs)
+                return _latency_rows(samples[:, self.protocol.warmup_runs :])
+            return _power_rows(*self.backend.power_block(pairs, POWER_WINDOW_S, POWER_SAMPLE_HZ))
         except MeasurementError as exc:
             if len(pairs) == 1:
                 return [exc]
             return [self._results(measurement, [pair])[0] for pair in pairs]
-
-    def _latency_samples(self, pairs) -> np.ndarray:
-        if self._blocks:
-            return self.backend.latency_block(pairs, self._runs)
-        ((config, arch),) = pairs
-        return _row(self.backend.latency_samples(config, arch, self._runs))
-
-    def _power_traces(self, pairs) -> tuple[np.ndarray, np.ndarray]:
-        if self._blocks:
-            return self.backend.power_block(pairs, POWER_WINDOW_S, POWER_SAMPLE_HZ)
-        ((config, arch),) = pairs
-        idle, active = self.backend.power_traces(config, arch, POWER_WINDOW_S, POWER_SAMPLE_HZ)
-        return _row(idle), _row(active)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ NOT_A_NUMBER = {
     "bool_idle": ("idle_w", False),
     "string_active": ("active_w", "4.08"),
 }
-# modes whose latency samples depend on the configuration, so a test can
-# tell whose reply each pair got
-PER_CONFIG = ("peek", "error_third", "slow_third", "garbage_third", "big")
+# modes whose latency samples and active power depend on the
+# configuration, so a test can tell whose reply each pair got
+PER_CONFIG = ("per_config", "peek", "error_third", "slow_third", "garbage_third", "big")
 pending = b""  # what has been read from stdin past the current request
 
 
@@ -39,7 +39,8 @@ def spoil(reply):
 
 def latency_ms(config):
     """One latency sample: 2.35 ms, or in a PER_CONFIG mode 1 ms plus the
-    CRC of the configuration's key-sorted JSON, modulo 1000, in us."""
+    CRC of the configuration's key-sorted JSON, modulo 1000, in us. A
+    PER_CONFIG mode's dynamic power is as many W."""
     if MODE not in PER_CONFIG:
         return 2.35
     return 1.0 + zlib.crc32(json.dumps(config, sort_keys=True).encode()) % 1000 / 1000
@@ -102,6 +103,7 @@ while (line := next_request()) is not None:
         elif MODE == "short_trace":
             emit({"id": rid, "idle_w": [2.0] * (n - 5), "active_w": [4.08] * n})
         else:
-            emit(spoil({"id": rid, "idle_w": [2.0] * n, "active_w": [4.08] * n}))
+            active = 4.08 if MODE not in PER_CONFIG else 2.0 + latency_ms(request["config"])
+            emit(spoil({"id": rid, "idle_w": [2.0] * n, "active_w": [active] * n}))
     else:
         emit({"id": rid, "error": f"unknown cmd {cmd}"})

@@ -253,15 +253,24 @@ def test_criterion_09_measurement_protocol(pi_best):
         return measurer.latency(pi_best, arch), measurer.power(pi_best, arch)
 
     class CountingBackend:
+        block_pairs = 1
+
         def __init__(self):
             self.requested_runs = []
 
-        def latency_samples(self, config, arch, runs):
-            self.requested_runs.append(runs)
-            return [2.35] * runs
+        def expect_latency(self, pairs, runs):
+            pass
 
-        def power_traces(self, config, arch, window_s, sample_hz):
-            return [2.00] * window_s * sample_hz, [4.08] * window_s * sample_hz
+        def expect_power(self, pairs, window_s, sample_hz):
+            pass
+
+        def latency_block(self, pairs, runs):
+            self.requested_runs.append(runs)
+            return np.full((len(pairs), runs), 2.35)
+
+        def power_block(self, pairs, window_s, sample_hz):
+            shape = (len(pairs), window_s * sample_hz)
+            return np.full(shape, 2.00), np.full(shape, 4.08)
 
     with channel("ok") as ok_channel:
         (mean, std), power = measure(ExternalDevice(ok_channel))

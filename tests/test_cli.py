@@ -117,6 +117,14 @@ class TestSpaceCommands:
         assert out == ""
         assert "error: --offset and --limit must be >= 0" in err
 
+    def test_sample_negative_n_refused(self, capsys, reduced_space_file):
+        code, out, err = _run(
+            capsys, "space", "sample", "--space", str(reduced_space_file), "--n", "-2"
+        )
+        assert code == 1
+        assert out == ""
+        assert "error: --n must be >= 0" in err
+
     def test_sample_deterministic(self, capsys, reduced_space_file):
         code, first, _ = _run(
             capsys, "space", "sample", "--space", str(reduced_space_file), "--n", "3", "--seed", "9"

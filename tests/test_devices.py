@@ -20,9 +20,7 @@ from edgenas.devices import (
     MeasurementProtocol,
     PowerModel,
     SimulatedDevice,
-    dynamic_power_from_traces,
     fit_profile,
-    latency_stats,
     load_profile,
     mean_std,
     save_profile,
@@ -130,18 +128,68 @@ def sum_left_to_right(values):
     return total
 
 
+def _measure(config, backend, protocol=None):
+    """Latency (mean, std) and dynamic power through the stage-facing path."""
+    measurer = DeviceMeasurer(backend, protocol)
+    arch = build_architecture(config)
+    return measurer.latency(config, arch), measurer.power(config, arch)
+
+
+_CONFIG = Configuration(block=2, k1=6, k2=24, fc1=100, do1=10, fc2=80, do2=10)
+
+
+def _measure_one(measurement, backend):
+    """One measurement of ``_CONFIG`` through the stage-facing path."""
+    return getattr(DeviceMeasurer(backend), measurement)(_CONFIG, build_architecture(_CONFIG))
+
+
+class RecordingBackend:
+    """Canned raw samples, one pair per block, whatever was asked for:
+    2.35-ms runs and 2.0 / 4.08-W traces unless others are given. The
+    runs each latency block asked for are recorded."""
+
+    block_pairs = 1
+
+    def __init__(self, latency=(2.35,) * 40, idle=(2.0,) * 180, active=(4.08,) * 180):
+        self.latency, self.idle, self.active = latency, idle, active
+        self.requested_runs = []
+
+    def expect_latency(self, pairs, runs):
+        pass
+
+    def expect_power(self, pairs, window_s, sample_hz):
+        pass
+
+    def latency_block(self, pairs, runs):
+        self.requested_runs.append(runs)
+        return np.array([self.latency], dtype=float)
+
+    def power_block(self, pairs, window_s, sample_hz):
+        return np.array([self.idle], dtype=float), np.array([self.active], dtype=float)
+
+
+def measured_latency(samples):
+    """The latency (mean, std) of raw samples through the stage-facing path."""
+    return _measure_one("latency", RecordingBackend(latency=samples))
+
+
+def measured_power(idle_w, active_w):
+    """The dynamic power of raw traces through the stage-facing path."""
+    return _measure_one("power", RecordingBackend(idle=idle_w, active=active_w))
+
+
 class TestStatistics:
     def test_constant_samples(self):
-        assert latency_stats([2.51] * 40) == (pytest.approx(2.51), 0.0)
+        assert measured_latency([2.51] * 40) == (pytest.approx(2.51), 0.0)
 
     def test_two_samples_hand_arithmetic(self):
-        mean, std = latency_stats([1.0, 3.0])
+        mean, std = measured_latency([1.0, 3.0])
         assert mean == 2.0
         assert std == pytest.approx(math.sqrt(2))
 
     def test_too_few_samples(self):
         with pytest.raises(MeasurementError, match="2 latency samples"):
-            latency_stats([1.0])
+            measured_latency([1.0])
 
     def test_mean_std_sums_left_to_right(self):
         # compensated summation (sum() from Python 3.12 on, math.fsum) rounds
@@ -157,21 +205,21 @@ class TestStatistics:
         assert mean_std(two) == (0.016814191133020382, 0.02377885714065086)
 
     def test_power_subtraction(self):
-        assert dynamic_power_from_traces([2.00] * 180, [3.41] * 180) == pytest.approx(1.41)
+        assert measured_power([2.00] * 180, [3.41] * 180) == pytest.approx(1.41)
 
     def test_equal_traces_give_zero(self):
-        assert dynamic_power_from_traces([2.0] * 180, [2.0] * 180) == 0.0
+        assert measured_power([2.0] * 180, [2.0] * 180) == 0.0
 
     def test_small_negative_clamps(self):
-        assert dynamic_power_from_traces([2.0] * 10, [1.97] * 10) == 0.0
+        assert measured_power([2.0] * 10, [1.97] * 10) == 0.0
 
     def test_large_negative_errors(self):
         with pytest.raises(MeasurementError, match=r"negative dynamic power -0\.20 W"):
-            dynamic_power_from_traces([2.00] * 180, [1.80] * 180)
+            measured_power([2.00] * 180, [1.80] * 180)
 
     def test_empty_trace_errors(self):
         with pytest.raises(MeasurementError, match="empty power trace"):
-            dynamic_power_from_traces([], [2.0])
+            measured_power([], [2.0])
 
     @pytest.mark.parametrize(
         "samples",
@@ -179,42 +227,19 @@ class TestStatistics:
     )
     def test_non_finite_latency_sample_errors(self, samples):
         with pytest.raises(MeasurementError, match="non-finite latency sample"):
-            latency_stats(samples)
+            measured_latency(samples)
 
     @pytest.mark.parametrize("samples", [[-1.0, -2.0], [0.0] * 40, [-0.5, 0.5]])
     def test_non_positive_mean_latency_errors(self, samples):
         with pytest.raises(MeasurementError, match="non-positive mean latency"):
-            latency_stats(samples)
+            measured_latency(samples)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_power_sample_errors(self, bad):
         with pytest.raises(MeasurementError, match="non-finite idle power sample"):
-            dynamic_power_from_traces([2.0, bad], [3.0, 3.0])
+            measured_power([2.0, bad], [3.0, 3.0])
         with pytest.raises(MeasurementError, match="non-finite active power sample"):
-            dynamic_power_from_traces([2.0, 2.0], [bad, 3.0])
-
-
-def _measure(config, backend, protocol=None):
-    """Latency (mean, std) and dynamic power through the stage-facing path."""
-    measurer = DeviceMeasurer(backend, protocol)
-    arch = build_architecture(config)
-    return measurer.latency(config, arch), measurer.power(config, arch)
-
-
-class RecordingBackend:
-    """Canned samples: warm-up runs read 100 ms, timed runs 2.35 ms."""
-
-    def __init__(self, warmup_runs=0):
-        self.warmup_runs = warmup_runs
-        self.requested_runs = []
-
-    def latency_samples(self, config, arch, runs):
-        self.requested_runs.append(runs)
-        return [100.0] * self.warmup_runs + [2.35] * (runs - self.warmup_runs)
-
-    def power_traces(self, config, arch, window_s, sample_hz):
-        n = window_s * sample_hz
-        return [2.0] * n, [4.08] * n
+            measured_power([2.0, 2.0], [bad, 3.0])
 
 
 class TestSimulatedMeasurement:
@@ -240,7 +265,7 @@ class TestSimulatedMeasurement:
         assert first[0][1] > 0.0
 
     def test_warmup_runs_dropped(self, pi_best):
-        backend = RecordingBackend(warmup_runs=5)
+        backend = RecordingBackend(latency=[100.0] * 5 + [2.35] * 40)
         (mean, std), _ = _measure(pi_best, backend, MeasurementProtocol(warmup_runs=5))
         assert backend.requested_runs == [45]
         assert (mean, std) == (2.35, 0.0)
@@ -316,6 +341,77 @@ class TestAnnouncedBlocks:
             measurer.power(*pairs[1])
         rest = [measurer.power(*pair) for pair in pairs[2:]]
         assert rest == self._alone("power", device, pairs[2:])
+
+
+class TestBackendContract:
+    """Both backends, through DeviceMeasurer, give each pair its own
+    result: announced or not, called in announcement order or not. The
+    jittered simulated device and the mock's per-config modes give each
+    pair a different result, so a result handed to the wrong pair shows."""
+
+    @pytest.fixture(params=["simulated", "external"])
+    def backend(self, request):
+        """A factory of new backends of one kind; an external one runs the
+        mock device in ``mode``, and its channel is closed at teardown."""
+        channels = []
+
+        def make(mode="per_config"):
+            if request.param == "simulated":
+                profile = _profile(fixed=0.0, per_layer=0.0)
+                return SimulatedDevice(profile, TestAnnouncedBlocks.JITTER, seed=11)
+            channels.append(_device_channel(mode))
+            return ExternalDevice(channels[-1])
+
+        yield make
+        for channel in channels:
+            channel.close()
+
+    @staticmethod
+    def _results(measurer, measurement, pairs):
+        results = []
+        for pair in pairs:
+            try:
+                results.append(getattr(measurer, measurement)(*pair))
+            except MeasurementError as exc:
+                results.append(exc)
+        return results
+
+    def _alone(self, device, measurement, pairs):
+        return [self._results(DeviceMeasurer(device), measurement, [pair])[0] for pair in pairs]
+
+    @pytest.mark.parametrize("measurement", ["latency", "power"])
+    def test_announced_results_equal_unannounced(self, table1, backend, measurement):
+        pairs = _pairs(table1, 5)
+        device = backend()
+        alone = self._alone(device, measurement, pairs)
+        assert len(set(alone)) == len(pairs)
+        measurer = DeviceMeasurer(device)
+        measurer.expect(measurement, iter(pairs))
+        assert self._results(measurer, measurement, pairs) == alone
+
+    @pytest.mark.parametrize("measurement", ["latency", "power"])
+    def test_call_for_another_pair_gets_its_own_result(self, table1, backend, measurement):
+        pairs = _pairs(table1, 5)
+        device = backend()
+        alone = self._alone(device, measurement, pairs)
+        measurer = DeviceMeasurer(device)
+        measurer.expect(measurement, pairs)
+        order = [2, 0, 1, 3, 4]
+        called = self._results(measurer, measurement, [pairs[i] for i in order])
+        assert called == [alone[i] for i in order]
+
+    def test_measurement_error_stays_with_its_pair(self, table1, pi_best, backend):
+        # the third pair fails: the mock's error_third mode answers request 2
+        # with an error, and a zero model latency leaves the empty
+        # architecture's dynamic power undefined on the simulated device
+        pairs = _pairs(table1, 4)
+        pairs.insert(2, (pi_best, _empty_arch(pi_best)))
+        measurer = DeviceMeasurer(backend("error_third"))
+        measurer.expect("power", pairs)
+        results = self._results(measurer, "power", pairs)
+        assert isinstance(results[2], MeasurementError)
+        rest = pairs[:2] + pairs[3:]
+        assert results[:2] + results[3:] == self._alone(backend(), "power", rest)
 
 
 class TestJitterClamp:

@@ -1040,27 +1040,31 @@ class TestResumeStartsNoDevice:
 
 
 class SampleBackend:
-    """Canned raw samples by config: a NaN, infinite or negative latency
-    for some, a NaN or zero-difference power trace for others."""
+    """Canned raw samples by config, measured in blocks: a NaN, infinite,
+    negative or overflowing latency for some, a NaN, zero-difference or
+    overflowing power trace for others."""
+
+    block_pairs = devices_module.BLOCK_PAIRS
 
     def __init__(self, latency=None, power=None):
         self.latency = latency or {}
         self.power = power or {}
         self.latency_calls = []
 
-    def expect_latency(self, configs, runs):
+    def expect_latency(self, pairs, runs):
         pass
 
-    def expect_power(self, configs, window_s, sample_hz):
+    def expect_power(self, pairs, window_s, sample_hz):
         pass
 
-    def latency_samples(self, config, arch, runs):
-        self.latency_calls.append(config)
-        return list(self.latency.get(config, [1.0] * runs))
+    def latency_block(self, pairs, runs):
+        self.latency_calls.extend(config for config, _ in pairs)
+        return np.array([self.latency.get(config, [1.0] * runs) for config, _ in pairs])
 
-    def power_traces(self, config, arch, window_s, sample_hz):
+    def power_block(self, pairs, window_s, sample_hz):
         n = window_s * sample_hz
-        return [2.0] * n, list(self.power.get(config, [2.5] * n))
+        active = np.array([self.power.get(config, [2.5] * n) for config, _ in pairs])
+        return np.full(active.shape, 2.0), active
 
 
 class TestBadMeasurements:
@@ -1106,6 +1110,28 @@ class TestBadMeasurements:
         assert len(excluded) == 3
         assert "non-finite active power sample" in excluded[0]
         assert "non-positive dynamic power 0.0 W" in excluded[2]
+
+    def test_overflowing_reduction_excluded_and_not_logged(self, tmp_path, table1, caplog):
+        # finite samples whose sums overflow: a logged Infinity is not JSON
+        configs = [config_from_index(table1, i) for i in range(3)]
+        backend = SampleBackend(
+            latency={configs[0]: [1e308, 1e308] + [1.0] * 38},
+            power={configs[1]: [1e308, 1e308] + [2.5] * 178},
+        )
+        profiles = {"dev": _zero_delta_profile("dev")}
+        factory = lambda p: DeviceMeasurer(backend)  # noqa: E731
+        path = tmp_path / "trials.jsonl"
+        with TrialLog(path) as log:
+            candidates = _candidates([(c, 95.0) for c in configs])
+            ranked = stage2(table1, candidates, profiles, factory, 3, log=log)
+            assert {r.config for r in ranked["dev"].records} == set(configs[1:])
+            assert stage3(table1, ranked, profiles, factory, log=log)["dev"].config == configs[2]
+        assert [m for m in caplog.messages if "excluding" in m] == [
+            f"stage 2: excluding {configs[0].canonical_json()} on dev: "
+            "non-finite latency mean or std",
+            f"stage 3: excluding {configs[1].canonical_json()} on dev: non-finite dynamic power",
+        ]
+        assert "Infinity" not in path.read_text()
 
     def test_bad_rows_of_a_simulated_block_excluded_alone(self, table1, caplog, monkeypatch):
         configs = [config_from_index(table1, i) for i in range(6)]
