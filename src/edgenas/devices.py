@@ -36,7 +36,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, replace
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -448,8 +448,8 @@ class DeviceMeasurer:
         self.protocol = protocol or MeasurementProtocol()
         self._runs = LATENCY_RUNS + self.protocol.warmup_runs
         self._measurement: str | None = None  # of the announcement, if any
-        self._announced: Iterator[Pair] = iter(())
-        self._ready: deque = deque()  # (config, result) of announced pairs, in order
+        self._announced: deque[Pair] = deque()  # not yet handed out, in order
+        self._ready: deque = deque()  # results of the first announced pairs
 
     def expect(self, measurement: str, pairs: Iterable[Pair]) -> None:
         """Announce the (config, arch) pairs the next ``measurement`` calls
@@ -457,7 +457,7 @@ class DeviceMeasurer:
         the backend. A call for any other pair drops the announcement."""
         pairs = list(pairs)
         self._ready.clear()
-        self._measurement, self._announced = measurement, iter(pairs)
+        self._measurement, self._announced = measurement, deque(pairs)
         if measurement == "latency":
             self.backend.expect_latency(pairs, self._runs)
         else:
@@ -470,14 +470,17 @@ class DeviceMeasurer:
         return self._measured("power", config, arch)
 
     def _measured(self, measurement: str, config: Configuration, arch: ArchitectureDescriptor):
-        announced = measurement == self._measurement
-        if announced and not self._ready:
-            block = list(islice(self._announced, self.backend.block_pairs))
-            self._ready.extend(zip((c for c, _ in block), self._results(measurement, block)))
-        if announced and self._ready and self._ready[0][0] == config:
-            result = self._ready.popleft()[1]
+        # A block is measured only for a call that asks for its first pair.
+        announced = self._announced
+        if measurement == self._measurement and announced and announced[0][0] == config:
+            if not self._ready:
+                block = list(islice(announced, self.backend.block_pairs))
+                self._ready.extend(self._results(measurement, block))
+            announced.popleft()
+            result = self._ready.popleft()
         else:
             self._measurement = None
+            announced.clear()
             self._ready.clear()
             result = self._results(measurement, [(config, arch)])[0]
         if isinstance(result, MeasurementError):

@@ -27,7 +27,7 @@ from ._data import typed
 from .architecture import ArchitectureDescriptor, build_architecture
 from .devices import DeviceMeasurer, DeviceProfile, MeasurementError
 from .space import Configuration, SearchSpace, SpaceValidationError, index_of
-from .tpe import OptimizerSettings, best_accuracy, run_optimization, startup_draw
+from .tpe import OptimizerSettings, best_accuracy, run_optimization, startup_configs
 
 logger = logging.getLogger(__name__)
 
@@ -364,25 +364,13 @@ def stage1(
     def evaluate(config: Configuration) -> float:
         return evaluator.evaluate(config).accuracy_pct
 
-    def startup_configs() -> Iterator[Configuration]:
-        # the loop's first evaluations: each distinct startup draw, first
-        # occurrences in order, since a repeat is answered from its cache
-        seen: set[Configuration] = set()
-        for index in range(min(settings.n_startup, budget)):
-            config = startup_draw(space, settings.seed, index)
-            if config not in seen:
-                seen.add(config)
-                yield config
-
-    evaluator.expect(startup_configs())
+    evaluator.expect(startup_configs(space, settings, budget))
     history = run_optimization(space, evaluate, budget, settings, unique_target=keep)
-    unique: dict[Configuration, float] = {}
-    for entry in history.succeeded():
-        unique.setdefault(entry.config, -entry.loss)
+    unique = {config: -loss for config, loss in history.results.items() if loss is not None}
     if len(unique) < keep:
         raise PipelineError(
             f"stage 1 needs {keep} unique successful trials, got {len(unique)} "
-            f"after extending to {len(history)} evaluations"
+            f"after extending to {len(history)} trials, {len(history.results)} evaluations"
         )
     records = [
         TrialRecord(
@@ -400,8 +388,9 @@ def stage1(
         for record in records:
             log.append(record)
     logger.info(
-        "stage 1: %d evaluations, %d unique, best %.4f",
+        "stage 1: %d trials, %d evaluations, %d successful, best %.4f",
         len(history),
+        len(history.results),
         len(unique),
         best_accuracy(history),
     )

@@ -34,6 +34,7 @@ import shutil
 import subprocess
 import time
 from collections import deque
+from itertools import chain
 from typing import Iterable, Iterator
 
 from ._data import typed
@@ -174,8 +175,11 @@ class JsonLineChannel:
         ``timeout_s`` from now. While its reply is awaited, the announced
         payloads after it go ahead, up to WINDOW requests in flight; a
         payload other than the next announced one abandons the
-        announcement."""
-        if not self._in_flight:
+        announcement before anything is sent for it."""
+        if not self._in_flight and self._ahead is not None:
+            # The next announced payload goes ahead only if it is this one.
+            matched = next(self._ahead, None) == payload
+            self._ahead = chain((payload,), self._ahead) if matched else None
             self._send_ahead(1)
         if self._in_flight and self._in_flight[0][1] == payload:
             request_id = self._in_flight.popleft()[0]

@@ -12,14 +12,15 @@ suggest step is a pure function of the settings and the observations:
 the first n_startup suggestions are exactly the seeded uniform sequence,
 and re-asking with the same history returns the same configuration.
 
-A history is fed only through ``record``, which adds each entry to the
-history's GridMirror as it is appended: a preallocated (n x 9) int array
-of grid positions, -1 where a parameter is inactive, the set of rows
-tried, the successes sorted by (loss, index), and the per-parameter
-position counts of all successes and of the good side. Each entry costs
-a bisect insertion and a count update, and each suggestion moves the
-good/bad boundary to ceil(gamma*n) one entry at a time, so its cost does
-not grow with the history.
+The ObservationHistory is the one record of a search, fed only through
+``record``. As each entry is appended it updates each configuration's
+first result, a preallocated (n x 9) int array of grid positions (-1
+where a parameter is inactive), the set of rows tried, the successes
+sorted by (loss, index), and the per-parameter position counts of all
+successes and of the good side. Each entry costs a bisect insertion and
+a count update, and each suggestion moves the good/bad boundary to
+ceil(gamma*n) one entry at a time, so its cost does not grow with the
+history.
 
 Each categorical draw is the first index of ``cdf`` above ``u``, with
 ``cdf = w.cumsum(); cdf /= cdf[-1]`` and ``u`` one double of
@@ -40,7 +41,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, fields
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -85,47 +86,16 @@ class Observation:
 
 
 class ObservationHistory:
-    """The trials so far on ``space``, in evaluation order, and the
-    settings that suggestions for it are drawn under.
+    """The record of a search on ``space``, and the settings that
+    suggestions for it are drawn under (``settings`` may be replaced
+    between suggestions).
 
-    ``record`` is the only way to add a trial: it appends the entry and
-    adds it to ``mirror``, the history's ``GridMirror``, so the mirror
-    always holds every entry. ``entries`` is a read-only copy.
-    ``settings`` may be replaced between suggestions.
-    """
-
-    def __init__(self, space: SearchSpace, settings: OptimizerSettings = OptimizerSettings()):
-        self.space = space
-        self.settings = settings
-        self.mirror = GridMirror(space)
-        self._entries: list[Observation] = []
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    @property
-    def entries(self) -> tuple[Observation, ...]:
-        return tuple(self._entries)
-
-    def record(self, config: Configuration, loss: float | None) -> None:
-        if loss is not None and not math.isfinite(loss):
-            raise ValueError(f"non-finite loss {loss!r} for a successful trial")
-        entry = Observation(config, loss)
-        self.mirror.add(entry)
-        self._entries.append(entry)
-
-    def succeeded(self) -> list[Observation]:
-        return [e for e in self._entries if not e.failed]
-
-    def unique_success_count(self) -> int:
-        return len({e.config for e in self.succeeded()})
-
-
-class GridMirror:
-    """The entries of a history over one space: a row of grid positions
-    per entry (-1 where the parameter is inactive), the set of rows tried,
-    and the TPE split of the successes. The history's ``record`` passes
-    each entry to ``add`` as it is appended; nothing else changes it.
+    ``record`` is the only way to add a trial. It appends the entry
+    (``entries`` is a read-only copy), keeps each configuration's first
+    loss in ``results`` (None for a failure, in first-trial order), and
+    keeps the TPE split of the successes: a row of grid positions per
+    entry (``positions``, -1 where the parameter is inactive) and the set
+    ``seen`` of rows tried.
 
     ``order`` holds the successes as (loss, entry index), sorted: the
     stable-argsort order of their losses. Its first ``n_good`` entries are
@@ -134,8 +104,11 @@ class GridMirror:
     column 0 takes the inactive -1 positions.
     """
 
-    def __init__(self, space: SearchSpace):
+    def __init__(self, space: SearchSpace, settings: OptimizerSettings = OptimizerSettings()):
         self.space = space
+        self.settings = settings
+        self._entries: list[Observation] = []
+        self.results: dict[Configuration, float | None] = {}
         self.specs = [space.spec_for(name) for name in PARAM_ORDER]
         self.sizes = np.array([spec.size for spec in self.specs])
         self.width = int(self.sizes.max())
@@ -148,7 +121,6 @@ class GridMirror:
         self._lookup = [{None: -1, **{v: i for i, v in enumerate(spec.grid)}} for spec in self.specs]
         self._columns = np.arange(len(PARAM_ORDER))
         self.last = (self._columns, self.sizes - 1)  # each row's last grid position
-        self.n = 0
         self._positions = np.empty((64, len(PARAM_ORDER)), dtype=np.int64)
         self.seen: set[tuple[int, ...]] = set()
         self.order: list[tuple[float, int]] = []
@@ -156,39 +128,55 @@ class GridMirror:
         self.good_counts = np.zeros_like(self.all_counts)
         self.n_good = 0
 
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def entries(self) -> tuple[Observation, ...]:
+        return tuple(self._entries)
+
+    @property
+    def positions(self) -> np.ndarray:
+        return self._positions[: len(self._entries)]
+
     def _count(self, counts: np.ndarray, index: int, step: int) -> None:
         """Add entry ``index``'s grid positions to ``counts``, ``step`` times."""
         counts[self._columns, self._positions[index] + 1] += step
 
-    def add(self, entry: Observation) -> None:
-        """Mirror the history's next entry. An off-grid value raises
+    def record(self, config: Configuration, loss: float | None) -> None:
+        """Add a trial. A non-finite loss or an off-grid value raises
         before anything is changed."""
+        if loss is not None and not math.isfinite(loss):
+            raise ValueError(f"non-finite loss {loss!r} for a successful trial")
         row = tuple(
-            lookup[value] if (value := getattr(entry.config, spec.name)) in lookup
+            lookup[value] if (value := getattr(config, spec.name)) in lookup
             else spec.position(value)  # raises: the value is off the grid
             for spec, lookup in zip(self.specs, self._lookup)
         )
-        i = self.n
+        i = len(self._entries)
         if i == len(self._positions):
             self._positions = np.resize(self._positions, (2 * i, len(PARAM_ORDER)))
         self._positions[i] = row
-        self.n = i + 1
-        if not entry.failed:
+        self._entries.append(Observation(config, loss))
+        self.results.setdefault(config, loss)
+        if loss is not None:
             # Ties rank the earlier entry first, as a stable sort does.
-            rank = bisect.bisect(self.order, (entry.loss, i))
-            self.order.insert(rank, (entry.loss, i))
+            rank = bisect.bisect(self.order, (loss, i))
+            self.order.insert(rank, (loss, i))
             self._count(self.all_counts, i, 1)
             if rank < self.n_good:
                 self._count(self.good_counts, i, 1)
                 self._count(self.good_counts, self.order[self.n_good][1], -1)
         # A candidate carries the space's output_classes, so it never
         # equals an entry with other ones.
-        if entry.config.output_classes == self.space.output_classes:
+        if config.output_classes == self.space.output_classes:
             self.seen.add(row)
 
-    @property
-    def positions(self) -> np.ndarray:
-        return self._positions[: self.n]
+    def succeeded(self) -> list[Observation]:
+        return [e for e in self._entries if not e.failed]
+
+    def unique_success_count(self) -> int:
+        return sum(loss is not None for loss in self.results.values())
 
     def split(self, gamma: float) -> np.ndarray:
         """The good and bad position counts stacked in a (2, 9, ``width``)
@@ -223,12 +211,6 @@ def density_weights(counts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return (counts + SMOOTHING_ALPHA) / denominators[..., None]
 
 
-def startup_draw(space: SearchSpace, seed: int, index: int) -> Configuration:
-    """The uniform draw ``suggest`` makes for the history's entry
-    ``index`` while the history is in its startup phase."""
-    return sample_uniform(space, seeded_rng(seed, index))
-
-
 def suggest(history: ObservationHistory) -> Configuration:
     """Next configuration to try; pure in the history's settings and entries.
 
@@ -237,15 +219,15 @@ def suggest(history: ObservationHistory) -> Configuration:
     was already tried (the finite grid makes plain argmax resuggest its
     peak forever, which would starve the unique-count targets).
     """
-    space, settings, mirror = history.space, history.settings, history.mirror
-    if len(history) < settings.n_startup or not mirror.order:
-        return startup_draw(space, settings.seed, len(history))
+    space, settings = history.space, history.settings
+    if len(history) < settings.n_startup or not history.order:
+        return sample_uniform(space, seeded_rng(settings.seed, len(history)))
     rng = seeded_rng(settings.seed, len(history))
 
-    good_weights, bad_weights = density_weights(mirror.split(settings.gamma), mirror.sizes)
+    good_weights, bad_weights = density_weights(history.split(settings.gamma), history.sizes)
     ratios = (good_weights / bad_weights).tolist()
     cdfs = good_weights.cumsum(axis=1)
-    cdfs /= cdfs[mirror.last][:, None]
+    cdfs /= cdfs[history.last][:, None]
     cdfs = cdfs.tolist()
 
     # Each candidate draws its block, then one value per active parameter,
@@ -258,17 +240,17 @@ def suggest(history: ObservationHistory) -> Configuration:
         row = [-1] * len(PARAM_ORDER)
         row[0] = block
         score = ratios[0][block]
-        for j in mirror.active[block]:
+        for j in history.active[block]:
             row[j] = pos = bisect.bisect_right(cdfs[j], next(draws))
             score *= ratios[j][pos]
         row = tuple(row)
         if score > best_score:
             best_score, best = score, row
-        if score > best_unseen_score and row not in mirror.seen:
+        if score > best_unseen_score and row not in history.seen:
             best_unseen_score, best_unseen = score, row
     values = {
         name: spec.lo + pos * spec.step
-        for name, spec, pos in zip(PARAM_ORDER, mirror.specs, best_unseen or best)
+        for name, spec, pos in zip(PARAM_ORDER, history.specs, best_unseen or best)
         if pos >= 0
     }
     return Configuration(output_classes=space.output_classes, **values)
@@ -285,26 +267,25 @@ def run_optimization(
 
     ``evaluate`` returns an accuracy percentage; EvaluatorError marks the
     trial failed (kept in the history, excluded from densities). A
-    duplicate suggestion reuses the cached loss and still consumes
-    budget. When ``unique_target`` unique successes are not reached
-    within ``budget``, the loop extends up to 3x the nominal budget.
+    repeated suggestion is answered from ``history.results``, its
+    configuration's first result, and still consumes budget. When
+    ``unique_target`` unique successes are not reached within
+    ``budget``, the loop extends up to 3x the nominal budget.
     """
     if budget < 1:
         raise ValueError(f"budget {budget} must be >= 1")
     history = ObservationHistory(space, settings)
-    cache: dict[Configuration, float | None] = {}
     limit = budget
     max_limit = budget * DEDUP_BUDGET_FACTOR if unique_target is not None else budget
     while len(history) < limit:
         config = suggest(history)
-        if config in cache:
-            loss = cache[config]
+        if config in history.results:
+            loss = history.results[config]
         else:
             try:
                 loss = -float(evaluate(config))
             except EvaluatorError:
                 loss = None
-            cache[config] = loss
         history.record(config, loss)
         if (
             len(history) == limit
@@ -314,6 +295,22 @@ def run_optimization(
         ):
             limit = min(limit + budget, max_limit)
     return history
+
+
+def startup_configs(
+    space: SearchSpace, settings: OptimizerSettings, budget: int
+) -> Iterator[Configuration]:
+    """The first configurations ``run_optimization`` evaluates with these
+    arguments: the distinct startup draws of ``suggest``, first
+    occurrences in order, since a repeat is answered from ``results``.
+    Each is drawn as it is taken, so a channel that reads an announcement
+    as it sends makes the draws while its child works."""
+    seen: set[Configuration] = set()
+    for i in range(min(settings.n_startup, budget)):
+        config = sample_uniform(space, seeded_rng(settings.seed, i))
+        if config not in seen:
+            seen.add(config)
+            yield config
 
 
 def random_search(
@@ -327,7 +324,6 @@ def random_search(
 
 def best_accuracy(history: ObservationHistory) -> float:
     """Highest successful accuracy seen so far."""
-    losses = [e.loss for e in history.succeeded()]
-    if not losses:
+    if not history.order:
         raise ValueError("no successful trials")
-    return -min(losses)
+    return -history.order[0][0]

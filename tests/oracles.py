@@ -149,7 +149,8 @@ def position_counts(positions, width):
     """Per parameter, the observations of each grid position: row j counts
     column j of ``positions`` over ``width`` positions, and -1 (an inactive
     parameter) is not an observation. The from-scratch counts that
-    edgenas.tpe.GridMirror keeps incrementally."""
+    edgenas.tpe.ObservationHistory keeps incrementally as each trial is
+    recorded."""
     n_params = positions.shape[1]
     bins = positions + 1 + (width + 1) * np.arange(n_params)
     counts = np.bincount(bins.ravel(), minlength=n_params * (width + 1))

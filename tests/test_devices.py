@@ -400,6 +400,42 @@ class TestBackendContract:
         called = self._results(measurer, measurement, [pairs[i] for i in order])
         assert called == [alone[i] for i in order]
 
+    @pytest.mark.parametrize("measurement", ["latency", "power"])
+    def test_call_out_of_order_measures_only_its_pair(
+        self, table1, backend, measurement, monkeypatch
+    ):
+        # a call for the second of 100 announced pairs: one block, of that pair
+        pairs = _pairs(table1, 100)
+        device = backend()
+        alone = self._alone(backend(), measurement, pairs[1:2])
+        blocks = []
+        measure = getattr(device, f"{measurement}_block")
+
+        def spy(block, *args):
+            blocks.append([config for config, _ in block])
+            return measure(block, *args)
+
+        monkeypatch.setattr(device, f"{measurement}_block", spy)
+        measurer = DeviceMeasurer(device)
+        measurer.expect(measurement, pairs)
+        assert self._results(measurer, measurement, pairs[1:2]) == alone
+        assert blocks == [[pairs[1][0]]]
+
+    @pytest.mark.parametrize("measurement", ["latency", "power"])
+    def test_calls_out_of_order_send_one_request_each(self, table1, measurement):
+        # announced p1, p2, p3 and called p2, p1, p3: nothing goes ahead
+        # for a pair that is not asked for next
+        pairs = _pairs(table1, 3)
+        with _device_channel("per_config") as channel:
+            alone = self._alone(ExternalDevice(channel), measurement, pairs)
+        with _device_channel("per_config") as channel:
+            measurer = DeviceMeasurer(ExternalDevice(channel))
+            measurer.expect(measurement, pairs)
+            order = [1, 0, 2]
+            called = self._results(measurer, measurement, [pairs[i] for i in order])
+            assert called == [alone[i] for i in order]
+            assert channel._next_id == 3
+
     def test_measurement_error_stays_with_its_pair(self, table1, pi_best, backend):
         # the third pair fails: the mock's error_third mode answers request 2
         # with an error, and a zero model latency leaves the empty

@@ -34,10 +34,9 @@ def _history(space, entries, **settings):
 
 def _split(history):
     """The good and bad successful entries, as suggest splits them."""
-    mirror = history.mirror
-    mirror.split(history.settings.gamma)
-    good = sorted(i for _, i in mirror.order[: mirror.n_good])
-    bad = sorted(i for _, i in mirror.order[mirror.n_good :])
+    history.split(history.settings.gamma)
+    good = sorted(i for _, i in history.order[: history.n_good])
+    bad = sorted(i for _, i in history.order[history.n_good :])
     return [history.entries[i] for i in good], [history.entries[i] for i in bad]
 
 
@@ -115,7 +114,7 @@ class TestDensities:
         shallow = Configuration(block=2, k1=6, k2=24, fc1=100, do1=10, fc2=80, do2=10)
         deep = Configuration(block=4, k1=6, k2=24, k3=40, k4=52, fc1=100, do1=10, fc2=80, do2=10)
         history = _history(table1, [(shallow, -95.0), (deep, -99.0), (shallow, -90.0)])
-        good, bad = history.mirror.split(history.settings.gamma)
+        good, bad = history.split(history.settings.gamma)
         rows = (good + bad)[[PARAM_ORDER.index("block"), PARAM_ORDER.index("k3")], :3]
         assert rows.tolist() == [[2, 0, 1], [0, 1, 0]]
 
@@ -176,54 +175,50 @@ class TestSuggest:
         shallow = Configuration(block=2, k1=6, k2=24, fc1=100, do1=10, fc2=80, do2=10)
         deep = Configuration(block=3, k1=6, k2=24, k3=48, fc1=100, do1=10, fc2=80, do2=10)
         history = _history(table1, [(shallow, -95.0), (deep, -99.0)])
-        column = history.mirror.positions[:, PARAM_ORDER.index("k3")]
+        column = history.positions[:, PARAM_ORDER.index("k3")]
         k3_grid = table1.spec_for("k3").grid
         assert [k3_grid[p] for p in column if p >= 0] == [48]
 
 
-def _assert_mirror_rebuilt(history):
-    """The incrementally kept mirror equals one built from scratch."""
-    kept = history.mirror
-    replay = ObservationHistory(history.space, history.settings)
+def _assert_split_rebuilt(history):
+    """The incrementally kept split equals one built from scratch."""
+    fresh = ObservationHistory(history.space, history.settings)
     for entry in history.entries:
-        replay.record(entry.config, entry.loss)
-    fresh = replay.mirror
+        fresh.record(entry.config, entry.loss)
     fresh.split(history.settings.gamma)
-    assert kept.n == fresh.n
-    assert np.array_equal(kept.positions, fresh.positions)
-    assert kept.seen == fresh.seen
-    assert kept.order == fresh.order
-    assert kept.n_good == fresh.n_good
-    assert np.array_equal(kept.all_counts, fresh.all_counts)
-    assert np.array_equal(kept.good_counts, fresh.good_counts)
+    assert list(history.results.items()) == list(fresh.results.items())
+    assert np.array_equal(history.positions, fresh.positions)
+    assert history.seen == fresh.seen
+    assert history.order == fresh.order
+    assert history.n_good == fresh.n_good
+    assert np.array_equal(history.all_counts, fresh.all_counts)
+    assert np.array_equal(history.good_counts, fresh.good_counts)
 
 
 def _assert_split_from_scratch(history):
-    """The mirror's counts equal those of the reference split, rebuilt
+    """The history's counts equal those of the reference split, rebuilt
     from every successful entry."""
-    mirror = history.mirror
     entries = history.entries
     succeeded = [i for i, e in enumerate(entries) if not e.failed]
     losses = np.array([entries[i].loss for i in succeeded])
     good, _ = split_losses(losses, history.settings.gamma)
-    rows = mirror.positions[succeeded]
-    assert mirror.n_good == len(good)
-    assert np.array_equal(mirror.good_counts[:, 1:], position_counts(rows[good], mirror.width))
-    assert np.array_equal(mirror.all_counts[:, 1:], position_counts(rows, mirror.width))
+    rows = history.positions[succeeded]
+    assert history.n_good == len(good)
+    assert np.array_equal(history.good_counts[:, 1:], position_counts(rows[good], history.width))
+    assert np.array_equal(history.all_counts[:, 1:], position_counts(rows, history.width))
 
 
-def test_off_grid_entry_leaves_mirror_unchanged(table1):
+def test_off_grid_entry_leaves_history_unchanged(table1):
     rng = np.random.default_rng(3)
     history = _history(table1, [(sample_uniform(table1, rng), -float(i)) for i in range(30)])
-    mirror = history.mirror
-    mirror.split(history.settings.gamma)
-    before = (mirror.n, list(mirror.order), set(mirror.seen), mirror.n_good,
-              mirror.all_counts.copy(), mirror.good_counts.copy(), mirror.positions.copy())
+    history.split(history.settings.gamma)
+    before = (len(history), list(history.order), set(history.seen), history.n_good,
+              history.all_counts.copy(), history.good_counts.copy(), history.positions.copy())
     off_grid = Configuration(block=2, k1=7, k2=24, fc1=100, do1=10, fc2=80, do2=10)
     with pytest.raises(SpaceValidationError, match=r"^K1=7 off-grid \(6\.\.16 step 2\)$"):
         history.record(off_grid, -99.0)
-    after = (mirror.n, mirror.order, mirror.seen, mirror.n_good,
-             mirror.all_counts, mirror.good_counts, mirror.positions)
+    after = (len(history), history.order, history.seen, history.n_good,
+             history.all_counts, history.good_counts, history.positions)
     assert after[:4] == before[:4]
     assert all(np.array_equal(a, b) for a, b in zip(after[4:], before[4:]))
     assert len(history) == 30
@@ -247,7 +242,7 @@ class TestReferenceEquivalence:
             config = suggest(history)
             assert config == tpe_suggest(space, history), step
             if len(history) >= history.settings.n_startup:
-                _assert_mirror_rebuilt(history)
+                _assert_split_rebuilt(history)
                 _assert_split_from_scratch(history)
             if config.k1 == 8:
                 history.record(config, None)
@@ -281,8 +276,8 @@ class TestReferenceEquivalence:
         before = suggest(history)
         with pytest.raises(ValueError, match=rf"non-finite loss {loss!r} for a successful trial"):
             history.record(configs[6], loss)
-        assert len(history) == history.mirror.n == 6
-        _assert_mirror_rebuilt(history)
+        assert len(history) == len(history.positions) == 6
+        _assert_split_rebuilt(history)
         assert suggest(history) == before == tpe_suggest(table1, history)
 
     def test_history_without_success_draws_uniformly(self, table1):
@@ -324,20 +319,29 @@ class TestRunOptimization:
         b = run_optimization(reduced_space, evaluate, 120, settings)
         assert a.entries == b.entries
 
-    def test_duplicates_reuse_cached_loss(self, toy8_space):
+    @pytest.mark.parametrize("failing_k1", [None, 6], ids=["successes", "k1_6_fails"])
+    def test_duplicates_reuse_cached_loss(self, toy8_space, failing_k1):
         calls = []
 
         def evaluate(config):
             calls.append(config)
+            if config.k1 == failing_k1:
+                raise EvaluatorError("synthetic failure")
             return 90.0 + len(calls)
 
         history = run_optimization(toy8_space, evaluate, 60, OptimizerSettings(seed=2))
         assert len(history) == 60
         assert len(calls) == len(set(calls))  # never re-evaluated
+        assert list(history.results) == calls
         by_config = {}
         for entry in history.entries:
             by_config.setdefault(entry.config, set()).add(entry.loss)
         assert all(len(losses) == 1 for losses in by_config.values())
+        failed = [config for config in calls if config.k1 == failing_k1]
+        assert [c for c, loss in history.results.items() if loss is None] == failed
+        if failing_k1 is not None:
+            # a failed configuration is suggested again, and answered None
+            assert sum(e.config in failed for e in history.entries) > len(failed) > 0
 
     def test_failed_trials_recorded_not_fatal(self, reduced_space):
         history = run_optimization(
