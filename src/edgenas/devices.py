@@ -26,6 +26,13 @@ announced pairs at once. A real device's block is one pair, one
 request: each reply is reduced, and its record logged, as it arrives,
 and the fallback that measures a failed block again pair by pair never
 sends a device a request twice.
+
+A simulated device's jitter comes from one stream per (device, config)
+pair: ``np.random.default_rng([seed, crc32(device), crc32(config JSON),
+salt])``, salt 1 for latency and 2 for power. A block's streams are
+seeded in one pass, numpy's SeedSequence mix run over all its keys at
+once and one PCG64 re-seeded in place per pair, and they equal
+``default_rng``'s per-pair streams.
 """
 
 from __future__ import annotations
@@ -34,6 +41,7 @@ import math
 import zlib
 from collections import deque
 from dataclasses import asdict, dataclass, replace
+from functools import cache
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -44,7 +52,7 @@ from ._data import read_json, typed, write_json
 from .architecture import ArchitectureDescriptor
 from .evaluators import Precision
 from .protocol import ChannelTimeout, JsonLineChannel, ProtocolError, number
-from .space import Configuration, seeded_rng
+from .space import Configuration
 
 NEGATIVE_POWER_TOLERANCE_W = 0.05
 _MAX_THROUGHPUT = 1e15  # stand-in for "term fitted to zero", keeps models finite
@@ -273,10 +281,81 @@ def simulate_dynamic_power(
     return m.alpha_w + m.beta_w_per_kmacs_per_ms * kmacs_per_ms
 
 
-def _jitter_rng(seed: int, device: str, config: Configuration, salt: int) -> np.random.Generator:
-    return seeded_rng(
-        seed, zlib.crc32(device.encode()), zlib.crc32(config.canonical_json().encode()), salt
-    )
+# numpy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding, as
+# numpy/random/bit_generator.pyx and pcg64.h define them.
+_MASK_32, _MASK_128 = (1 << 32) - 1, (1 << 128) - 1
+_XSHIFT = np.uint32(16)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+@cache
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """The constants of a stream of ``calls`` hashes, in order: hash i
+    xors with init * mult**i and multiplies by init * mult**(i+1)."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK_32)
+    return np.array(consts[:-1], dtype=np.uint32), np.array(consts[1:], dtype=np.uint32)
+
+
+def _hashmix(values: np.ndarray, xor: np.ndarray, mul: np.ndarray) -> np.ndarray:
+    values = (values ^ xor) * mul
+    return values ^ (values >> _XSHIFT)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = _MIX_MULT_L * x - _MIX_MULT_R * y
+    return result ^ (result >> _XSHIFT)
+
+
+def _entropy_words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: 32-bit words, least
+    significant first, [0] for 0."""
+    if value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value}")
+    words = [value & _MASK_32]
+    while value := value >> 32:
+        words.append(value & _MASK_32)
+    return words
+
+
+def _seeded_streams(keys: np.ndarray):
+    """For each row of a (pairs x words) uint32 array of entropy words,
+    the stream of ``np.random.default_rng(row)``, drawn from one
+    Generator: each yielded generator is valid only until the next one is
+    drawn. SeedSequence's mix runs over all rows at once, and one PCG64 is
+    re-seeded in place per row through its ``state`` setter."""
+    pairs, words = keys.shape
+    # Hashes 0-3 take the first 4 words (0 past the last), 4-15 cross-mix
+    # the pool, and 4 * w to 4 * w + 3 mix word w >= 4 into each pool word.
+    xor, mul = _hash_constants(_INIT_A, _MULT_A, 4 * max(words, 4))
+    pool = np.zeros((pairs, 4), dtype=np.uint32)
+    pool[:, : min(words, 4)] = keys[:, :4]
+    pool = _hashmix(pool, xor[:4], mul[:4])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        hashes = slice(4 + 3 * src, 7 + 3 * src)
+        pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src, None], xor[hashes], mul[hashes]))
+    for src in range(4, words):
+        hashes = slice(4 * src, 4 * src + 4)
+        pool = _mix(pool, _hashmix(keys[:, src, None], xor[hashes], mul[hashes]))
+    # generate_state(4, uint64): 8 words hashed from the pool in turn.
+    state = _hashmix(np.tile(pool, 2), *_hash_constants(_INIT_B, _MULT_B, 8))
+    state = state.astype("<u4").view("<u8")
+    bit_generator = np.random.PCG64(0)
+    generator = np.random.Generator(bit_generator)
+    for state_hi, state_lo, seq_hi, seq_lo in state.tolist():
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK_128
+        pcg = ((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK_128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": pcg, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield generator
 
 
 def _clamp_at_zero(samples: np.ndarray) -> np.ndarray:
@@ -289,9 +368,11 @@ class SimulatedDevice:
     """Synthesizes raw samples from the cost models, one row per (config,
     arch) pair, for a block of pairs at once. Noiseless unless a jitter
     spec is given, and then a noiseless block is a broadcast view with no
-    sample matrix behind it; jitter is seeded per device and
+    sample matrix behind it. Jitter is seeded per device and
     configuration, so results are independent of measurement order and of
-    the block a pair is measured in."""
+    the block a pair is measured in: a block's streams are seeded in one
+    pass and equal each pair's own ``default_rng`` stream (module
+    docstring)."""
 
     block_pairs = BLOCK_PAIRS
 
@@ -307,7 +388,13 @@ class SimulatedDevice:
         pass
 
     def _rngs(self, pairs: Sequence[Pair], salt: int):
-        return (_jitter_rng(self.seed, self.profile.name, config, salt) for config, _ in pairs)
+        """Each pair's stream of ``np.random.default_rng([seed,
+        crc32(device), crc32(config JSON), salt])``, seeded for the whole
+        block in one pass. Each generator is valid only until the next one
+        is drawn, so a block consumes them in order."""
+        head = [*_entropy_words(self.seed), zlib.crc32(self.profile.name.encode())]
+        keys = [[*head, zlib.crc32(config.canonical_json().encode()), salt] for config, _ in pairs]
+        return _seeded_streams(np.array(keys, dtype=np.uint32))
 
     def latency_block(self, pairs: Sequence[Pair], runs: int) -> np.ndarray:
         """The pairs' latency samples, (pairs x runs)."""
@@ -392,9 +479,13 @@ class ExternalDevice:
         self.channel.expect(_power_request(config, window_s, sample_hz) for config, _ in pairs)
 
     def _request(self, message: dict) -> dict:
-        """The device's reply. A timeout or an error reply fails only this
-        measurement: the channel drops a late reply, so the next request
-        reads its own."""
+        """The device's reply. An error reply fails only this measurement.
+        A timeout fails this measurement, and may fail the requests behind
+        it too: each request's clock starts when the channel starts waiting
+        for it, while the child may still be busy with the stalled one, so
+        they can expire in its queue until it catches up. The channel drops
+        the late reply, so a request that is answered reads its own. ROADMAP
+        item 16 is to make a stalled reply cost one request."""
         try:
             response = self.channel.request(message)
         except ChannelTimeout as exc:

@@ -7,6 +7,7 @@ second route.
 
 import itertools
 import math
+import zlib
 
 import numpy as np
 
@@ -214,26 +215,35 @@ def tpe_suggest(space, history):
     return best_unseen if best_unseen is not None else best_config
 
 
-# The jittered SimulatedDevice samples as first written: each noise draw
-# added and clamped at zero one Python float at a time. The library clamps
-# the whole array and must return the same floats, signed zeros included.
-# The device module's functions are looked up at call time, so a test that
-# stubs them stubs the reference too.
+# The jittered SimulatedDevice samples as first written: each pair's noise
+# drawn from default_rng of its own key, and each draw added and clamped at
+# zero one Python float at a time. The library seeds a block's streams in
+# one pass and clamps the whole array, and must return the same floats,
+# signed zeros included. The cost models are looked up in the device module
+# at call time, so a test that stubs them stubs the reference too; a test
+# that stubs the device's generators passes the same stub as ``rng``.
 
 
-def simulated_latency_samples(device, config, arch, runs):
+def jitter_rng(device, config, salt):
+    return np.random.default_rng(
+        [device.seed, zlib.crc32(device.profile.name.encode()),
+         zlib.crc32(config.canonical_json().encode()), salt]
+    )
+
+
+def simulated_latency_samples(device, config, arch, runs, rng=None):
     base = devices.simulate_latency(arch, device.profile)
-    rng = devices._jitter_rng(device.seed, device.profile.name, config, 1)
+    rng = jitter_rng(device, config, 1) if rng is None else rng
     noise = rng.normal(0.0, device.jitter.latency_sigma_ms, size=runs)
     return [max(base + float(n), 0.0) for n in noise]
 
 
-def simulated_power_traces(device, config, arch, window_s, sample_hz):
+def simulated_power_traces(device, config, arch, window_s, sample_hz, rng=None):
     n = window_s * sample_hz
     idle = device.profile.power_model.idle_w
     latency = devices.simulate_latency(arch, device.profile)
     active = idle + devices.simulate_dynamic_power(arch, device.profile, latency)
-    rng = devices._jitter_rng(device.seed, device.profile.name, config, 2)
+    rng = jitter_rng(device, config, 2) if rng is None else rng
     idle_noise = rng.normal(0.0, device.jitter.power_sigma_w, size=n)
     active_noise = rng.normal(0.0, device.jitter.power_sigma_w, size=n)
     return (

@@ -1,5 +1,6 @@
 import math
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -506,7 +507,9 @@ class TestJitterClamp:
             def normal(self, loc, scale, size):
                 return noise[:size].copy()
 
-        monkeypatch.setattr(devices_module, "_jitter_rng", lambda *args: StubGenerator())
+        monkeypatch.setattr(
+            SimulatedDevice, "_rngs", lambda self, pairs, salt: (StubGenerator() for _ in pairs)
+        )
         monkeypatch.setattr(devices_module, "simulate_latency", lambda arch, profile: -0.0)
         monkeypatch.setattr(
             devices_module, "simulate_dynamic_power", lambda arch, profile, latency: -0.0
@@ -517,13 +520,54 @@ class TestJitterClamp:
         latency = self._latency(device, pi_best, arch, 6)
         assert math.copysign(1.0, latency[0]) == -1.0
         self._assert_same_floats(
-            latency, oracles.simulated_latency_samples(device, pi_best, arch, 6)
+            latency, oracles.simulated_latency_samples(device, pi_best, arch, 6, StubGenerator())
         )
         traces = self._power(device, pi_best, arch, 6, 1)
-        reference = oracles.simulated_power_traces(device, pi_best, arch, 6, 1)
+        reference = oracles.simulated_power_traces(device, pi_best, arch, 6, 1, StubGenerator())
         for got, expected in zip(traces, reference):
             assert math.copysign(1.0, got[0]) == -1.0
             self._assert_same_floats(got, expected)
+
+
+class TestJitterStreams:
+    """A block's generators are seeded in one pass and give the streams of
+    default_rng of each pair's key, two draws each as power_block makes."""
+
+    @staticmethod
+    def _draws(rng):
+        return rng.normal(0.0, 1.0, size=3).tolist() + rng.random(size=3).tolist()
+
+    def _assert_streams(self, keys, streams):
+        got = [self._draws(rng) for rng in streams]
+        assert got == [self._draws(np.random.default_rng(key)) for key in keys]
+
+    @pytest.mark.parametrize("block", [1, 63, 64])
+    def test_random_keys(self, block):
+        rng = np.random.default_rng(2305)
+        for _ in range(1000 // block + 1):
+            keys = rng.integers(0, 1 << 32, size=(block, 4), dtype=np.uint64)
+            keys[::7, 1:3] = [0, (1 << 32) - 1]
+            keys[3::7, 1:3] = [(1 << 32) - 1, 0]
+            keys[:, 3] = rng.integers(1, 3, size=block)
+            streams = devices_module._seeded_streams(keys.astype(np.uint32))
+            self._assert_streams(keys.tolist(), streams)
+
+    @pytest.mark.parametrize("seed", [0, (1 << 32) - 1, 1 << 32, (1 << 64) + 3])
+    @pytest.mark.parametrize("salt", [1, 2])
+    @pytest.mark.parametrize("block", [1, 63, 64])
+    def test_device_keys(self, table1, seed, salt, block):
+        device = SimulatedDevice(_profile(name="pi-ncs2"), JitterSpec(1.0, 1.0), seed=seed)
+        configs = [config_from_index(table1, 5 + i * 7919) for i in range(block)]
+        keys = [
+            [seed, zlib.crc32(b"pi-ncs2"), zlib.crc32(config.canonical_json().encode()), salt]
+            for config in configs
+        ]
+        self._assert_streams(keys, device._rngs([(config, None) for config in configs], salt))
+
+    def test_negative_seed_refused(self, pi_best):
+        device = SimulatedDevice(_profile(), JitterSpec(1.0), seed=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            device.latency_block([(pi_best, _empty_arch(pi_best))], 5)
 
 
 class TestExternalMeasurement:

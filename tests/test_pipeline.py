@@ -1148,7 +1148,9 @@ class TestBadMeasurements:
                 return noise
 
         monkeypatch.setattr(
-            devices_module, "_jitter_rng", lambda seed, device, config, salt: StubGenerator(config)
+            SimulatedDevice,
+            "_rngs",
+            lambda self, pairs, salt: (StubGenerator(config) for config, _ in pairs),
         )
         factory = lambda p: DeviceMeasurer(SimulatedDevice(p, JitterSpec(1.0)))  # noqa: E731
         profiles = {"dev": _zero_delta_profile("dev")}
